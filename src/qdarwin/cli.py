@@ -29,8 +29,9 @@ from .graphstate import (
     star_ghz_check,
     star_spec,
 )
-from .measurement import (
+from .measurement import (  # noqa: F401  (mi_curve_from_counts: perfbench/tracer.py wraps this binding)
     RunConfig,
+    _bootstrap_curve,
     counts_from_json,
     counts_to_json,
     mi_curve_from_counts,
@@ -185,9 +186,7 @@ def _cmd_estimate(args) -> int:
         )
         target = "star" if args.pipeline == "closed_form" else "full_tomography"
         data = [sample_setting(state, s, cfg) for s in plan_measurements(target).settings]
-    curve = mi_curve_from_counts(
-        data, args.system, args.pipeline, bootstrap_resamples=args.bootstrap, seed=args.seed
-    )
+    curve, diagnostics = _bootstrap_curve(data, args.system, args.pipeline, args.bootstrap, args.seed)
     manifest = _manifest(
         "estimate",
         {
@@ -204,7 +203,7 @@ def _cmd_estimate(args) -> int:
     )
     if args.save_counts:
         _write_with_manifest(Path(args.save_counts), counts_to_json(data), manifest)
-    _write_curve(curve, Path(args.out), manifest)
+    _write_curve(curve, Path(args.out), {**manifest, "diagnostics": diagnostics})
     return 0
 
 

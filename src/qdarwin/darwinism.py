@@ -16,6 +16,8 @@ import numpy as np
 
 from .qcore import (
     StateVector,
+    _entropy_batch,
+    _partial_trace_batch,
     partial_trace,
     subsystem_entropy,
     von_neumann_entropy,
@@ -82,19 +84,30 @@ def mutual_information(state, system: int, fragment) -> float:
     members = _validate_fragment(n, system, fragment)
     if not members:
         return 0.0
-    joint = (system,) + members
-    if isinstance(state, StateVector):
-        h_s = subsystem_entropy(state, (system,))
-        h_f = subsystem_entropy(state, members)
-        h_sf = subsystem_entropy(state, joint)
-    else:
-        h_s = von_neumann_entropy(partial_trace(state, (system,)))
-        h_f = von_neumann_entropy(partial_trace(state, members))
-        h_sf = von_neumann_entropy(partial_trace(state, joint))
-    value = h_s + h_f - h_sf
+    if not isinstance(state, StateVector):
+        return float(_mutual_information_batch(state.entries, system, [members])[0])
+    value = (
+        subsystem_entropy(state, (system,))
+        + subsystem_entropy(state, members)
+        - subsystem_entropy(state, (system,) + members)
+    )
     if value < -1e-9:
         raise ValueError(f"mutual information {value!r} violates nonnegativity")
-    return max(value, 0.0)
+    return max(value, 0.0) + 0.0  # + 0.0: no -0.0
+
+
+def _mutual_information_batch(mats: np.ndarray, system: int, fragments) -> np.ndarray:
+    """I(S:F) >= 0 of every density matrix in a (..., d, d) stack for every
+    fragment (a validated tuple of labels): shape (..., len(fragments))."""
+    h_s = _entropy_batch(_partial_trace_batch(mats, (system,)))
+    values = np.empty(mats.shape[:-2] + (len(fragments),))
+    for j, members in enumerate(fragments):
+        h_f = _entropy_batch(_partial_trace_batch(mats, members))
+        h_sf = _entropy_batch(_partial_trace_batch(mats, (system,) + members))
+        values[..., j] = h_s + h_f - h_sf
+    if values.min() < -1e-9:
+        raise ValueError(f"mutual information {float(values.min())!r} violates nonnegativity")
+    return np.maximum(values, 0.0) + 0.0
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ _STAR_BRANCH = "0101"
 _OTHER_BRANCH = "1010"
 _F_WINDOW = 1e-9
 _XLOGX_CUTOFF = 1e-12
+_NEGATIVITY_TOL = 0.25
 
 
 @dataclass(frozen=True)
@@ -121,16 +122,25 @@ def reconstruct_density(table: CorrelatorTable) -> DensityMatrix:
     The physical flag is set False when the reconstructed spectrum dips below
     -1e-9, as happens for finite-statistics tables.
     """
-    strings, stack = _pauli_stack()
+    strings, _ = _pauli_stack()
     missing = [str(s) for s in strings if s not in table]
     if missing:
         raise ValueError(f"table is missing {len(missing)} strings (e.g. {missing[:4]})")
-    values = np.array([table.value(s) for s in strings])
-    rho = np.tensordot(values, stack, axes=(0, 0)) / 16.0
-    rho = (rho + rho.conj().T) / 2
-    rho /= np.real(np.trace(rho))
+    rho = _density_batch(np.array([table.value(s) for s in strings]))
     physical = bool(np.linalg.eigvalsh(rho).min() >= -1e-9)
     return DensityMatrix(rho, physical=physical)
+
+
+def _density_batch(values: np.ndarray) -> np.ndarray:
+    """Linear inversion of (..., 256) correlator vectors, ordered as
+    all_pauli_strings(4): Hermitian, unit-trace (..., 16, 16) matrices."""
+    _, stack = _pauli_stack()
+    # a vector-matrix product per row, as for a single table: one
+    # (B, 256) x (256, 256) product adds in another order (last-bit changes)
+    rho = (values[..., None, :] @ stack.reshape(256, 256)).reshape(values.shape[:-1] + (16, 16))
+    rho = rho / 16.0
+    rho = (rho + np.conj(np.swapaxes(rho, -1, -2))) / 2
+    return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None]
 
 
 def _diagonal_terms(branch: str) -> list[tuple[str, float]]:
@@ -185,6 +195,18 @@ def _star_families() -> tuple[PauliString, ...]:
 STAR_CORRELATORS = _star_families()
 
 
+_STAR_INDEX = {s.labels: i for i, s in enumerate(STAR_CORRELATORS)}
+
+
+def _star_populations(values: np.ndarray):
+    """(P, Q, C) of (..., 32) correlator vectors ordered as STAR_CORRELATORS,
+    summed term by term in expansion order."""
+    return tuple(
+        sum(coeff * values[..., _STAR_INDEX[labels]] for labels, coeff in terms) / 16.0
+        for terms in (_P_TERMS, _Q_TERMS, _C_TERMS)
+    )
+
+
 @dataclass(frozen=True)
 class StarParameters:
     """Two-branch model rho = P |0101><0101| + (1-P) |1010><1010| + coherence C.
@@ -207,9 +229,9 @@ def star_parameters(table: CorrelatorTable) -> StarParameters:
     if missing:
         raise ValueError(f"table is missing required strings: {missing}")
 
-    p_value = sum(sign * table.value(s) for s, sign in _P_TERMS) / 16.0
-    q_value = sum(sign * table.value(s) for s, sign in _Q_TERMS) / 16.0
-    c_value = sum(coeff * table.value(s) for s, coeff in _C_TERMS) / 16.0
+    p_value, q_value, c_value = _star_populations(
+        np.array([table.value(s) for s in STAR_CORRELATORS])
+    )
 
     sigmas_diag = [table.sigma(s) for s, _ in _P_TERMS]
     sigmas_xy = [table.sigma(s) for s, _ in _C_TERMS]
@@ -220,7 +242,7 @@ def star_parameters(table: CorrelatorTable) -> StarParameters:
         sigma_p = sigma_c = None
 
     tol = 1e-6 if sigma_p is None else max(1e-6, 6.0 * sigma_p)
-    consistent = abs(p_value + q_value - 1.0) <= tol
+    consistent = bool(abs(p_value + q_value - 1.0) <= tol)
     return StarParameters(
         p=float(p_value),
         c=complex(c_value),
@@ -230,11 +252,13 @@ def star_parameters(table: CorrelatorTable) -> StarParameters:
     )
 
 
-def _xlogx(x: float) -> float:
-    """Re[x log2 x] with the 0 log 0 := 0 convention; tiny magnitudes drop out."""
-    if abs(x) <= _XLOGX_CUTOFF:
-        return 0.0
-    return float((x * np.log2(complex(x))).real)
+def _xlogx(x) -> np.ndarray:
+    """Re[x log2 x] elementwise with the 0 log 0 := 0 convention; tiny
+    magnitudes drop out, negative x take the complex logarithm."""
+    x = np.asarray(x, dtype=complex)
+    small = np.abs(x) <= _XLOGX_CUTOFF
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 0.0, (safe * np.log2(safe)).real)
 
 
 def branch_eigenvalues(params: StarParameters, *, uncorrected: bool = False) -> tuple[float, float]:
@@ -245,10 +269,15 @@ def branch_eigenvalues(params: StarParameters, *, uncorrected: bool = False) -> 
     (2P-1 +- sqrt(...))/2 variant, whose values do not sum to one and can go
     negative; it is kept only so the two can be compared.
     """
-    spread = sqrt(4.0 * abs(params.c) ** 2 + (1.0 - 2.0 * params.p) ** 2)
-    if uncorrected:
-        return ((2.0 * params.p - 1.0 + spread) / 2.0, (2.0 * params.p - 1.0 - spread) / 2.0)
-    return ((1.0 + spread) / 2.0, (1.0 - spread) / 2.0)
+    f_plus, f_minus = _branch_eigenvalues(params.p, params.c, uncorrected)
+    return float(f_plus), float(f_minus)
+
+
+def _branch_eigenvalues(p, c, uncorrected: bool):
+    # hypot and float_power round exactly as Python's abs and ** on scalars
+    spread = np.sqrt(4.0 * np.float_power(_magnitude(c), 2) + np.float_power(1.0 - 2.0 * p, 2))
+    centre = 2.0 * p - 1.0 if uncorrected else 1.0
+    return (centre + spread) / 2.0, (centre - spread) / 2.0
 
 
 def star_mutual_information(params: StarParameters, delta: int, *, uncorrected: bool = False) -> float:
@@ -261,20 +290,32 @@ def star_mutual_information(params: StarParameters, delta: int, *, uncorrected: 
     """
     if delta not in (1, 2, 3):
         raise ValueError(f"delta must be 1, 2 or 3, got {delta}")
-    binary = -_xlogx(params.p) - _xlogx(1.0 - params.p)
-    if delta in (1, 2):
-        return binary
-    f_plus, f_minus = branch_eigenvalues(params, uncorrected=uncorrected)
+    values, in_model = _two_branch_mi(params.p, params.c, uncorrected=uncorrected)
+    if delta == 3 and not in_model:
+        raise ValueError(
+            f"branch eigenvalues {branch_eigenvalues(params)} outside [0, 1]: the "
+            "table is not consistent with the two-branch model"
+        )
+    return float(values[delta - 1])
+
+
+def _magnitude(c) -> np.ndarray:
+    """|C| elementwise; hypot rounds as Python's abs of a complex does."""
+    c = np.asarray(c)
+    return np.hypot(c.real, c.imag)
+
+
+def _two_branch_mi(p, c, *, uncorrected: bool = False):
+    """Closed-form mutual information of two-branch models, elementwise in
+    (P, C): fragment sizes 1, 2, 3 along a new last axis, and whether the
+    branch eigenvalues lie in [0, 1] (always True for `uncorrected`)."""
+    binary = -_xlogx(p) - _xlogx(1.0 - p) + 0.0  # + 0.0: no -0.0 at P in {0, 1}
+    f_plus, f_minus = _branch_eigenvalues(p, c, uncorrected)
+    in_model = uncorrected | ((f_minus >= -_F_WINDOW) & (f_plus <= 1.0 + _F_WINDOW))
     if not uncorrected:
-        for f in (f_plus, f_minus):
-            if not -_F_WINDOW <= f <= 1.0 + _F_WINDOW:
-                raise ValueError(
-                    f"branch eigenvalue {f!r} outside [0, 1]: the table is not "
-                    "consistent with the two-branch model"
-                )
-        f_plus = min(max(f_plus, 0.0), 1.0)
-        f_minus = min(max(f_minus, 0.0), 1.0)
-    return _xlogx(f_plus) + _xlogx(f_minus) + 2.0 * binary
+        f_plus, f_minus = np.clip(f_plus, 0.0, 1.0), np.clip(f_minus, 0.0, 1.0)
+    full = _xlogx(f_plus) + _xlogx(f_minus) + 2.0 * binary + 0.0
+    return np.stack([binary, binary, full], axis=-1), in_model
 
 
 @dataclass(frozen=True)
@@ -334,7 +375,7 @@ def plan_measurements(target: str) -> MeasurementPlan:
 
 
 def diamond_mutual_information(
-    table: CorrelatorTable, system: int, *, negativity_tol: float = 0.25
+    table: CorrelatorTable, system: int, *, negativity_tol: float = _NEGATIVITY_TOL
 ) -> MICurve:
     """Mutual-information curve from a full 256-string correlator table.
 

@@ -10,35 +10,44 @@ so results are independent of setting order and of any parallel scheduling.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .darwinism import MICurve, MIPoint
+from .darwinism import MICurve, MIPoint, _mutual_information_batch
 from .estimator import (
+    _NEGATIVITY_TOL,
     CorrelatorTable,
     StarParameters,
+    _density_batch,
+    _magnitude,
+    _star_populations,
+    _two_branch_mi,
     diamond_mutual_information,
     plan_measurements,
     star_mutual_information,
     star_parameters,
-    _xlogx,
 )
 from .qcore import (
+    _EIGENVALUE_FLOOR,
     Gate,
     PauliString,
     StateVector,
+    _projected_density,
     apply_gate,
     as_pauli,
-    project_to_physical,  # noqa: F401  (this module owns the public surface)
 )
 
 _SEED_MASK = (1 << 64) - 1
 _SAMPLE_STREAM = 0x5E77
 _BOOTSTRAP_STREAM = 0xB007
+# Bootstrap replicas are resampled and analysed this many at a time, which
+# bounds the memory of the batched arrays whatever the replica count.
+_BOOTSTRAP_BLOCK = 25
 
 _Y_ROTATION = np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2)
 
@@ -60,8 +69,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.shots_per_setting < 1:
             raise ValueError("shots_per_setting must be positive")
-        if self.bootstrap_resamples < 1:
-            raise ValueError("bootstrap_resamples must be positive")
+        _check_resamples(self.bootstrap_resamples)
+
+
+def _check_resamples(count: int) -> None:
+    if count < 2:
+        raise ValueError(f"bootstrap_resamples must be at least 2 for a standard error, got {count}")
 
 
 @dataclass(frozen=True)
@@ -183,68 +196,70 @@ def sample_setting(state, setting, cfg: RunConfig) -> OutcomeCounts:
     return OutcomeCounts.from_vector(setting, vector)
 
 
-@lru_cache(maxsize=1024)
-def _parity_vector(n: int, positions: tuple[int, ...]) -> np.ndarray:
-    """Outcome parity (+-1) of the marked bit positions, over all 2^n outcomes."""
-    indices = np.arange(2**n)
-    parity = np.ones(2**n, dtype=float)
-    for pos in positions:
-        parity *= 1.0 - 2.0 * ((indices >> (n - 1 - pos)) & 1)
-    parity.flags.writeable = False
-    return parity
-
-
-def _covers(setting: str, wanted: str) -> bool:
-    return all(w == "I" or w == s for w, s in zip(wanted, setting))
-
-
 @lru_cache(maxsize=64)
-def _coverage_map(
-    setting_labels: tuple[str, ...], wanted_labels: tuple[str, ...]
-) -> tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]:
-    """For each wanted string: its non-identity positions and the indices of
-    the settings it can be marginalized from."""
+def _correlator_plan(setting_labels: tuple[str, ...], wanted_labels: tuple[str, ...]):
+    """Label-only part of correlator estimation, shared by every replica: the
+    2^n x 2^n parity (Walsh-Hadamard) matrix, which turns a count vector into
+    the outcome parity of every qubit subset, and the wanted strings grouped
+    by their number of covering settings.  Per group: the strings' indices,
+    and per string its parity's flat index in a settings x subsets grid and
+    its covering settings, in data order."""
     n = len(wanted_labels[0])
-    rows = []
-    for w in wanted_labels:
-        if len(w) != n:
-            raise ValueError("all wanted strings must have equal length")
-        positions = tuple(i for i, c in enumerate(w) if c != "I")
-        covers = tuple(
-            i for i, s in enumerate(setting_labels) if len(s) == len(w) and _covers(s, w)
+    if any(len(label) != n for label in wanted_labels + setting_labels):
+        raise ValueError("all wanted strings and settings must have equal length")
+    codes = {c: i for i, c in enumerate("IXYZ")}
+    wanted = np.array([[codes[c] for c in w] for w in wanted_labels]).reshape(-1, n)
+    settings = np.array([[codes[c] for c in s] for s in setting_labels]).reshape(-1, n)
+    covers = np.all((wanted[:, None, :] == 0) | (wanted[:, None, :] == settings), axis=-1)
+    n_covers = covers.sum(axis=1)
+    if not n_covers.all():
+        raise ValueError(f"no setting in the data covers {wanted_labels[np.argmin(n_covers)]}")
+    subsets = (wanted != 0) @ (1 << np.arange(n - 1, -1, -1))
+    groups = []
+    for size in sorted(set(n_covers.tolist())):  # np.unique would import numpy.ma (~20 ms)
+        rows = np.flatnonzero(n_covers == size)
+        covering = np.nonzero(covers[rows])[1].reshape(len(rows), size)
+        groups.append((rows, covering * 2**n + subsets[rows, None], covering))
+    parity = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n)
+    for array in (parity, *(a for group in groups for a in group)):
+        array.flags.writeable = False
+    return parity, tuple(groups)
+
+
+def _count_arrays(data) -> tuple[np.ndarray, np.ndarray]:
+    """(S, 2^n) count vectors and (S,) shot totals of the settings in data."""
+    return np.stack([oc.count_vector() for oc in data]), np.array([oc.shots for oc in data])
+
+
+def _estimate_batch(counts: np.ndarray, shots: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
+    """Correlators and one-sigma errors, (B, W) each, from a (B, S, 2^n)
+    stack of count vectors.
+
+    Every covering setting gives c = mean parity and sigma = sqrt((1 - c^2)/N);
+    they combine by inverse-variance weighting, except that settings with
+    sigma = 0 (all outcomes of one parity) are exact and are averaged alone.
+    """
+    parity, groups = plan
+    parities = ((counts @ parity) / shots[:, None]).reshape(len(counts), -1)
+    value = np.empty((len(counts), sum(len(rows) for rows, _, _ in groups)))
+    sigma = np.empty_like(value)
+    for rows, flat, settings in groups:
+        # np.take keeps each string's covering settings contiguous, so the
+        # sums below add in the same order as np.sum over one string, and
+        # float_power rounds as Python's ** on one value does
+        values = np.take(parities, flat, axis=1)
+        sigmas = np.sqrt(np.maximum(1.0 - np.float_power(values, 2), 0.0) / shots[settings])
+        exact = sigmas == 0.0
+        n_exact = exact.sum(axis=-1)
+        weights = np.where(exact, 0.0, 1.0 / np.float_power(np.where(exact, 1.0, sigmas), 2))
+        total = np.where(n_exact > 0, 1.0, weights.sum(axis=-1))
+        value[:, rows] = np.where(
+            n_exact > 0,
+            np.where(exact, values, 0.0).sum(axis=-1) / np.maximum(n_exact, 1),
+            (weights * values).sum(axis=-1) / total,
         )
-        if not covers:
-            raise ValueError(f"no setting in the data covers {w}")
-        rows.append((w, positions, covers))
-    return tuple(rows)
-
-
-def _estimate_entries(
-    setting_labels: tuple[str, ...],
-    vectors: list[np.ndarray],
-    shots: list[int],
-    wanted_labels: tuple[str, ...],
-) -> dict:
-    entries: dict[PauliString, tuple[float, float]] = {}
-    for label, positions, covers in _coverage_map(setting_labels, wanted_labels):
-        n = len(label)
-        estimates = []
-        for idx in covers:
-            parity = _parity_vector(n, positions)
-            value = float(parity @ vectors[idx]) / shots[idx]
-            sigma = math.sqrt(max(1.0 - value**2, 0.0) / shots[idx])
-            estimates.append((value, sigma))
-        exact = [v for v, s in estimates if s == 0.0]
-        if exact:
-            entries[PauliString(label)] = (float(np.mean(exact)), 0.0)
-        else:
-            weights = np.array([1.0 / s**2 for _, s in estimates])
-            values = np.array([v for v, _ in estimates])
-            entries[PauliString(label)] = (
-                float(np.sum(weights * values) / np.sum(weights)),
-                float(1.0 / math.sqrt(np.sum(weights))),
-            )
-    return entries
+        sigma[:, rows] = np.where(n_exact > 0, 0.0, 1.0 / np.sqrt(total))
+    return value, sigma
 
 
 def estimate_correlators(data, wanted) -> CorrelatorTable:
@@ -255,55 +270,141 @@ def estimate_correlators(data, wanted) -> CorrelatorTable:
     several covering settings combine by inverse-variance weighting.
     """
     data = list(data)
-    setting_labels = tuple(oc.setting.labels for oc in data)
-    vectors = [oc.count_vector() for oc in data]
-    shots = [oc.shots for oc in data]
-    wanted_labels = tuple(as_pauli(w).labels for w in wanted)
-    return CorrelatorTable(_estimate_entries(setting_labels, vectors, shots, wanted_labels))
+    wanted = [as_pauli(w) for w in wanted]
+    plan = _correlator_plan(
+        tuple(oc.setting.labels for oc in data), tuple(w.labels for w in wanted)
+    )
+    counts, shots = _count_arrays(data)
+    values, sigmas = _estimate_batch(counts[None], shots, plan)
+    return CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0]))))
 
 
 def clip_to_two_branch_model(params: StarParameters) -> StarParameters:
     """Project sampled (P, C) onto the physical two-branch set.
 
-    The ideal star state sits on the positivity boundary, so finite-sample
-    estimates land outside it about half the time; clamping P to [0, 1] and
-    |C| to sqrt(P(1-P)) is the model-space analogue of project_to_physical
-    and leaves the fragment-size-1/2 values untouched.
+    The ideal star state sits on the positivity boundary, and its Re C = 1/2
+    is read exactly, so noise in Im C puts nearly every finite-sample
+    estimate outside it; clamping P to [0, 1] and |C| to sqrt(P(1-P)) is the
+    model-space analogue of project_to_physical and leaves the
+    fragment-size-1/2 values untouched.
     """
-    p = min(max(params.p, 0.0), 1.0)
-    c = params.c
-    c_max = math.sqrt(max(p * (1.0 - p), 0.0))
-    if abs(c) > c_max:
-        c = 0.0 if c_max == 0.0 else c * (c_max / abs(c))
+    p, c = _clip_two_branch(params.p, params.c)
     if p == params.p and c == params.c:
         return params
-    return replace(params, p=p, c=c)
+    return replace(params, p=float(p), c=complex(c))
 
 
-def _closed_form_points(table: CorrelatorTable):
-    params = clip_to_two_branch_model(star_parameters(table))
-    values = [star_mutual_information(params, d) for d in (1, 2, 3)]
-    system_entropy = -_xlogx(params.p) - _xlogx(1.0 - params.p)
-    return values, system_entropy
+def _clip_two_branch(p, c):
+    """clip_to_two_branch_model, elementwise over arrays of P and C."""
+    p = np.clip(p, 0.0, 1.0)
+    c_max = np.sqrt(np.maximum(p * (1.0 - p), 0.0))
+    magnitude = _magnitude(c)
+    over = magnitude > c_max
+    return p, np.where(over, c * (c_max / np.where(over, magnitude, 1.0)), c)
 
 
 def _pipeline_curve(table: CorrelatorTable, system: int, pipeline: str) -> MICurve:
+    """The point estimate's curve; the closed form refuses data outside its model."""
     if pipeline == "closed_form":
-        values, h_s = _closed_form_points(table)
-        points = tuple(
-            MIPoint(
-                delta=d,
-                mean_mi=v,
-                min_mi=v,
-                max_mi=v,
-                n_fragments=math.comb(3, d),
+        params = star_parameters(table)
+        if not params.consistent:
+            raise ValueError(
+                "the closed-form model check failed: the two measured branch "
+                "populations do not sum to one, so the data are outside the "
+                "two-branch model (use the reconstruction pipeline)"
             )
-            for d, v in zip((1, 2, 3), values)
-        )
-        return MICurve(points=points, system_entropy=h_s, n_env=3)
-    if pipeline == "reconstruction":
-        return diamond_mutual_information(table, system)
-    raise ValueError(f"unknown pipeline {pipeline!r}")
+        params = clip_to_two_branch_model(params)
+        values = [star_mutual_information(params, d) for d in (1, 2, 3)]
+        points = tuple(MIPoint(d, v, v, v, math.comb(3, d)) for d, v in zip((1, 2, 3), values))
+        return MICurve(points=points, system_entropy=values[0], n_env=3)
+    return diamond_mutual_information(table, system)
+
+
+def _closed_form_replicas(values: np.ndarray):
+    """Curve (B, 3) of each replica's 32 star correlators, and whether its
+    (P, C) had to be clipped into the two-branch model."""
+    p_raw, _, c_raw = _star_populations(values)
+    p, c = _clip_two_branch(p_raw, c_raw)
+    curves, _ = _two_branch_mi(p, c)
+    return curves, (p != p_raw) | (c != c_raw)
+
+
+def _reconstruction_replicas(values: np.ndarray, system: int):
+    """Curve (B, 3) of each replica's 256 correlators, and the lowest
+    eigenvalue of its linear inversion.
+
+    Unlike the point estimate, a replica is projected to the physical set
+    however negative its spectrum: one bad resample must not end the run.
+    """
+    rho = _density_batch(values)
+    eigs, vecs = np.linalg.eigh(rho)
+    lowest = eigs[:, 0]
+    unphysical = lowest < _EIGENVALUE_FLOOR
+    rho[unphysical] = _projected_density(eigs[unphysical], vecs[unphysical])
+    env = [q for q in range(1, 5) if q != system]
+    means = []
+    for delta in range(1, len(env) + 1):
+        group = _mutual_information_batch(rho, system, list(itertools.combinations(env, delta)))
+        # as in mi_curve: round-off must not put a mean outside [min, max]
+        means.append(np.clip(group.mean(axis=1), group.min(axis=1), group.max(axis=1)))
+    return np.stack(means, axis=1), lowest
+
+
+def _bootstrap_curve(
+    data, system: int, pipeline: str, bootstrap_resamples: int, seed: int
+) -> tuple[MICurve, dict]:
+    """mi_curve_from_counts, plus the deterministic facts of its bootstrap:
+    for closed_form, how many replicas were clipped into the model; for
+    reconstruction, how many were projected, how many of those lay beyond
+    the point estimate's negativity tolerance, and the lowest eigenvalue."""
+    if pipeline not in ("closed_form", "reconstruction"):
+        raise ValueError(f"unknown pipeline {pipeline!r}")
+    _check_resamples(bootstrap_resamples)
+    data = list(data)
+    plan = plan_measurements("star" if pipeline == "closed_form" else "full_tomography")
+    if pipeline == "closed_form":
+        wanted = list(plan.correlators)  # STAR_CORRELATORS order
+    else:
+        wanted = [PauliString("IIII")] + list(plan.correlators)  # all_pauli_strings order
+    table = estimate_correlators(data, wanted)
+    curve = _pipeline_curve(table, system, pipeline)
+
+    correlator_plan = _correlator_plan(
+        tuple(oc.setting.labels for oc in data), tuple(w.labels for w in wanted)
+    )
+    counts, shots = _count_arrays(data)
+    probabilities = counts / counts.sum(axis=1, keepdims=True)
+    boot_rng = np.random.default_rng(
+        np.random.SeedSequence([seed & _SEED_MASK, _BOOTSTRAP_STREAM])
+    )
+    curves, flags = [], []
+    for start in range(0, bootstrap_resamples, _BOOTSTRAP_BLOCK):
+        size = min(_BOOTSTRAP_BLOCK, bootstrap_resamples - start)
+        # replica-major, setting-minor: the same draws as one multinomial per
+        # (replica, setting) in that order
+        resampled = boot_rng.multinomial(shots, probabilities, size=(size, len(shots)))
+        values, _ = _estimate_batch(resampled.astype(float), shots, correlator_plan)
+        if pipeline == "closed_form":
+            block_curves, block_flags = _closed_form_replicas(values)
+        else:
+            block_curves, block_flags = _reconstruction_replicas(values, system)
+        curves.append(block_curves)
+        flags.append(block_flags)
+    spread = np.std(np.concatenate(curves), axis=0, ddof=1)
+    flags = np.concatenate(flags)
+    if pipeline == "closed_form":
+        diagnostics = {"replicas_clipped": int(np.sum(flags))}
+    else:
+        diagnostics = {
+            "replicas_projected": int(np.sum(flags < _EIGENVALUE_FLOOR)),
+            "replicas_beyond_tolerance": int(np.sum(flags < -_NEGATIVITY_TOL)),
+            "worst_replica_eigenvalue": float(f"{flags.min():.12g}"),
+        }
+    points = tuple(
+        replace(point, stderr=float(err)) for point, err in zip(curve.points, spread)
+    )
+    curve = MICurve(points=points, system_entropy=curve.system_entropy, n_env=curve.n_env)
+    return curve, diagnostics
 
 
 def mi_curve_from_counts(
@@ -319,40 +420,10 @@ def mi_curve_from_counts(
     The data must cover the pipeline's correlators (17 settings for
     closed_form, the 81 tomography settings for reconstruction).  Point
     standard errors are bootstrap standard deviations over multinomially
-    resampled counts, seeded for reproducibility.
+    resampled counts (at least 2), seeded for reproducibility.  The closed
+    form raises when the point estimate fails its model check.
     """
-    if pipeline not in ("closed_form", "reconstruction"):
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    data = list(data)
-    plan = plan_measurements("star" if pipeline == "closed_form" else "full_tomography")
-    if pipeline == "closed_form":
-        wanted = list(plan.correlators)
-    else:
-        wanted = [PauliString("IIII")] + list(plan.correlators)
-    table = estimate_correlators(data, wanted)
-    curve = _pipeline_curve(table, system, pipeline)
-
-    setting_labels = tuple(oc.setting.labels for oc in data)
-    vectors = [oc.count_vector() for oc in data]
-    shots = [oc.shots for oc in data]
-    probabilities = [vec / vec.sum() for vec in vectors]
-    wanted_labels = tuple(w.labels for w in wanted)
-    boot_rng = np.random.default_rng(
-        np.random.SeedSequence([seed & _SEED_MASK, _BOOTSTRAP_STREAM])
-    )
-    replicas: list[list[float]] = []
-    for _ in range(bootstrap_resamples):
-        resampled = [
-            boot_rng.multinomial(n, p).astype(float) for n, p in zip(shots, probabilities)
-        ]
-        entries = _estimate_entries(setting_labels, resampled, shots, wanted_labels)
-        replica_curve = _pipeline_curve(CorrelatorTable(entries), system, pipeline)
-        replicas.append(replica_curve.mean_values())
-    spread = np.std(np.array(replicas), axis=0, ddof=1)
-    points = tuple(
-        replace(point, stderr=float(err)) for point, err in zip(curve.points, spread)
-    )
-    return MICurve(points=points, system_entropy=curve.system_entropy, n_env=curve.n_env)
+    return _bootstrap_curve(data, system, pipeline, bootstrap_resamples, seed)[0]
 
 
 def estimate_mi_curve(state, system: int, cfg: RunConfig, pipeline: str) -> MICurve:

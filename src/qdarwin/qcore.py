@@ -318,18 +318,25 @@ def _validate_keep(n: int, keep) -> tuple[int, ...]:
     return keep
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the given qubits, in the order they are listed."""
-    n = rho.n_qubits
-    keep = _validate_keep(n, keep)
+def _partial_trace_batch(mats: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Reduced matrices on the (validated) qubits `keep` of a (..., 2^n, 2^n)
+    stack, in the order the qubits are listed."""
+    n = mats.shape[-1].bit_length() - 1
+    lead = mats.shape[:-2]
+    k = len(lead)
     axes = _split_axes(n, keep)
     d_keep = 2 ** len(keep)
     d_traced = 2 ** (n - len(keep))
-    tensor = rho.entries.reshape([2] * (2 * n))
-    tensor = tensor.transpose(axes + [a + n for a in axes])
-    tensor = tensor.reshape(d_keep, d_traced, d_keep, d_traced)
-    reduced = np.einsum("aibi->ab", tensor)
-    return DensityMatrix(reduced, physical=rho.physical)
+    tensor = mats.reshape(lead + (2,) * (2 * n))
+    tensor = tensor.transpose(list(range(k)) + [k + a for a in axes] + [k + n + a for a in axes])
+    tensor = tensor.reshape(lead + (d_keep, d_traced, d_keep, d_traced))
+    return np.einsum("...aibi->...ab", tensor)
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced state on the given qubits, in the order they are listed."""
+    keep = _validate_keep(rho.n_qubits, keep)
+    return DensityMatrix(_partial_trace_batch(rho.entries, keep), physical=rho.physical)
 
 
 def reduced_density(state: StateVector, keep) -> DensityMatrix:
@@ -353,7 +360,8 @@ def _spectrum_entropy(values: np.ndarray) -> float:
     positive = values[values > _LOG_CUTOFF]
     if positive.size == 0:
         return 0.0
-    return float(max(-np.sum(positive * np.log2(positive)), 0.0))
+    # + 0.0 turns the -0.0 of a pure spectrum into 0.0
+    return float(max(-np.sum(positive * np.log2(positive)), 0.0)) + 0.0
 
 
 def subsystem_entropy(state: StateVector, subset) -> float:
@@ -375,6 +383,29 @@ def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     return eigs
 
 
+def _entropy_batch(mats: np.ndarray) -> np.ndarray:
+    """von Neumann entropies in bits of a (..., d, d) stack of Hermitian
+    matrices; eigenvalues in [-1e-9, 0) count as 0, lower ones raise."""
+    eigs = np.linalg.eigvalsh(mats)
+    if float(eigs.min()) < _EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"eigenvalue {float(eigs.min()):.3e} below -1e-9; use project_to_physical first"
+        )
+    eigs = np.clip(eigs, 0.0, None).reshape(-1, eigs.shape[-1])
+    kept = eigs > _LOG_CUTOFF
+    safe = np.where(kept, eigs, 1.0)
+    terms = safe * np.log2(safe)
+    # eigvalsh sorts ascending, so the kept eigenvalues are a suffix of each
+    # row; summing each suffix as a contiguous row adds in the same order as
+    # _spectrum_entropy does for one spectrum, so both give identical bits
+    n_kept = kept.sum(axis=-1)
+    totals = np.zeros(len(eigs))
+    for m in set(n_kept.tolist()) - {0}:
+        rows = n_kept == m
+        totals[rows] = np.ascontiguousarray(terms[rows, eigs.shape[-1] - m :]).sum(axis=-1)
+    return (np.maximum(-totals, 0.0) + 0.0).reshape(mats.shape[:-2])
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr[rho log2 rho] with 0 log 0 := 0.
 
@@ -382,13 +413,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     states); anything more negative raises, since the flag promised a
     physical state.
     """
-    eigs = np.linalg.eigvalsh(rho.entries)
-    if float(eigs.min()) < _EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"eigenvalue {float(eigs.min()):.3e} below -1e-9 on a state flagged "
-            f"physical={rho.physical}; use project_to_physical first"
-        )
-    return _spectrum_entropy(np.clip(eigs, 0.0, None))
+    return float(_entropy_batch(rho.entries))
 
 
 @lru_cache(maxsize=4096)
@@ -478,25 +503,39 @@ def states_equal_up_to_phase(a: StateVector, b: StateVector, tol: float = 1e-10)
     return abs(abs(overlap(a, b)) - 1.0) <= tol
 
 
+def _water_fill(eigs: np.ndarray) -> np.ndarray:
+    """Closest unit-sum nonnegative vectors to the rows of a (B, d) array of
+    unit-sum spectra, max(eigs - mu, 0) with one mu per row (Smolin, Gambetta
+    and Smith, PRL 108, 070502 (2012)).  Each pass zeroes the negatives of
+    every row that has some and shifts its positive entries back to unit sum."""
+    lam = np.array(eigs, dtype=float)
+    active = lam.min(axis=-1) < 0.0
+    while active.any():
+        rows = lam[active]
+        rows[rows < 0.0] = 0.0
+        survivors = rows > 0.0
+        deficit = 1.0 - rows.sum(axis=-1)
+        rows += np.where(survivors, (deficit / survivors.sum(axis=-1))[:, None], 0.0)
+        lam[active] = rows
+        active[active] = rows.min(axis=-1) < 0.0
+    return lam
+
+
+def _projected_density(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Unit-trace PSD matrices rebuilt from the eigh decomposition of a
+    (B, d, d) stack with water-filled eigenvalues."""
+    mats = (vecs * _water_fill(eigs)[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    mats = (mats + np.conj(np.swapaxes(mats, -1, -2))) / 2
+    return mats / np.real(np.trace(mats, axis1=-2, axis2=-1))[:, None, None]
+
+
 def project_to_physical(rho: DensityMatrix) -> DensityMatrix:
     """Closest (Frobenius) positive-semidefinite unit-trace matrix.
 
-    Eigenvalue water-filling: zero out negatives, shift the surviving
-    (strictly positive) eigenvalues uniformly to restore the trace, and
-    repeat if the shift drove new eigenvalues negative.
+    Eigenvalue water-filling: negative eigenvalues go to zero and the others
+    shift down together until the trace is one again.
     """
     eigs, vecs = np.linalg.eigh(rho.entries)
     if float(eigs.min()) >= 0.0:
         return rho if rho.physical else DensityMatrix(rho.entries, physical=True)
-    lam = eigs.astype(float).copy()
-    while True:
-        lam[lam < 0.0] = 0.0
-        survivors = lam > 0.0
-        deficit = 1.0 - float(lam.sum())
-        lam[survivors] += deficit / int(survivors.sum())
-        if float(lam.min()) >= 0.0:
-            break
-    projected = (vecs * lam) @ vecs.conj().T
-    projected = (projected + projected.conj().T) / 2
-    projected /= np.real(np.trace(projected))
-    return DensityMatrix(projected, physical=True)
+    return DensityMatrix(_projected_density(eigs[None], vecs[None])[0], physical=True)

@@ -122,3 +122,72 @@ def eig2x2(p: float, c: complex) -> tuple[float, float]:
     """Roots of the characteristic polynomial of [[p, c], [c*, 1-p]]."""
     disc = np.sqrt((2.0 * p - 1.0) ** 2 + 4.0 * abs(c) ** 2)
     return float((1.0 + disc) / 2.0), float((1.0 - disc) / 2.0)
+
+
+def estimate_entries_loop(setting_labels, vectors, shots, wanted_labels) -> dict:
+    """Correlators {label: (value, sigma)} by explicit loops over strings and
+    settings, one string and one setting at a time.
+
+    A wanted string is read from every setting that matches it on its
+    non-identity positions, as the mean outcome parity of those positions
+    with sigma = sqrt((1 - c^2)/N).  Settings with sigma = 0 are exact and
+    are averaged alone; otherwise the estimates combine by inverse-variance
+    weighting.
+    """
+    entries = {}
+    for label in wanted_labels:
+        n = len(label)
+        positions = [i for i, c in enumerate(label) if c != "I"]
+        parity = np.ones(2**n)
+        for pos in positions:
+            parity *= 1.0 - 2.0 * ((np.arange(2**n) >> (n - 1 - pos)) & 1)
+        estimates = []
+        for setting, vector, total in zip(setting_labels, vectors, shots):
+            if all(w == "I" or w == s for w, s in zip(label, setting)):
+                value = float(parity @ vector) / total
+                estimates.append((value, np.sqrt(max(1.0 - value**2, 0.0) / total)))
+        if not estimates:
+            raise ValueError(f"no setting covers {label}")
+        exact = [v for v, s in estimates if s == 0.0]
+        if exact:
+            entries[label] = (float(np.mean(exact)), 0.0)
+        else:
+            weights = np.array([1.0 / s**2 for _, s in estimates])
+            values = np.array([v for v, _ in estimates])
+            entries[label] = (
+                float(np.sum(weights * values) / np.sum(weights)),
+                float(1.0 / np.sqrt(np.sum(weights))),
+            )
+    return entries
+
+
+def water_fill_loop(eigs: np.ndarray) -> np.ndarray:
+    """Water-filling of one unit-sum spectrum by repeated passes: zero the
+    negatives, shift the positive entries uniformly back to unit sum, and
+    repeat while the shift drove new entries negative."""
+    lam = np.array(eigs, dtype=float)
+    if lam.min() >= 0.0:
+        return lam
+    while True:
+        lam[lam < 0.0] = 0.0
+        survivors = lam > 0.0
+        deficit = 1.0 - float(lam.sum())
+        lam[survivors] += deficit / int(survivors.sum())
+        if float(lam.min()) >= 0.0:
+            return lam
+
+
+def linear_inversion(values: dict) -> np.ndarray:
+    """rho = (1/16) sum_p <p> p over a {label: value} map, hermitised and
+    normalised, built from explicit Pauli matrices."""
+    rho = sum(v * pauli_matrix(label) for label, v in values.items()) / 16.0
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.real(np.trace(rho))
+
+
+def projected(rho: np.ndarray) -> np.ndarray:
+    """rho with its spectrum water-filled (unchanged if already PSD)."""
+    eigs, vecs = np.linalg.eigh(rho)
+    out = (vecs * water_fill_loop(eigs)) @ vecs.conj().T
+    out = (out + out.conj().T) / 2
+    return out / np.real(np.trace(out))

@@ -171,6 +171,53 @@ class TestEstimateCommand:
     def test_estimate_requires_a_source(self, tmp_path):
         assert run(["estimate", "--pipeline", "closed_form", "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_single_bootstrap_replica_rejected(self, tmp_path):
+        code = run(
+            ["estimate", "--named", "star-experimental", "--pipeline", "closed_form",
+             "--shots", "500", "--bootstrap", "1", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_closed_form_outside_model_exits_one(self, tmp_path, capsys):
+        code = run(
+            ["estimate", "--named", "diamond-canonical", "--pipeline", "closed_form",
+             "--shots", "2000", "--bootstrap", "5", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        assert "two-branch model" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_no_negative_zero_fields(self, tmp_path):
+        from qdarwin import RunConfig, StateVector, counts_to_json, plan_measurements, sample_setting
+
+        cfg = RunConfig(shots_per_setting=500, seed=3)
+        state = StateVector.computational_basis("1010")  # P = 0: binary entropies of 0
+        data = [sample_setting(state, s, cfg) for s in plan_measurements("star").settings]
+        counts = tmp_path / "counts.json"
+        counts.write_text(counts_to_json(data))
+        out = tmp_path / "est.csv"
+        assert run(["estimate", "--counts-file", str(counts), "--pipeline", "closed_form",
+                    "--bootstrap", "5", "--out", str(out)]) == 0
+        fields = [f for line in out.read_text().splitlines()[1:] for f in line.split(",")]
+        assert fields and not any(f.startswith("-") for f in fields)
+
+    def test_manifest_records_bootstrap_diagnostics(self, tmp_path):
+        args = ["estimate", "--named", "diamond-canonical", "--pipeline", "reconstruction",
+                "--shots", "300", "--seed", "3", "--bootstrap", "10",
+                "--timestamp", "2026-01-01T00:00:00+00:00"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
+        manifest = (tmp_path / "a.csv.manifest.json").read_bytes()
+        assert manifest == (tmp_path / "b.csv.manifest.json").read_bytes()
+        diagnostics = json.loads(manifest)["diagnostics"]
+        assert set(diagnostics) == {
+            "replicas_projected", "replicas_beyond_tolerance", "worst_replica_eigenvalue"
+        }
+        assert diagnostics["replicas_projected"] == 10
+        assert diagnostics["worst_replica_eigenvalue"] < 0
+
 
 class TestPlanCommand:
     def test_star_plan(self, tmp_path):

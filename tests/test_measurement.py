@@ -14,8 +14,10 @@ from qdarwin import (
     correlator_table,
     estimate_correlators,
     estimate_mi_curve,
+    mi_curve_from_counts,
     named_state,
     plan_measurements,
+    project_to_physical,
     sample_setting,
     star_parameters,
 )
@@ -24,7 +26,6 @@ from qdarwin.measurement import (
     clip_to_two_branch_model,
     counts_from_json,
     counts_to_json,
-    project_to_physical,
 )
 
 
@@ -34,6 +35,12 @@ class TestConfigAndCounts:
             RunConfig(shots_per_setting=0)
         with pytest.raises(ValueError):
             RunConfig(bootstrap_resamples=0)
+        # one replica has no standard deviation (ddof=1 would give NaN)
+        with pytest.raises(ValueError, match="at least 2"):
+            RunConfig(bootstrap_resamples=1)
+        data = [OutcomeCounts(setting="ZZZZ", shots=4, counts={"0101": 2, "1010": 2})]
+        with pytest.raises(ValueError, match="at least 2"):
+            mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=1)
 
     def test_counts_must_sum_to_shots(self):
         with pytest.raises(ValueError, match="sum"):
@@ -189,7 +196,7 @@ class TestEstimateCorrelators:
 
 
 class TestPhysicalProjection:
-    def test_exposed_from_measurement_surface(self):
+    def test_exposed_from_package_surface(self):
         rho = as_density(np.diag([1.1, -0.1]), physical=False)
         np.testing.assert_allclose(project_to_physical(rho).entries, np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -287,9 +294,22 @@ class TestEstimateMICurve:
         with pytest.raises(ValueError, match="4-qubit"):
             estimate_mi_curve(ghz_state(3), 1, RunConfig(seed=0), "closed_form")
 
-    def test_stored_counts_replay(self):
-        from qdarwin import mi_curve_from_counts
+    def test_closed_form_rejects_states_outside_its_model(self):
+        # diamond-canonical has P = 0 and P + Q = 1/4: the closed form would
+        # otherwise report a confident all-zero curve
+        cfg = RunConfig(shots_per_setting=2000, seed=3, bootstrap_resamples=5)
+        with pytest.raises(ValueError, match="two-branch model"):
+            estimate_mi_curve(named_state("diamond-canonical"), 1, cfg, "closed_form")
 
+    def test_no_negative_zero_in_curves(self):
+        # P = 0 exactly: the binary entropies are 0, not -0
+        cfg = RunConfig(shots_per_setting=500, seed=3, bootstrap_resamples=5)
+        curve = estimate_mi_curve(StateVector.computational_basis("1010"), 1, cfg, "closed_form")
+        assert curve.mean_values() == [0.0, 0.0, 0.0]
+        assert all(math.copysign(1.0, p.mean_mi) == 1.0 for p in curve.points)
+        assert math.copysign(1.0, curve.system_entropy) == 1.0
+
+    def test_stored_counts_replay(self):
         state = named_state("star-experimental")
         cfg = RunConfig(shots_per_setting=2000, seed=5, bootstrap_resamples=20)
         plan = plan_measurements("star")
