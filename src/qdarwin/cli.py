@@ -158,7 +158,6 @@ def _cmd_curve(args) -> int:
             "theta": args.theta,
             "graph_file": args.graph_file,
             "system": args.system,
-            "aggregate": args.aggregate,
         },
         seed=None,
         timestamp=args.timestamp,
@@ -252,7 +251,6 @@ def build_parser() -> _Parser:
     add_graph_flags(p_curve)
     p_curve.add_argument("--named", choices=list(NAMED_FIXED_STATES))
     p_curve.add_argument("--system", type=int, default=1)
-    p_curve.add_argument("--aggregate", choices=["mean"], default="mean")
     add_common(p_curve)
     p_curve.set_defaults(func=_cmd_curve)
 

@@ -226,7 +226,6 @@ def _aggregate(delta: int, values: np.ndarray, n_total: int, stderr: float | Non
 def mi_curve(
     state,
     system: int,
-    with_minmax: bool = True,
     *,
     max_exhaustive: int = _DEFAULT_MAX_EXHAUSTIVE,
     sample_size: int = _DEFAULT_SAMPLE_SIZE,
@@ -258,17 +257,7 @@ def mi_curve(
             draws = [tuple(sorted(rng.choice(env, size=delta, replace=False))) for _ in range(sample_size)]
             values = np.array([mutual_information(state, system, f) for f in draws])
             stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))
-        point = _aggregate(delta, values, n_total, stderr)
-        if not with_minmax:
-            point = MIPoint(
-                delta=point.delta,
-                mean_mi=point.mean_mi,
-                min_mi=point.mean_mi,
-                max_mi=point.mean_mi,
-                n_fragments=point.n_fragments,
-                stderr=point.stderr,
-            )
-        points.append(point)
+        points.append(_aggregate(delta, values, n_total, stderr))
     return MICurve(points=tuple(points), system_entropy=h_s, n_env=len(env))
 
 

@@ -363,15 +363,11 @@ def plan_measurements(target: str) -> MeasurementPlan:
         correlators = tuple(s for s in all_pauli_strings(4) if s.weight > 0)
     else:
         raise ValueError(f"unknown plan target {target!r}")
-    settings = []
-    for s in correlators:
-        cover = covering_setting(s)
-        if cover not in settings:
-            settings.append(cover)
+    settings = tuple(dict.fromkeys(covering_setting(s) for s in correlators))
     counts = {"n_correlators": len(correlators), "n_settings": len(settings)}
     if target == "full_tomography":
         counts["n_projectors"] = 6**4
-    return MeasurementPlan(correlators=correlators, settings=tuple(settings), counts=counts)
+    return MeasurementPlan(correlators=correlators, settings=settings, counts=counts)
 
 
 def diamond_mutual_information(

@@ -32,9 +32,9 @@ from .estimator import (
     star_mutual_information,
     star_parameters,
 )
-from .qcore import (
+from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this binding)
     _EIGENVALUE_FLOOR,
-    Gate,
+    HADAMARD,
     PauliString,
     StateVector,
     _projected_density,
@@ -49,7 +49,12 @@ _BOOTSTRAP_STREAM = 0xB007
 # bounds the memory of the batched arrays whatever the replica count.
 _BOOTSTRAP_BLOCK = 25
 
-_Y_ROTATION = np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2)
+# Rotations that take each letter's eigenbasis to the computational basis
+# (Z needs none), +1 eigenvector first.
+_ROTATIONS = {
+    "X": HADAMARD,
+    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2),
+}
 
 
 @dataclass(frozen=True)
@@ -151,25 +156,27 @@ def _setting_rng(seed: int, setting: PauliString) -> np.random.Generator:
 
 def _measurement_probabilities(state, setting: PauliString) -> np.ndarray:
     """Born probabilities of the 2^n outcomes, each qubit read in the
-    eigenbasis of its Pauli letter (bit 0 <-> eigenvalue +1)."""
-    if isinstance(state, StateVector):
-        for qubit, letter in enumerate(setting.labels, start=1):
-            if letter == "X":
-                state = apply_gate(state, Gate.hadamard(qubit))
-            elif letter == "Y":
-                state = apply_gate(state, Gate.single_qubit(_Y_ROTATION, qubit))
-        probs = state.probabilities()
+    eigenbasis of its Pauli letter (bit 0 <-> eigenvalue +1).
+
+    Each rotation U acts on its qubit's axis of the amplitude tensor; a
+    density matrix also takes U* on the matching column axis.
+    """
+    n = state.n_qubits
+    is_ket = isinstance(state, StateVector)
+    if is_ket:
+        tensor = state.amplitudes.reshape((2,) * n)
     else:
-        unitary = np.array([[1.0 + 0j]])
-        for letter in setting.labels:
-            if letter == "X":
-                block = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-            elif letter == "Y":
-                block = _Y_ROTATION
-            else:
-                block = np.eye(2, dtype=complex)
-            unitary = np.kron(unitary, block)
-        probs = np.real(np.diag(unitary @ state.entries @ unitary.conj().T))
+        tensor = state.entries.reshape((2,) * (2 * n))
+    for q, letter in enumerate(setting.labels):
+        if letter in _ROTATIONS:
+            rotation = _ROTATIONS[letter]
+            tensor = np.moveaxis(np.tensordot(rotation, tensor, axes=(1, q)), 0, q)
+            if not is_ket:
+                tensor = np.moveaxis(np.tensordot(rotation.conj(), tensor, axes=(1, n + q)), 0, n + q)
+    if is_ket:
+        probs = np.abs(tensor.reshape(-1)) ** 2
+    else:
+        probs = np.real(np.diagonal(tensor.reshape(2**n, 2**n)))
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 

@@ -282,11 +282,19 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     elif gate.kind == "swap":
         tensor = np.swapaxes(tensor, gate.targets[0] - 1, gate.targets[1] - 1)
     else:  # controlled_phase
-        idx = [slice(None)] * n
-        idx[gate.targets[0] - 1] = 1
-        idx[gate.targets[1] - 1] = 1
-        tensor[tuple(idx)] *= np.exp(1j * gate.phase)
+        _apply_phases(tensor, [(*gate.targets, gate.phase)])
     return StateVector(tensor.reshape(-1))
+
+
+def _apply_phases(tensor: np.ndarray, edges) -> None:
+    """In place, edge by edge: multiply the |1>_j |1>_k slice of a (2,)*n
+    amplitude tensor by exp(i phase) for each (j, k, phase), 1-based labels.
+    This diagonal is the controlled-phase network of a graph state."""
+    for j, k, phase in edges:
+        idx = [slice(None)] * tensor.ndim
+        idx[j - 1] = 1
+        idx[k - 1] = 1
+        tensor[tuple(idx)] *= np.exp(1j * phase)
 
 
 def apply_circuit(state: StateVector, gates) -> StateVector:

@@ -35,6 +35,33 @@ def pauli_matrix(labels: str) -> np.ndarray:
     return kron_all([PAULI[c] for c in labels])
 
 
+def graph_state_amplitudes(n: int, edges) -> np.ndarray:
+    """Graph state on n qubits, one basis index at a time:
+    2^{-n/2} exp(i * sum of the phases of the edges (j, k, phase) whose two
+    qubits are both 1 in that index)."""
+    amps = np.empty(2**n, dtype=complex)
+    for index in range(2**n):
+        bits = format(index, f"0{n}b")
+        phase = sum(p for j, k, p in edges if bits[j - 1] == "1" and bits[k - 1] == "1")
+        amps[index] = np.exp(1j * phase) / np.sqrt(2**n)
+    return amps
+
+
+def measurement_probabilities_kron(rho: np.ndarray, setting: str) -> np.ndarray:
+    """Outcome probabilities of a full-weight setting from the explicit
+    2^n x 2^n rotation U = kron of per-qubit blocks (Hadamard for X, the Y
+    eigenbasis rotation for Y, identity for Z): diag(U rho U^dag), clipped
+    at 0 and normalised."""
+    blocks = {
+        "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+        "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2),
+        "Z": I2,
+    }
+    unitary = kron_all([blocks[c] for c in setting])
+    probs = np.clip(np.real(np.diag(unitary @ rho @ unitary.conj().T)), 0.0, None)
+    return probs / probs.sum()
+
+
 def brute_partial_trace(rho: np.ndarray, keep, n: int) -> np.ndarray:
     """Partial trace by explicit summation over binary indices (qubit 1 is
     the most significant bit, labels 1-based, keep order preserved)."""

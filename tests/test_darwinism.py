@@ -150,11 +150,6 @@ class TestMICurve:
             for point in curve.points:
                 assert point.max_mi <= 2 * min(h_s, point.delta) + 1e-9
 
-    def test_with_minmax_false_collapses_bands(self):
-        curve = mi_curve(named_state("diamond-canonical"), 1, with_minmax=False)
-        for point in curve.points:
-            assert point.min_mi == point.mean_mi == point.max_mi
-
     def test_sampled_fragments_deterministic(self, rng):
         psi = as_state(random_pure_array(6, rng))
         a = mi_curve(psi, 1, max_exhaustive=4, sample_size=40, seed=5)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import ket
+from oracle_utils import graph_state_amplitudes, ket
 from qdarwin import (
     Gate,
     GraphSpec,
@@ -108,6 +108,44 @@ class TestBuildGraphState:
         base = build_graph_state(diamond_spec(3, 1.1, 0.7))
         shuffled = build_graph_state(GraphSpec(4, 1, tuple(edges[i] for i in order)))
         np.testing.assert_allclose(shuffled.amplitudes, base.amplitudes, atol=1e-12)
+
+
+class TestPhaseKernel:
+    """Graph states, Ising evolution and controlled-phase circuits all run
+    one diagonal-phase kernel; each is checked against per-index phases."""
+
+    @staticmethod
+    def random_graph(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+        edges = [(j, k, float(rng.uniform(-4, 4))) for j, k in pairs if rng.random() < 0.6]
+        rng.shuffle(edges)
+        return n, [(k, j, p) if rng.random() < 0.5 else (j, k, p) for j, k, p in edges]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_build_graph_state(self, seed):
+        n, edges = self.random_graph(seed)
+        state = build_graph_state(GraphSpec(n, 1, tuple(edges)))
+        np.testing.assert_allclose(state.amplitudes, graph_state_amplitudes(n, edges), rtol=0, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_evolve_ising(self, seed):
+        n, edges = self.random_graph(seed)
+        t = float(np.random.default_rng(seed).uniform(0.1, 3.0))
+        state = evolve_ising(n, {(j, k): p for j, k, p in edges}, t)
+        expected = graph_state_amplitudes(n, [(j, k, -p * t) for j, k, p in edges])
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_controlled_phase_circuit(self, seed):
+        n, edges = self.random_graph(seed)
+        gates = [Gate.controlled_phase(p, j, k) for j, k, p in edges]
+        state = apply_circuit(StateVector.plus_state(n), gates)
+        np.testing.assert_allclose(state.amplitudes, graph_state_amplitudes(n, edges), rtol=0, atol=1e-12)
 
 
 class TestEvolveIsing:

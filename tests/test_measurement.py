@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import as_density
+from conftest import as_density, as_state
+from oracle_utils import measurement_probabilities_kron, random_density_array, random_pure_array
 from qdarwin import (
     DensityMatrix,
     OutcomeCounts,
@@ -23,6 +24,7 @@ from qdarwin import (
 )
 from qdarwin.estimator import StarParameters
 from qdarwin.measurement import (
+    _measurement_probabilities,
     clip_to_two_branch_model,
     counts_from_json,
     counts_to_json,
@@ -71,6 +73,25 @@ class TestSampleSetting:
         oc = sample_setting(ghz4, "ZZZZ", cfg)
         assert set(oc.counts) == {"0000", "1111"}
         assert abs(oc.counts["0000"] - 2500) < 4 * math.sqrt(5000 * 0.25)
+
+    @pytest.mark.parametrize("rank", [None, 1, 3], ids=["ket", "rank-1 density", "rank-3 density"])
+    def test_probabilities_match_kronecker_rotation(self, rng, rank):
+        # the outcome distribution sample_setting draws from, on all 81 settings
+        settings = plan_measurements("full_tomography").settings
+        for _ in range(3):
+            if rank is None:
+                psi = random_pure_array(4, rng)
+                state, rho = as_state(psi), np.outer(psi, psi.conj())
+            else:
+                rho = random_density_array(4, rng, rank=rank)
+                state = as_density(rho)
+            for setting in settings:
+                np.testing.assert_allclose(
+                    _measurement_probabilities(state, setting),
+                    measurement_probabilities_kron(rho, setting.labels),
+                    rtol=0,
+                    atol=1e-12,
+                )
 
     def test_maximally_mixed_is_uniform(self):
         cfg = RunConfig(shots_per_setting=10**6, seed=11)

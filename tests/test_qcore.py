@@ -22,6 +22,8 @@ from qdarwin import (
     StateVector,
     all_pauli_strings,
     apply_gate,
+    build_graph_state,
+    evolve_ising,
     fidelity,
     hermitian_eigenvalues,
     named_state,
@@ -29,6 +31,7 @@ from qdarwin import (
     pauli_expectation,
     project_to_physical,
     reduced_density,
+    star_spec,
     states_equal_up_to_phase,
     subsystem_entropy,
     tensor_product,
@@ -59,6 +62,11 @@ class TestStateConstruction:
         monkeypatch.setenv("QDARWIN_MAX_QUBITS", "3")
         with pytest.raises(ValueError, match="cap"):
             StateVector.plus_state(4)
+        # graph states and Ising evolution enforce the cap as well
+        with pytest.raises(ValueError, match="cap"):
+            build_graph_state(star_spec(3, pi))
+        with pytest.raises(ValueError, match="cap"):
+            evolve_ising(4, {(1, 2): 1.0}, 1.0)
         StateVector.plus_state(3)
 
     def test_density_matrix_validation(self):
