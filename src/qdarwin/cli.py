@@ -17,7 +17,7 @@ from math import pi
 from pathlib import Path
 
 from . import __version__
-from .darwinism import mi_curve
+from .darwinism import _curve_diagnostics, mi_curve
 from .estimator import plan_measurements
 from .graphstate import (
     NAMED_FIXED_STATES,
@@ -129,13 +129,13 @@ def _cmd_state(args) -> int:
     return 0
 
 
-def _curve_state(args):
+def _curve_source(args):
+    """The named state, or the graph spec itself: mi_curve may not need the state."""
     if args.named:
         if args.family or args.n_env is not None:
             raise _UsageError("--named cannot be combined with --family/--n-env")
         return named_state(args.named)
-    spec = _resolve_graph(args)
-    return build_graph_state(spec)
+    return _resolve_graph(args)
 
 
 def _write_curve(curve, out: Path, manifest: dict) -> None:
@@ -146,8 +146,8 @@ def _write_curve(curve, out: Path, manifest: dict) -> None:
 
 
 def _cmd_curve(args) -> int:
-    state = _curve_state(args)
-    curve = mi_curve(state, args.system)
+    source = _curve_source(args)
+    curve = mi_curve(source, args.system)
     manifest = _manifest(
         "curve",
         {
@@ -162,7 +162,7 @@ def _cmd_curve(args) -> int:
         seed=None,
         timestamp=args.timestamp,
     )
-    _write_curve(curve, Path(args.out), manifest)
+    _write_curve(curve, Path(args.out), {**manifest, "diagnostics": _curve_diagnostics(source)})
     return 0
 
 

@@ -7,6 +7,7 @@ signals redundant (objective) records, a growing one signals their absence.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -14,15 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphstate import GraphSpec, build_graph_state
 from .qcore import (
     StateVector,
+    _cut,
     _entropy_batch,
     _partial_trace_batch,
+    _pure_entropies,
     partial_trace,
     subsystem_entropy,
     von_neumann_entropy,
 )
 
+_PI_SLACK = 1e-12  # rad: round-off of phases such as 3*pi or -g*t, nothing more
 _DEFAULT_MAX_EXHAUSTIVE = 10**6
 _DEFAULT_SAMPLE_SIZE = 1000
 _DEFAULT_SAMPLE_SEED = 1789
@@ -91,9 +96,15 @@ def mutual_information(state, system: int, fragment) -> float:
         + subsystem_entropy(state, members)
         - subsystem_entropy(state, (system,) + members)
     )
-    if value < -1e-9:
-        raise ValueError(f"mutual information {value!r} violates nonnegativity")
-    return max(value, 0.0) + 0.0  # + 0.0: no -0.0
+    return float(_nonnegative(np.array(value)))
+
+
+def _nonnegative(values: np.ndarray) -> np.ndarray:
+    """Mutual-information values clamped to >= 0 (and -0.0 to 0.0); a value
+    below -1e-9 is an error, not round-off."""
+    if values.min() < -1e-9:
+        raise ValueError(f"mutual information {float(values.min())!r} violates nonnegativity")
+    return np.maximum(values, 0.0) + 0.0
 
 
 def _mutual_information_batch(mats: np.ndarray, system: int, fragments) -> np.ndarray:
@@ -105,9 +116,7 @@ def _mutual_information_batch(mats: np.ndarray, system: int, fragments) -> np.nd
         h_f = _entropy_batch(_partial_trace_batch(mats, members))
         h_sf = _entropy_batch(_partial_trace_batch(mats, (system,) + members))
         values[..., j] = h_s + h_f - h_sf
-    if values.min() < -1e-9:
-        raise ValueError(f"mutual information {float(values.min())!r} violates nonnegativity")
-    return np.maximum(values, 0.0) + 0.0
+    return _nonnegative(values)
 
 
 @dataclass(frozen=True)
@@ -223,8 +232,53 @@ def _aggregate(delta: int, values: np.ndarray, n_total: int, stderr: float | Non
     )
 
 
+def _curve_diagnostics(
+    source, max_exhaustive: int = _DEFAULT_MAX_EXHAUSTIVE, sample_size: int = _DEFAULT_SAMPLE_SIZE
+) -> dict:
+    """The deterministic facts of mi_curve(source, ...): how many fragments
+    it enumerates and draws, and its entropy backend: "stabilizer" for a
+    GraphSpec whose every edge phase is pi or 0 (mod 2 pi), "dense-pure" for
+    any other GraphSpec or a StateVector, "dense-mixed" for a DensityMatrix."""
+    if isinstance(source, GraphSpec):
+        offsets = [abs(math.remainder(phase, 2 * math.pi)) for _, _, phase in source.edges]
+        backend = "stabilizer" if all(min(x, math.pi - x) <= _PI_SLACK for x in offsets) else "dense-pure"
+    else:
+        backend = "dense-pure" if isinstance(source, StateVector) else "dense-mixed"
+    counts = [math.comb(source.n_qubits - 1, d) for d in range(1, source.n_qubits)]
+    return {
+        "backend": backend,
+        "fragments_exhaustive": sum(c for c in counts if c <= max_exhaustive),
+        "fragments_sampled": sum(sample_size for c in counts if c > max_exhaustive),
+        "sample_size": sample_size,
+    }
+
+
+def _graph_entropies(spec: GraphSpec, subsets) -> np.ndarray:
+    """Entropies in bits of the reductions of a graph state with edge phases
+    pi or 0 (mod 2 pi) to B subsets A of k labels each: the ranks over GF(2)
+    of the adjacency blocks Gamma[A, not A] (Hein, Eisert and Briegel, PRA
+    69, 062311 (2004)), by Gaussian elimination on all blocks at once."""
+    gamma = np.zeros((spec.n_qubits, spec.n_qubits), dtype=np.uint8)
+    for j, k, phase in spec.edges:
+        if abs(math.remainder(phase, 2 * math.pi)) > math.pi / 2:  # pi, not 0: an edge
+            gamma[j - 1, k - 1] = gamma[k - 1, j - 1] = 1
+    k = len(subsets[0])
+    order = _cut(spec.n_qubits, subsets)
+    blocks = gamma[order[:, :k, None], order[:, None, k:]]
+    if 2 * k < spec.n_qubits:
+        blocks = blocks.transpose(0, 2, 1).copy()  # eliminate along the shorter side
+    rank = np.zeros(len(blocks))
+    for col in range(blocks.shape[2]):
+        ones = blocks[:, :, col]
+        rank += ones.any(axis=1)
+        # adding a pivot row to every row with a 1 in this column clears the
+        # column and the pivot row itself, which leaves the other rows' rank
+        blocks ^= ones[:, :, None] * blocks[np.arange(len(blocks)), ones.argmax(axis=1)][:, None, :]
+    return rank
+
+
 def mi_curve(
-    state,
+    source,
     system: int,
     *,
     max_exhaustive: int = _DEFAULT_MAX_EXHAUSTIVE,
@@ -233,31 +287,49 @@ def mi_curve(
 ) -> MICurve:
     """Mean/min/max mutual information for every fragment size 1..n_env.
 
-    Sizes with more than max_exhaustive fragments are estimated from
-    sample_size uniformly drawn fragments (fixed seed, reported standard
-    error); everything else is enumerated exhaustively.
+    `source` is a StateVector, DensityMatrix or GraphSpec (its `system` is
+    ignored); it sets the entropy backend, see _curve_diagnostics.  Sizes
+    with more than max_exhaustive fragments are estimated from sample_size
+    uniformly drawn fragments (fixed seed, reported standard error);
+    everything else is enumerated exhaustively.
     """
-    n = state.n_qubits
+    n = source.n_qubits
     if not 1 <= system <= n:
         raise ValueError(f"system index {system} out of range")
     env = [q for q in range(1, n + 1) if q != system]
-    if isinstance(state, StateVector):
-        h_s = subsystem_entropy(state, (system,))
-    else:
-        h_s = von_neumann_entropy(partial_trace(state, (system,)))
     rng = np.random.default_rng(seed)
-    points = []
-    for delta in range(1, len(env) + 1):
-        n_total = math.comb(len(env), delta)
-        if n_total <= max_exhaustive:
-            fragments = itertools.combinations(env, delta)
-            values = np.array([mutual_information(state, system, f) for f in fragments])
-            stderr = None
+    sampled = [math.comb(len(env), d) > max_exhaustive for d in range(1, len(env) + 1)]
+    fragments = [  # label tuples; the draws of sampled sizes in size order
+        [tuple(sorted(rng.choice(env, size=d, replace=False))) for _ in range(sample_size)]
+        if drawn
+        else list(itertools.combinations(env, d))
+        for d, drawn in enumerate(sampled, start=1)
+    ]
+    backend = _curve_diagnostics(source)["backend"]
+    if backend == "dense-mixed":
+        h_s = von_neumann_entropy(partial_trace(source, (system,)))
+        values = [_mutual_information_batch(source.entries, system, frags) for frags in fragments]
+    else:
+        if backend == "stabilizer":
+            entropies = functools.partial(_graph_entropies, source)
         else:
-            draws = [tuple(sorted(rng.choice(env, size=delta, replace=False))) for _ in range(sample_size)]
-            values = np.array([mutual_information(state, system, f) for f in draws])
-            stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))
-        points.append(_aggregate(delta, values, n_total, stderr))
+            state = source if isinstance(source, StateVector) else build_graph_state(source)
+            entropies = functools.partial(_pure_entropies, state.amplitudes)
+        h_s = float(entropies([(system,)])[0])
+        h_f = [entropies(frags) for frags in fragments] + [np.zeros(1)]  # [-1]: the empty set
+        values = []
+        for d, frags in enumerate(fragments, start=1):
+            # the global state is pure, so H(S u F) = H(E \ F); the complements
+            # of all fragments of size d are those of size n_env - d, reversed
+            if sampled[d - 1]:
+                h_sf = entropies([tuple(q for q in env if q not in f) for f in frags])
+            else:
+                h_sf = h_f[len(env) - d - 1][::-1]
+            values.append(_nonnegative(h_s + h_f[d - 1] - h_sf))
+    points = []
+    for d, group in enumerate(values, start=1):
+        stderr = float(np.std(group, ddof=1) / math.sqrt(len(group))) if sampled[d - 1] else None
+        points.append(_aggregate(d, group, math.comb(len(env), d), stderr))
     return MICurve(points=tuple(points), system_entropy=h_s, n_env=len(env))
 
 

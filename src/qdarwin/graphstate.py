@@ -18,6 +18,7 @@ from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this 
     StateVector,
     _apply_phases,
     _check_qubit_budget,
+    _seal,
     apply_circuit,
     apply_gate,
     fidelity,
@@ -94,7 +95,7 @@ def build_graph_state(spec: GraphSpec) -> StateVector:
     _check_qubit_budget(spec.n_qubits)
     tensor = np.full((2,) * spec.n_qubits, 1.0 / sqrt(2**spec.n_qubits), dtype=complex)
     _apply_phases(tensor, spec.edges)
-    return StateVector(tensor.reshape(-1))
+    return StateVector(_seal(tensor.reshape(-1)))
 
 
 def evolve_ising(n_qubits: int, couplings: dict, time: float) -> StateVector:

@@ -21,6 +21,7 @@ import numpy as np
 from .darwinism import MICurve, MIPoint, _mutual_information_batch
 from .estimator import (
     _NEGATIVITY_TOL,
+    STAR_CORRELATORS,
     CorrelatorTable,
     StarParameters,
     _density_batch,
@@ -35,6 +36,7 @@ from .estimator import (
 from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this binding)
     _EIGENVALUE_FLOOR,
     HADAMARD,
+    PAULI_MATRICES,
     PauliString,
     StateVector,
     _projected_density,
@@ -158,25 +160,25 @@ def _measurement_probabilities(state, setting: PauliString) -> np.ndarray:
     """Born probabilities of the 2^n outcomes, each qubit read in the
     eigenbasis of its Pauli letter (bit 0 <-> eigenvalue +1).
 
-    Each rotation U acts on its qubit's axis of the amplitude tensor; a
-    density matrix also takes U* on the matching column axis.
+    A ket takes each rotation U on its qubit's axis.  A density matrix needs
+    only diag(U rho U^dag): qubit by qubit, its row and column axes are
+    contracted together with u[a, i] conj(u[a, j]), which halves the tensor.
     """
     n = state.n_qubits
-    is_ket = isinstance(state, StateVector)
-    if is_ket:
+    if isinstance(state, StateVector):
         tensor = state.amplitudes.reshape((2,) * n)
-    else:
-        tensor = state.entries.reshape((2,) * (2 * n))
-    for q, letter in enumerate(setting.labels):
-        if letter in _ROTATIONS:
-            rotation = _ROTATIONS[letter]
-            tensor = np.moveaxis(np.tensordot(rotation, tensor, axes=(1, q)), 0, q)
-            if not is_ket:
-                tensor = np.moveaxis(np.tensordot(rotation.conj(), tensor, axes=(1, n + q)), 0, n + q)
-    if is_ket:
+        for q, letter in enumerate(setting.labels):
+            if letter in _ROTATIONS:
+                tensor = np.moveaxis(np.tensordot(_ROTATIONS[letter], tensor, axes=(1, q)), 0, q)
         probs = np.abs(tensor.reshape(-1)) ** 2
     else:
-        probs = np.real(np.diagonal(tensor.reshape(2**n, 2**n)))
+        tensor = state.entries
+        for q, letter in enumerate(setting.labels):
+            u = _ROTATIONS.get(letter, PAULI_MATRICES["I"])
+            rest = 2 ** (n - q - 1)
+            weights = u[:, :, None] * u.conj()[:, None, :]
+            tensor = np.einsum("aij,dirjc->darc", weights, tensor.reshape(2**q, 2, rest, 2, rest))
+        probs = np.real(tensor.reshape(-1))
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 
@@ -315,10 +317,12 @@ def _pipeline_curve(table: CorrelatorTable, system: int, pipeline: str) -> MICur
     if pipeline == "closed_form":
         params = star_parameters(table)
         if not params.consistent:
+            p, q, _ = _star_populations(np.array([table.value(s) for s in STAR_CORRELATORS]))
             raise ValueError(
-                "the closed-form model check failed: the two measured branch "
-                "populations do not sum to one, so the data are outside the "
-                "two-branch model (use the reconstruction pipeline)"
+                "the closed-form model check failed: the two measured branch populations "
+                f"give |P + Q - 1| = {abs(p + q - 1.0):.3g}, beyond max(1e-6, 6 sigma_P) with "
+                f"sigma_P = {params.sigma_p:.3g}, so the data are outside the two-branch "
+                "model (use the reconstruction pipeline)"
             )
         params = clip_to_two_branch_model(params)
         values = [star_mutual_information(params, d) for d in (1, 2, 3)]

@@ -54,9 +54,24 @@ def _check_qubit_budget(n_qubits: int) -> None:
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
+    """`array` if it and all it views are read-only (see _seal), else a read-only copy."""
+    base = array
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is None:
+        return array
     out = np.array(array, dtype=complex, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _seal(buffer: np.ndarray) -> np.ndarray:
+    """Make a fresh buffer and all it views read-only, so a state keeps it uncopied."""
+    array = buffer
+    while isinstance(array, np.ndarray):
+        array.flags.writeable = False
+        array = array.base
+    return buffer
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +86,7 @@ class StateVector:
         if amps.size < 2 or amps.size != 2**n:
             raise ValueError(f"amplitude count {amps.size} is not 2^n for n >= 1")
         _check_qubit_budget(n)
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
@@ -87,7 +102,7 @@ class StateVector:
             raise ValueError(f"bits must be a nonempty 0/1 string, got {bits!r}")
         amps = np.zeros(2 ** len(bits), dtype=complex)
         amps[int(bits, 2)] = 1.0
-        return cls(amps)
+        return cls(_seal(amps))
 
     @classmethod
     def plus_state(cls, n_qubits: int) -> "StateVector":
@@ -95,7 +110,7 @@ class StateVector:
         if n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         _check_qubit_budget(n_qubits)
-        return cls(np.full(2**n_qubits, 1.0 / sqrt(2**n_qubits), dtype=complex))
+        return cls(_seal(np.full(2**n_qubits, 1.0 / sqrt(2**n_qubits), dtype=complex)))
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -274,7 +289,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     for t in gate.targets:
         if t > n:
             raise ValueError(f"gate target {t} out of range for {n} qubits")
-    tensor = state.amplitudes.reshape([2] * n).copy()
+    tensor = state.amplitudes.reshape([2] * n)
     if gate.kind in _FIXED_1Q or gate.kind == "single_qubit":
         mat = _FIXED_1Q.get(gate.kind, gate.matrix)
         axis = gate.targets[0] - 1
@@ -282,8 +297,9 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     elif gate.kind == "swap":
         tensor = np.swapaxes(tensor, gate.targets[0] - 1, gate.targets[1] - 1)
     else:  # controlled_phase
+        tensor = tensor.copy()
         _apply_phases(tensor, [(*gate.targets, gate.phase)])
-    return StateVector(tensor.reshape(-1))
+    return StateVector(_seal(tensor.reshape(-1)))
 
 
 def _apply_phases(tensor: np.ndarray, edges) -> None:
@@ -306,7 +322,7 @@ def apply_circuit(state: StateVector, gates) -> StateVector:
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product with a's qubits first (most significant)."""
     _check_qubit_budget(a.n_qubits + b.n_qubits)
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
+    return StateVector(_seal(np.kron(a.amplitudes, b.amplitudes)))
 
 
 def _split_axes(n: int, keep: tuple[int, ...]) -> list[int]:
@@ -356,31 +372,38 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
     return DensityMatrix(mat @ mat.conj().T)
 
 
-def _spectrum_entropy(values: np.ndarray) -> float:
-    """Shannon entropy in bits of a spectrum; contributions below 1e-12 are 0."""
-    values = np.asarray(values, dtype=float)
-    low = float(values.min()) if values.size else 0.0
-    if low < _EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"negative eigenvalue {low:.3e} below the -1e-9 tolerance; "
-            "project the state to the physical set first"
-        )
-    positive = values[values > _LOG_CUTOFF]
-    if positive.size == 0:
-        return 0.0
-    # + 0.0 turns the -0.0 of a pure spectrum into 0.0
-    return float(max(-np.sum(positive * np.log2(positive)), 0.0)) + 0.0
+def _cut(n: int, subsets) -> np.ndarray:
+    """(B, n) qubit orders: each of B subsets of 1-based labels as ascending
+    0-based indices, followed by the other qubits in ascending order."""
+    subsets = np.array(subsets, dtype=int)
+    inside = np.zeros((len(subsets), n), dtype=bool)
+    inside[np.arange(len(subsets))[:, None], subsets - 1] = True
+    return np.argsort(~inside, axis=1, kind="stable")
+
+
+def _pure_entropies(amplitudes: np.ndarray, subsets) -> np.ndarray:
+    """Entropies in bits of a pure state's reductions to B subsets of k qubit
+    labels each, from the Gram matrix of the smaller side of each cut, in
+    chunks of about 256 KB so that the transposed copies never pile up."""
+    n = amplitudes.size.bit_length() - 1
+    k = len(subsets[0])
+    order = _cut(n, subsets)
+    if 2 * k > n:  # the complement is the smaller side
+        order, k = np.roll(order, -k, axis=1), n - k
+    tensor = amplitudes.reshape((2,) * n)
+    chunk = max(1, 2**18 // amplitudes.nbytes)
+    out = np.empty(len(order))
+    for start in range(0, len(order), chunk):
+        mats = np.stack([tensor.transpose(axes).reshape(2**k, -1) for axes in order[start : start + chunk]])
+        out[start : start + chunk] = _entropy_batch(mats @ np.conj(np.swapaxes(mats, -1, -2)))
+    return out
 
 
 def subsystem_entropy(state: StateVector, subset) -> float:
-    """Entropy of a reduction of a pure state, via singular values of the
-    bipartition matrix (never forms the global density matrix)."""
-    n = state.n_qubits
-    subset = _validate_keep(n, subset)
-    axes = _split_axes(n, subset)
-    mat = state.amplitudes.reshape([2] * n).transpose(axes).reshape(2 ** len(subset), -1)
-    singular = np.linalg.svd(mat, compute_uv=False)
-    return _spectrum_entropy(singular**2)
+    """Entropy of a reduction of a pure state, from the Gram matrix of the
+    smaller side of the cut (never forms the global density matrix)."""
+    subset = _validate_keep(state.n_qubits, subset)
+    return float(_pure_entropies(state.amplitudes, [subset])[0])
 
 
 def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
@@ -404,8 +427,8 @@ def _entropy_batch(mats: np.ndarray) -> np.ndarray:
     safe = np.where(kept, eigs, 1.0)
     terms = safe * np.log2(safe)
     # eigvalsh sorts ascending, so the kept eigenvalues are a suffix of each
-    # row; summing each suffix as a contiguous row adds in the same order as
-    # _spectrum_entropy does for one spectrum, so both give identical bits
+    # row; each suffix is summed as a contiguous row, so a spectrum gives the
+    # same bits alone as in any batch
     n_kept = kept.sum(axis=-1)
     totals = np.zeros(len(eigs))
     for m in set(n_kept.tolist()) - {0}:

@@ -66,6 +66,32 @@ class TestCurveCommand:
             tmp_path / "b.csv.manifest.json"
         ).read_bytes()
 
+    def test_manifest_records_backend_and_fragment_split(self, tmp_path):
+        cases = [
+            (["--family", "diamond", "--n-env", "4", "--phi", "pi", "--theta=-pi"], "stabilizer"),
+            (["--family", "star", "--n-env", "4", "--phi", "pi/3"], "dense-pure"),
+            (["--named", "ghz4"], "dense-pure"),
+        ]
+        for flags, backend in cases:
+            out = tmp_path / "c.csv"
+            assert run(["curve", *flags, "--out", str(out)]) == 0
+            diagnostics = json.loads((tmp_path / "c.csv.manifest.json").read_text())["diagnostics"]
+            n_env = 3 if flags[0] == "--named" else 4
+            assert diagnostics == {
+                "backend": backend,
+                "fragments_exhaustive": 2**n_env - 1,
+                "fragments_sampled": 0,
+                "sample_size": 1000,
+            }
+
+    def test_stabilizer_curve_beyond_state_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QDARWIN_MAX_QUBITS", "4")
+        out = tmp_path / "star.csv"
+        args = ["curve", "--family", "star", "--n-env", "5", "--out", str(out)]
+        assert run(args + ["--phi", "pi"]) == 0
+        assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["1", "1", "1", "1", "2"]
+        assert run(args + ["--phi", "pi/3"]) == 1
+
     def test_named_and_family_conflict(self, tmp_path):
         code = run(
             ["curve", "--named", "ghz4", "--family", "star", "--n-env", "2", "--phi", "pi",

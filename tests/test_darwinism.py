@@ -4,21 +4,63 @@ from math import comb, pi
 import numpy as np
 import pytest
 
-from conftest import as_state
-from oracle_utils import brute_mutual_information, random_pure_array
+from conftest import as_density, as_state
+from oracle_utils import (
+    brute_entropy,
+    brute_mutual_information,
+    brute_partial_trace,
+    random_density_array,
+    random_pure_array,
+)
 from qdarwin import (
     Fragment,
+    GraphSpec,
     MICurve,
     MIPoint,
     build_graph_state,
     classify_curve,
     diamond_spec,
     enumerate_fragments,
+    evolve_ising,
     mi_curve,
     mutual_information,
     named_state,
     star_spec,
 )
+from qdarwin.darwinism import _curve_diagnostics
+from qdarwin.qcore import _pure_entropies
+
+
+def _backend(source):
+    return _curve_diagnostics(source)["backend"]
+
+
+def _per_fragment_curve(state, system, fragments_by_size):
+    """(mean, min, max) per size from one mutual_information call per fragment."""
+    out = []
+    for fragments in fragments_by_size:
+        values = [mutual_information(state, system, f) for f in fragments]
+        out.append((float(np.mean(values)), min(values), max(values)))
+    return out
+
+
+def _exhaustive(n, system):
+    env = [q for q in range(1, n + 1) if q != system]
+    return [list(itertools.combinations(env, d)) for d in range(1, n)]
+
+
+def _random_graph(n, rng, phases):
+    pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    chosen = [pairs[i] for i in np.flatnonzero(rng.random(len(pairs)) < 0.5)]
+    return GraphSpec(n, 1, tuple((j, k, float(rng.choice(phases))) for j, k in chosen))
+
+
+def _assert_curve_matches(curve, expected, tol=1e-12):
+    assert len(curve.points) == len(expected)
+    for point, (mean, lo, hi) in zip(curve.points, expected):
+        assert point.mean_mi == pytest.approx(mean, abs=tol)
+        assert point.min_mi == pytest.approx(lo, abs=tol)
+        assert point.max_mi == pytest.approx(hi, abs=tol)
 
 
 class TestEnumerateFragments:
@@ -159,6 +201,111 @@ class TestMICurve:
         assert sampled, "expected at least one sampled point"
         for point in sampled:
             assert point.stderr >= 0.0
+
+
+class TestEntropyBackends:
+    def test_backend_from_input(self):
+        assert _backend(star_spec(3, pi)) == "stabilizer"
+        for phase in (-pi, 3 * pi, 0.0, 2 * pi, -5 * pi):
+            assert _backend(GraphSpec(3, 1, ((1, 2, pi), (2, 3, phase)))) == "stabilizer"
+        # evolve_ising's phases -g t
+        couplings = {(1, 2): pi / 0.7, (2, 3): -pi / 0.7}
+        spec = GraphSpec(3, 1, tuple((j, k, -g * 0.7) for (j, k), g in couplings.items()))
+        assert _backend(spec) == "stabilizer"
+        assert _backend(star_spec(3, pi + 1e-9)) == "dense-pure"
+        assert _backend(diamond_spec(3, pi, pi / 3)) == "dense-pure"
+        assert _backend(named_state("ghz4")) == "dense-pure"
+        assert _backend(named_state("ghz4").density()) == "dense-mixed"
+
+    def test_stabilizer_matches_dense_per_fragment(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(3, 10))
+            spec = _random_graph(n, rng, [pi, -pi, 3 * pi, 0.0])
+            system = int(rng.integers(1, n + 1))
+            assert _backend(spec) == "stabilizer"
+            curve = mi_curve(spec, system)
+            state = build_graph_state(spec)
+            _assert_curve_matches(curve, _per_fragment_curve(state, system, _exhaustive(n, system)))
+            assert curve.system_entropy == pytest.approx(mi_curve(state, system).system_entropy, abs=1e-12)
+
+    def test_stabilizer_matches_ising_evolution(self):
+        spec = diamond_spec(5, pi, pi)
+        couplings = {(j, k): -phase for j, k, phase in spec.edges}
+        _assert_curve_matches(
+            mi_curve(spec, 1),
+            [(p.mean_mi, p.min_mi, p.max_mi) for p in mi_curve(evolve_ising(6, couplings, 1.0), 1).points],
+        )
+
+    def test_pure_kernel_matches_brute_partial_traces(self, rng):
+        for n in range(1, 7):
+            psi = random_pure_array(n, rng)
+            rho = np.outer(psi, psi.conj())
+            for size in range(0, n + 1):
+                subsets = list(itertools.combinations(range(1, n + 1), size))
+                expected = [brute_entropy(brute_partial_trace(rho, s, n)) if s else 0.0 for s in subsets]
+                assert _pure_entropies(psi, subsets) == pytest.approx(expected, abs=1e-12)
+
+    def test_pure_curve_matches_brute_oracle(self, rng):
+        for n in (2, 4, 6):
+            psi = random_pure_array(n, rng)
+            system = int(rng.integers(1, n + 1))
+            expected = []
+            for fragments in _exhaustive(n, system):
+                values = [brute_mutual_information(psi, system, f, n) for f in fragments]
+                expected.append((float(np.mean(values)), max(min(values), 0.0), max(values)))
+            _assert_curve_matches(mi_curve(as_state(psi), system), expected)
+
+    def test_weighted_graph_matches_per_fragment_at_n_env_9(self):
+        spec = diamond_spec(9, pi, pi / 3)
+        assert _backend(spec) == "dense-pure"
+        state = build_graph_state(spec)
+        for source in (spec, state):
+            _assert_curve_matches(mi_curve(source, 1), _per_fragment_curve(state, 1, _exhaustive(10, 1)))
+
+    def test_density_matrix_curve_bit_identical_to_per_fragment(self, rng):
+        rho = as_density(random_density_array(4, rng))
+        curve = mi_curve(rho, 2)
+        for point, (mean, lo, hi) in zip(curve.points, _per_fragment_curve(rho, 2, _exhaustive(4, 2))):
+            assert (point.min_mi, point.max_mi) == (lo, hi)
+            assert point.mean_mi == min(max(mean, lo), hi)
+
+    def test_sampled_sizes_keep_their_draws(self, rng):
+        spec = _random_graph(7, rng, [pi, 0.0])
+        sources = [
+            spec,
+            diamond_spec(6, pi, pi / 3),
+            as_state(random_pure_array(7, rng)),
+            as_density(random_density_array(5, rng)),
+        ]
+        for source in sources:
+            n = source.n_qubits
+            env = list(range(2, n + 1))
+            draws_rng = np.random.default_rng(5)  # the draws mi_curve makes: sizes in order
+            fragments_by_size = []
+            for d in range(1, n):
+                if comb(n - 1, d) <= 4:
+                    fragments_by_size.append(list(itertools.combinations(env, d)))
+                else:
+                    fragments_by_size.append(
+                        [tuple(sorted(draws_rng.choice(env, size=d, replace=False))) for _ in range(30)]
+                    )
+            curve = mi_curve(source, 1, max_exhaustive=4, sample_size=30, seed=5)
+            state = build_graph_state(source) if isinstance(source, GraphSpec) else source
+            _assert_curve_matches(curve, _per_fragment_curve(state, 1, fragments_by_size))
+            for point, fragments in zip(curve.points, fragments_by_size):
+                if point.stderr is None:
+                    assert comb(n - 1, point.delta) <= 4
+                    continue
+                values = [mutual_information(state, 1, f) for f in fragments]
+                assert point.stderr == pytest.approx(np.std(values, ddof=1) / np.sqrt(30), abs=1e-12)
+                assert point.n_fragments == comb(n - 1, point.delta)
+
+    def test_stabilizer_curve_builds_no_state(self, monkeypatch):
+        monkeypatch.setenv("QDARWIN_MAX_QUBITS", "4")
+        curve = mi_curve(star_spec(5, pi), 1)
+        assert curve.mean_values() == [1.0, 1.0, 1.0, 1.0, 2.0]
+        with pytest.raises(ValueError, match="cap"):
+            mi_curve(star_spec(5, pi / 3), 1)
 
 
 class TestCurveContainer:

@@ -322,6 +322,22 @@ class TestEstimateMICurve:
         with pytest.raises(ValueError, match="two-branch model"):
             estimate_mi_curve(named_state("diamond-canonical"), 1, cfg, "closed_form")
 
+    def test_closed_form_refusal_states_deviation_and_sigma(self):
+        from qdarwin.estimator import STAR_CORRELATORS, _star_populations
+
+        cfg = RunConfig(shots_per_setting=2000, seed=3, bootstrap_resamples=5)
+        state = named_state("diamond-canonical")
+        data = [sample_setting(state, s, cfg) for s in plan_measurements("star").settings]
+        table = estimate_correlators(data, STAR_CORRELATORS)
+        p, q, _ = _star_populations(np.array([table.value(s) for s in STAR_CORRELATORS]))
+        sigma_p = star_parameters(table).sigma_p
+        with pytest.raises(ValueError) as refusal:
+            estimate_mi_curve(state, 1, cfg, "closed_form")
+        message = str(refusal.value)
+        assert f"|P + Q - 1| = {abs(p + q - 1):.3g}" in message
+        assert f"sigma_P = {sigma_p:.3g}" in message
+        assert abs(p + q - 1) > 6 * sigma_p
+
     def test_no_negative_zero_in_curves(self):
         # P = 0 exactly: the binary entropies are 0, not -0
         cfg = RunConfig(shots_per_setting=500, seed=3, bootstrap_resamples=5)

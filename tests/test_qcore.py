@@ -58,6 +58,57 @@ class TestStateConstruction:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    def test_amplitudes_frozen_without_writable_base(self, rng):
+        # a state may keep a buffer handed over to it, but nothing may write
+        # to its amplitudes afterwards, directly or through an array it views
+        source = random_pure_array(3, rng)
+        view = source[:]
+        view.flags.writeable = False
+        states = [
+            StateVector(source),
+            StateVector(view),
+            StateVector(list(source)),
+            StateVector.plus_state(3),
+            StateVector.computational_basis("011"),
+            tensor_product(StateVector.plus_state(1), StateVector.plus_state(2)),
+            build_graph_state(star_spec(2, pi / 3)),
+            evolve_ising(3, {(1, 2): 0.4}, 1.0),
+            named_state("diamond-canonical"),
+        ]
+        base = StateVector(source)
+        for gate in (Gate.hadamard(1), Gate.hadamard(3), Gate.single_qubit(random_unitary_2x2(rng), 2),
+                     Gate.swap(1, 3), Gate.controlled_phase(0.7, 1, 2)):
+            states.append(apply_gate(base, gate))
+        for state in states:
+            array = state.amplitudes
+            while isinstance(array, np.ndarray):
+                assert not array.flags.writeable
+                array = array.base
+            assert array is None
+        # inputs the caller can still write to were copied
+        kept = [s.amplitudes.copy() for s in states[:2]]
+        source[:] = 0.0
+        for state, amplitudes in zip(states[:2], kept):
+            assert np.array_equal(state.amplitudes, amplitudes)
+        assert np.array_equal(base.amplitudes, states[0].amplitudes)
+
+    def test_fresh_buffers_handed_over_not_copied(self):
+        # building a state or applying a gate allocates one 2^n buffer, which
+        # the new state keeps (numpy reports its allocations to tracemalloc)
+        import tracemalloc
+
+        spec = star_spec(16, pi / 3)  # 2 MB, so numpy's fixed-size ufunc buffers hardly count
+        state = build_graph_state(spec)
+        gate = Gate.controlled_phase(0.3, 2, 3)
+        for make in (lambda: build_graph_state(spec), lambda: apply_gate(state, gate)):
+            tracemalloc.start()
+            try:
+                make()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * state.amplitudes.nbytes
+
     def test_qubit_budget(self, monkeypatch):
         monkeypatch.setenv("QDARWIN_MAX_QUBITS", "3")
         with pytest.raises(ValueError, match="cap"):
