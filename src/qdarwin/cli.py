@@ -139,10 +139,7 @@ def _curve_source(args):
 
 
 def _write_curve(curve, out: Path, manifest: dict) -> None:
-    if out.suffix == ".json":
-        _write_with_manifest(out, curve.to_json(), manifest)
-    else:
-        _write_with_manifest(out, curve.to_csv(), manifest)
+    _write_with_manifest(out, curve.to_json() if out.suffix == ".json" else curve.to_csv(), manifest)
 
 
 def _cmd_curve(args) -> int:
@@ -284,10 +281,7 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -11,12 +11,12 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .graphstate import GraphSpec, build_graph_state
-from .qcore import (
+from .qcore import (  # noqa: F401  (partial_trace, von_neumann_entropy: perfbench/tracer.py wraps these bindings)
     StateVector,
     _cut,
     _entropy_batch,
@@ -68,8 +68,7 @@ def enumerate_fragments(n_env: int, delta: int) -> list[Fragment]:
 
 
 def _validate_fragment(n: int, system: int, fragment) -> tuple[int, ...]:
-    members = tuple(fragment) if not isinstance(fragment, Fragment) else fragment.members
-    members = Fragment(members).members
+    members = Fragment(tuple(fragment)).members
     if system in members:
         raise ValueError(f"fragment {members} contains the system qubit {system}")
     if any(q > n for q in members):
@@ -110,13 +109,14 @@ def _nonnegative(values: np.ndarray) -> np.ndarray:
 def _mutual_information_batch(mats: np.ndarray, system: int, fragments) -> np.ndarray:
     """I(S:F) >= 0 of every density matrix in a (..., d, d) stack for every
     fragment (a validated tuple of labels): shape (..., len(fragments))."""
-    h_s = _entropy_batch(_partial_trace_batch(mats, (system,)))
-    values = np.empty(mats.shape[:-2] + (len(fragments),))
-    for j, members in enumerate(fragments):
-        h_f = _entropy_batch(_partial_trace_batch(mats, members))
-        h_sf = _entropy_batch(_partial_trace_batch(mats, (system,) + members))
-        values[..., j] = h_s + h_f - h_sf
-    return _nonnegative(values)
+    h = functools.partial(_mixed_entropies, mats)
+    return _nonnegative(h([(system,)]) + h(fragments) - h([(system,) + f for f in fragments]))
+
+
+def _mixed_entropies(mats: np.ndarray, subsets) -> np.ndarray:
+    """Entropies in bits of the reductions of a (..., d, d) stack of density
+    matrices to each subset: shape (..., len(subsets))."""
+    return _entropy_batch(np.stack([_partial_trace_batch(mats, s) for s in subsets], axis=-3))
 
 
 @dataclass(frozen=True)
@@ -178,33 +178,15 @@ class MICurve:
         points = []
         for line in lines[1:]:
             delta, mean, lo, hi, count, stderr = line.split(",")
-            points.append(
-                MIPoint(
-                    delta=int(delta),
-                    mean_mi=float(mean),
-                    min_mi=float(lo),
-                    max_mi=float(hi),
-                    n_fragments=int(count),
-                    stderr=None if stderr == "" else float(stderr),
-                )
-            )
+            stderr = None if stderr == "" else float(stderr)
+            points.append(MIPoint(int(delta), float(mean), float(lo), float(hi), int(count), stderr))
         return cls(points=tuple(points), system_entropy=system_entropy, n_env=n_env)
 
     def to_json_dict(self) -> dict:
         return {
             "system_entropy": self.system_entropy,
             "n_env": self.n_env,
-            "points": [
-                {
-                    "delta": p.delta,
-                    "mean_mi": p.mean_mi,
-                    "min_mi": p.min_mi,
-                    "max_mi": p.max_mi,
-                    "n_fragments": p.n_fragments,
-                    "stderr": p.stderr,
-                }
-                for p in self.points
-            ],
+            "points": [asdict(p) for p in self.points],
         }
 
     def to_json(self) -> str:
@@ -222,34 +204,28 @@ def _aggregate(delta: int, values: np.ndarray, n_total: int, stderr: float | Non
     hi = float(np.max(values))
     # the mathematical mean lies in [min, max]; pin down summation round-off
     mean = min(max(mean, lo), hi)
-    return MIPoint(
-        delta=delta,
-        mean_mi=mean,
-        min_mi=lo,
-        max_mi=hi,
-        n_fragments=n_total,
-        stderr=stderr,
-    )
+    return MIPoint(delta, mean, lo, hi, n_total, stderr)
 
 
-def _curve_diagnostics(
-    source, max_exhaustive: int = _DEFAULT_MAX_EXHAUSTIVE, sample_size: int = _DEFAULT_SAMPLE_SIZE
-) -> dict:
-    """The deterministic facts of mi_curve(source, ...): how many fragments
-    it enumerates and draws, and its entropy backend: "stabilizer" for a
-    GraphSpec whose every edge phase is pi or 0 (mod 2 pi), "dense-pure" for
-    any other GraphSpec or a StateVector, "dense-mixed" for a DensityMatrix."""
+def _backend(source) -> str:
+    """mi_curve's entropy backend: "stabilizer" for a GraphSpec whose every
+    edge phase is pi or 0 (mod 2 pi), "dense-pure" for any other GraphSpec or
+    a StateVector, "dense-mixed" for a DensityMatrix."""
     if isinstance(source, GraphSpec):
         offsets = [abs(math.remainder(phase, 2 * math.pi)) for _, _, phase in source.edges]
-        backend = "stabilizer" if all(min(x, math.pi - x) <= _PI_SLACK for x in offsets) else "dense-pure"
-    else:
-        backend = "dense-pure" if isinstance(source, StateVector) else "dense-mixed"
+        return "stabilizer" if all(min(x, math.pi - x) <= _PI_SLACK for x in offsets) else "dense-pure"
+    return "dense-pure" if isinstance(source, StateVector) else "dense-mixed"
+
+
+def _curve_diagnostics(source) -> dict:
+    """What mi_curve(source, system) does with its default sampling: the
+    backend and how many fragments it enumerates and draws."""
     counts = [math.comb(source.n_qubits - 1, d) for d in range(1, source.n_qubits)]
     return {
-        "backend": backend,
-        "fragments_exhaustive": sum(c for c in counts if c <= max_exhaustive),
-        "fragments_sampled": sum(sample_size for c in counts if c > max_exhaustive),
-        "sample_size": sample_size,
+        "backend": _backend(source),
+        "fragments_exhaustive": sum(c for c in counts if c <= _DEFAULT_MAX_EXHAUSTIVE),
+        "fragments_sampled": sum(_DEFAULT_SAMPLE_SIZE for c in counts if c > _DEFAULT_MAX_EXHAUSTIVE),
+        "sample_size": _DEFAULT_SAMPLE_SIZE,
     }
 
 
@@ -277,6 +253,13 @@ def _graph_entropies(spec: GraphSpec, subsets) -> np.ndarray:
     return rank
 
 
+def _in_chunks(kernel, subsets) -> np.ndarray:
+    """kernel(chunk) over an iterable of subsets, 4096 at a time, so that
+    only one chunk of label tuples is ever held."""
+    subsets = iter(subsets)
+    return np.concatenate([kernel(c) for c in iter(lambda: list(itertools.islice(subsets, 4096)), [])])
+
+
 def mi_curve(
     source,
     system: int,
@@ -288,48 +271,47 @@ def mi_curve(
     """Mean/min/max mutual information for every fragment size 1..n_env.
 
     `source` is a StateVector, DensityMatrix or GraphSpec (its `system` is
-    ignored); it sets the entropy backend, see _curve_diagnostics.  Sizes
-    with more than max_exhaustive fragments are estimated from sample_size
-    uniformly drawn fragments (fixed seed, reported standard error);
-    everything else is enumerated exhaustively.
+    ignored); it sets the entropy backend, see _backend.  Sizes with more
+    than max_exhaustive fragments are estimated from sample_size uniformly
+    drawn fragments (fixed seed, reported standard error); everything else
+    is enumerated exhaustively.
     """
-    n = source.n_qubits
-    if not 1 <= system <= n:
+    if not 1 <= system <= source.n_qubits:
         raise ValueError(f"system index {system} out of range")
-    env = [q for q in range(1, n + 1) if q != system]
-    rng = np.random.default_rng(seed)
-    sampled = [math.comb(len(env), d) > max_exhaustive for d in range(1, len(env) + 1)]
-    fragments = [  # label tuples; the draws of sampled sizes in size order
-        [tuple(sorted(rng.choice(env, size=d, replace=False))) for _ in range(sample_size)]
-        if drawn
-        else list(itertools.combinations(env, d))
-        for d, drawn in enumerate(sampled, start=1)
-    ]
-    backend = _curve_diagnostics(source)["backend"]
-    if backend == "dense-mixed":
-        h_s = von_neumann_entropy(partial_trace(source, (system,)))
-        values = [_mutual_information_batch(source.entries, system, frags) for frags in fragments]
+    env = [q for q in range(1, source.n_qubits + 1) if q != system]
+    backend = _backend(source)
+    mixed = backend == "dense-mixed"
+    if backend == "stabilizer":
+        kernel = functools.partial(_graph_entropies, source)
+    elif backend == "dense-pure":
+        state = source if isinstance(source, StateVector) else build_graph_state(source)
+        kernel = functools.partial(_pure_entropies, state.amplitudes)
     else:
-        if backend == "stabilizer":
-            entropies = functools.partial(_graph_entropies, source)
+        kernel = functools.partial(_mixed_entropies, source.entries)
+    entropies = functools.partial(_in_chunks, kernel)
+    h_s = float(entropies([(system,)])[0])
+    rng = np.random.default_rng(seed)
+    h_f, h_sf = {0: np.zeros(1)}, {}  # entropies of the fragments and their unions with S, by size
+    for d in range(1, len(env) + 1):
+        sampled = math.comb(len(env), d) > max_exhaustive
+        if sampled:
+            fragments = [tuple(sorted(rng.choice(env, size=d, replace=False))) for _ in range(sample_size)]
         else:
-            state = source if isinstance(source, StateVector) else build_graph_state(source)
-            entropies = functools.partial(_pure_entropies, state.amplitudes)
-        h_s = float(entropies([(system,)])[0])
-        h_f = [entropies(frags) for frags in fragments] + [np.zeros(1)]  # [-1]: the empty set
-        values = []
-        for d, frags in enumerate(fragments, start=1):
-            # the global state is pure, so H(S u F) = H(E \ F); the complements
-            # of all fragments of size d are those of size n_env - d, reversed
-            if sampled[d - 1]:
-                h_sf = entropies([tuple(q for q in env if q not in f) for f in frags])
-            else:
-                h_sf = h_f[len(env) - d - 1][::-1]
-            values.append(_nonnegative(h_s + h_f[d - 1] - h_sf))
+            fragments = itertools.combinations(env, d)
+        if sampled or mixed:
+            fragments = list(fragments)
+            # H(S u F), which is H(E \ F) if the global state is pure
+            joint = [(system,) + f if mixed else tuple(q for q in env if q not in f) for f in fragments]
+            h_sf[d] = entropies(joint)
+        h_f[d] = entropies(fragments)
     points = []
-    for d, group in enumerate(values, start=1):
-        stderr = float(np.std(group, ddof=1) / math.sqrt(len(group))) if sampled[d - 1] else None
-        points.append(_aggregate(d, group, math.comb(len(env), d), stderr))
+    for d in range(1, len(env) + 1):
+        sampled = math.comb(len(env), d) > max_exhaustive
+        # otherwise H(S u F) is H(E \ F) again, and the complements of the
+        # size-d subsets are the size-(n_env - d) subsets in reverse order
+        values = _nonnegative(h_s + h_f[d] - (h_sf[d] if d in h_sf else h_f[len(env) - d][::-1]))
+        stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if sampled else None
+        points.append(_aggregate(d, values, math.comb(len(env), d), stderr))
     return MICurve(points=tuple(points), system_entropy=h_s, n_env=len(env))
 
 

@@ -211,9 +211,10 @@ def _star_populations(values: np.ndarray):
 class StarParameters:
     """Two-branch model rho = P |0101><0101| + (1-P) |1010><1010| + coherence C.
 
-    `consistent` records whether the two measured branch populations actually
-    sum to one; tables from states outside the model (e.g. the maximally
-    mixed state) are flagged False.
+    `consistent` records whether the two measured branch populations P and Q
+    sum to one, i.e. whether `deviation` = |P + Q - 1| lies within
+    max(1e-6, 6 sigma_P); tables from states outside the model (e.g. the
+    maximally mixed state) are flagged False.
     """
 
     p: float
@@ -221,6 +222,7 @@ class StarParameters:
     sigma_p: float | None = None
     sigma_c: float | None = None
     consistent: bool = True
+    deviation: float = 0.0
 
 
 def star_parameters(table: CorrelatorTable) -> StarParameters:
@@ -242,13 +244,14 @@ def star_parameters(table: CorrelatorTable) -> StarParameters:
         sigma_p = sigma_c = None
 
     tol = 1e-6 if sigma_p is None else max(1e-6, 6.0 * sigma_p)
-    consistent = bool(abs(p_value + q_value - 1.0) <= tol)
+    deviation = float(abs(p_value + q_value - 1.0))
     return StarParameters(
         p=float(p_value),
         c=complex(c_value),
         sigma_p=sigma_p,
         sigma_c=sigma_c,
-        consistent=consistent,
+        consistent=deviation <= tol,
+        deviation=deviation,
     )
 
 

@@ -113,14 +113,8 @@ def evolve_ising(n_qubits: int, couplings: dict, time: float) -> StateVector:
     return build_graph_state(GraphSpec(n_qubits, 1, edges))
 
 
-def _ket(bits: str) -> np.ndarray:
-    vec = np.zeros(2 ** len(bits), dtype=complex)
-    vec[int(bits, 2)] = 1.0
-    return vec
-
-
 def _superposition(*terms: tuple[complex, str]) -> StateVector:
-    vec = sum(coeff * _ket(bits) for coeff, bits in terms)
+    vec = sum(coeff * StateVector.computational_basis(bits).amplitudes for coeff, bits in terms)
     return StateVector(vec / np.linalg.norm(vec))
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from .darwinism import MICurve, MIPoint, _mutual_information_batch
 from .estimator import (
     _NEGATIVITY_TOL,
-    STAR_CORRELATORS,
     CorrelatorTable,
     StarParameters,
     _density_batch,
@@ -317,12 +316,10 @@ def _pipeline_curve(table: CorrelatorTable, system: int, pipeline: str) -> MICur
     if pipeline == "closed_form":
         params = star_parameters(table)
         if not params.consistent:
-            p, q, _ = _star_populations(np.array([table.value(s) for s in STAR_CORRELATORS]))
             raise ValueError(
                 "the closed-form model check failed: the two measured branch populations "
-                f"give |P + Q - 1| = {abs(p + q - 1.0):.3g}, beyond max(1e-6, 6 sigma_P) with "
-                f"sigma_P = {params.sigma_p:.3g}, so the data are outside the two-branch "
-                "model (use the reconstruction pipeline)"
+                f"give |P + Q - 1| = {params.deviation:.3g} with sigma_P = {params.sigma_p:.3g}, "
+                "so the data are outside the two-branch model (use the reconstruction pipeline)"
             )
         params = clip_to_two_branch_model(params)
         values = [star_mutual_information(params, d) for d in (1, 2, 3)]

@@ -8,6 +8,7 @@ are in bits (log base 2).
 """
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,24 +55,23 @@ def _check_qubit_budget(n_qubits: int) -> None:
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
-    """`array` if it and all it views are read-only (see _seal), else a read-only copy."""
-    base = array
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if base is None:
-        return array
     out = np.array(array, dtype=complex, copy=True)
     out.flags.writeable = False
     return out
 
 
-def _seal(buffer: np.ndarray) -> np.ndarray:
-    """Make a fresh buffer and all it views read-only, so a state keeps it uncopied."""
+class _Fresh(np.ndarray):
+    """A buffer the package has just built, sealed and handed to a StateVector
+    uncopied; nothing else holds it, so no caller can write to it later."""
+
+
+def _seal(buffer: np.ndarray) -> _Fresh:
+    """Make a fresh buffer and all it views read-only, marked to be kept uncopied."""
     array = buffer
     while isinstance(array, np.ndarray):
         array.flags.writeable = False
         array = array.base
-    return buffer
+    return buffer.view(_Fresh)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +81,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        fresh = isinstance(self.amplitudes, _Fresh)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         n = amps.size.bit_length() - 1
         if amps.size < 2 or amps.size != 2**n:
@@ -89,7 +90,7 @@ class StateVector:
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        object.__setattr__(self, "amplitudes", amps if fresh else _freeze(amps))
 
     @property
     def n_qubits(self) -> int:
@@ -200,8 +201,6 @@ def as_pauli(value) -> PauliString:
 
 def all_pauli_strings(n_qubits: int):
     """All 4^n Pauli strings in lexicographic I<X<Y<Z order."""
-    import itertools
-
     return [PauliString("".join(t)) for t in itertools.product("IXYZ", repeat=n_qubits)]
 
 
@@ -491,14 +490,6 @@ def pauli_expectation(state, pauli) -> float:
     return float(value.real)
 
 
-def _fidelity_pure_pure(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(np.vdot(a, b)) ** 2)
-
-
-def _fidelity_pure_mixed(psi: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.real(psi.conj() @ rho @ psi))
-
-
 def fidelity(a, b) -> float:
     """Fidelity between states given as StateVector or DensityMatrix.
 
@@ -510,11 +501,10 @@ def fidelity(a, b) -> float:
     if dim_a != dim_b:
         raise ValueError(f"dimension mismatch: {dim_a} vs {dim_b}")
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        value = _fidelity_pure_pure(a.amplitudes, b.amplitudes)
-    elif isinstance(a, StateVector):
-        value = _fidelity_pure_mixed(a.amplitudes, b.entries)
-    elif isinstance(b, StateVector):
-        value = _fidelity_pure_mixed(b.amplitudes, a.entries)
+        value = float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    elif isinstance(a, StateVector) or isinstance(b, StateVector):
+        psi, rho = (a.amplitudes, b.entries) if isinstance(a, StateVector) else (b.amplitudes, a.entries)
+        value = float(np.real(psi.conj() @ rho @ psi))
     else:
         eigs, vecs = np.linalg.eigh(a.entries)
         sqrt_a = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T

@@ -27,12 +27,8 @@ from qdarwin import (
     named_state,
     star_spec,
 )
-from qdarwin.darwinism import _curve_diagnostics
+from qdarwin.darwinism import _backend, _graph_entropies
 from qdarwin.qcore import _pure_entropies
-
-
-def _backend(source):
-    return _curve_diagnostics(source)["backend"]
 
 
 def _per_fragment_curve(state, system, fragments_by_size):
@@ -299,6 +295,32 @@ class TestEntropyBackends:
                 values = [mutual_information(state, 1, f) for f in fragments]
                 assert point.stderr == pytest.approx(np.std(values, ddof=1) / np.sqrt(30), abs=1e-12)
                 assert point.n_fragments == comb(n - 1, point.delta)
+
+    def test_large_sizes_run_in_chunks_with_bounded_memory(self):
+        # sizes of more than 4096 fragments are evaluated a chunk at a time;
+        # the chunks must keep their order (complement tables are paired in
+        # reverse) and no size's fragment tuples may be held all at once
+        import tracemalloc
+
+        spec = diamond_spec(16, pi, pi)
+        env = list(range(2, 18))
+        tracemalloc.start()
+        try:
+            curve = mi_curve(spec, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6  # 12 MB with every fragment of every size held as tuples
+        h_s = _graph_entropies(spec, [(1,)])[0]
+        for d in (7, 8, 9):
+            fragments = list(itertools.combinations(env, d))
+            assert len(fragments) > 4096
+            h_sf = _graph_entropies(spec, [tuple(q for q in env if q not in f) for f in fragments])
+            values = h_s + _graph_entropies(spec, fragments) - h_sf
+            point = curve.point(d)
+            assert (point.mean_mi, point.min_mi, point.max_mi) == pytest.approx(
+                (values.mean(), values.min(), values.max()), abs=1e-12
+            )
 
     def test_stabilizer_curve_builds_no_state(self, monkeypatch):
         monkeypatch.setenv("QDARWIN_MAX_QUBITS", "4")

@@ -330,7 +330,10 @@ class TestEstimateMICurve:
         data = [sample_setting(state, s, cfg) for s in plan_measurements("star").settings]
         table = estimate_correlators(data, STAR_CORRELATORS)
         p, q, _ = _star_populations(np.array([table.value(s) for s in STAR_CORRELATORS]))
-        sigma_p = star_parameters(table).sigma_p
+        params = star_parameters(table)
+        sigma_p = params.sigma_p
+        assert params.deviation == pytest.approx(abs(p + q - 1), abs=1e-15)
+        assert not params.consistent
         with pytest.raises(ValueError) as refusal:
             estimate_mi_curve(state, 1, cfg, "closed_form")
         message = str(refusal.value)

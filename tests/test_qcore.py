@@ -64,9 +64,12 @@ class TestStateConstruction:
         source = random_pure_array(3, rng)
         view = source[:]
         view.flags.writeable = False
+        sealed = source.copy()  # read-only all the way down, but the caller owns it
+        sealed.flags.writeable = False
         states = [
             StateVector(source),
             StateVector(view),
+            StateVector(sealed),
             StateVector(list(source)),
             StateVector.plus_state(3),
             StateVector.computational_basis("011"),
@@ -85,10 +88,13 @@ class TestStateConstruction:
                 assert not array.flags.writeable
                 array = array.base
             assert array is None
-        # inputs the caller can still write to were copied
-        kept = [s.amplitudes.copy() for s in states[:2]]
+        # arrays from the caller were copied, even read-only ones: an owner
+        # can make its array writable again
+        kept = [s.amplitudes.copy() for s in states[:3]]
         source[:] = 0.0
-        for state, amplitudes in zip(states[:2], kept):
+        sealed.flags.writeable = True
+        sealed[:] = 0.0
+        for state, amplitudes in zip(states[:3], kept):
             assert np.array_equal(state.amplitudes, amplitudes)
         assert np.array_equal(base.amplitudes, states[0].amplitudes)
 
