@@ -32,6 +32,7 @@ from .graphstate import (
 from .measurement import (  # noqa: F401  (mi_curve_from_counts: perfbench/tracer.py wraps this binding)
     RunConfig,
     _bootstrap_curve,
+    _model_margin,
     counts_from_json,
     counts_to_json,
     mi_curve_from_counts,
@@ -183,6 +184,8 @@ def _cmd_estimate(args) -> int:
         target = "star" if args.pipeline == "closed_form" else "full_tomography"
         data = [sample_setting(state, s, cfg) for s in plan_measurements(target).settings]
     curve, diagnostics = _bootstrap_curve(data, args.system, args.pipeline, args.bootstrap, args.seed)
+    if args.pipeline == "closed_form":
+        diagnostics.update(_model_margin(data))
     manifest = _manifest(
         "estimate",
         {

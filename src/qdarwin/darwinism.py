@@ -15,9 +15,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graphstate import GraphSpec, build_graph_state
+from .graphstate import GraphSpec
 from .qcore import (  # noqa: F401  (partial_trace, von_neumann_entropy: perfbench/tracer.py wraps these bindings)
     StateVector,
+    _check_qubit_budget,
     _cut,
     _entropy_batch,
     _partial_trace_batch,
@@ -31,6 +32,7 @@ _PI_SLACK = 1e-12  # rad: round-off of phases such as 3*pi or -g*t, nothing more
 _DEFAULT_MAX_EXHAUSTIVE = 10**6
 _DEFAULT_SAMPLE_SIZE = 1000
 _DEFAULT_SAMPLE_SEED = 1789
+_STEP_SIGMAS = 2.0  # classify_curve: a step between points with stderr must beat this many sigma
 
 CSV_HEADER = "delta,mean_mi,min_mi,max_mi,n_fragments,stderr"
 
@@ -208,12 +210,12 @@ def _aggregate(delta: int, values: np.ndarray, n_total: int, stderr: float | Non
 
 
 def _backend(source) -> str:
-    """mi_curve's entropy backend: "stabilizer" for a GraphSpec whose every
-    edge phase is pi or 0 (mod 2 pi), "dense-pure" for any other GraphSpec or
-    a StateVector, "dense-mixed" for a DensityMatrix."""
+    """mi_curve's entropy backend: "stabilizer" for a GraphSpec whose edge
+    phases are all pi or 0 (mod 2 pi), "weighted-graph" for other GraphSpecs,
+    "dense-pure" for a StateVector and "dense-mixed" for a DensityMatrix."""
     if isinstance(source, GraphSpec):
         offsets = [abs(math.remainder(phase, 2 * math.pi)) for _, _, phase in source.edges]
-        return "stabilizer" if all(min(x, math.pi - x) <= _PI_SLACK for x in offsets) else "dense-pure"
+        return "stabilizer" if all(min(x, math.pi - x) <= _PI_SLACK for x in offsets) else "weighted-graph"
     return "dense-pure" if isinstance(source, StateVector) else "dense-mixed"
 
 
@@ -229,19 +231,24 @@ def _curve_diagnostics(source) -> dict:
     }
 
 
+def _cut_blocks(spec: GraphSpec, subsets) -> np.ndarray:
+    """(B, k, n - k) blocks of edge phases, reduced into [-pi, pi], between
+    each of B subsets A of k labels and the rest of the graph."""
+    phases = np.zeros((spec.n_qubits, spec.n_qubits))
+    for j, k, phase in spec.edges:
+        phases[j - 1, k - 1] = phases[k - 1, j - 1] = math.remainder(phase, 2 * math.pi) + 0.0
+    k = len(subsets[0])
+    order = _cut(spec.n_qubits, subsets)
+    return phases[order[:, :k, None], order[:, None, k:]]
+
+
 def _graph_entropies(spec: GraphSpec, subsets) -> np.ndarray:
     """Entropies in bits of the reductions of a graph state with edge phases
     pi or 0 (mod 2 pi) to B subsets A of k labels each: the ranks over GF(2)
     of the adjacency blocks Gamma[A, not A] (Hein, Eisert and Briegel, PRA
     69, 062311 (2004)), by Gaussian elimination on all blocks at once."""
-    gamma = np.zeros((spec.n_qubits, spec.n_qubits), dtype=np.uint8)
-    for j, k, phase in spec.edges:
-        if abs(math.remainder(phase, 2 * math.pi)) > math.pi / 2:  # pi, not 0: an edge
-            gamma[j - 1, k - 1] = gamma[k - 1, j - 1] = 1
-    k = len(subsets[0])
-    order = _cut(spec.n_qubits, subsets)
-    blocks = gamma[order[:, :k, None], order[:, None, k:]]
-    if 2 * k < spec.n_qubits:
+    blocks = (np.abs(_cut_blocks(spec, subsets)) > math.pi / 2).astype(np.uint8)  # pi, not 0: an edge
+    if 2 * len(subsets[0]) < spec.n_qubits:
         blocks = blocks.transpose(0, 2, 1).copy()  # eliminate along the shorter side
     rank = np.zeros(len(blocks))
     for col in range(blocks.shape[2]):
@@ -251,6 +258,46 @@ def _graph_entropies(spec: GraphSpec, subsets) -> np.ndarray:
         # column and the pivot row itself, which leaves the other rows' rank
         blocks ^= ones[:, :, None] * blocks[np.arange(len(blocks)), ones.argmax(axis=1)][:, None, :]
     return rank
+
+
+def _weighted_entropies(spec: GraphSpec, subsets) -> np.ndarray:
+    """Entropies in bits of the reductions of any graph state to B subsets of k
+    labels each, from the edges across each cut (Hein et al., quant-ph/0602096):
+    with W the phases between the coupled qubits (those with a cross edge), rows
+    on the side with fewer of them (s), the reduction is D R D^dag, D diagonal,
+    R[x, x'] = 2^-s prod_j cos((c_j(x) - c_j(x')) / 2), c(x) = x^T W; s = 0
+    leaves it pure.  Byte-identical blocks W are diagonalised once."""
+    blocks = _cut_blocks(spec, subsets)
+    size = max(blocks.shape[1:])
+    square = np.pad(blocks, ((0, 0), (0, size - blocks.shape[1]), (0, size - blocks.shape[2])))
+    flip = blocks.any(axis=2).sum(axis=1) > blocks.any(axis=1).sum(axis=1)
+    square[flip] = np.swapaxes(square[flip], 1, 2)  # rows: the side with fewer coupled qubits
+    coupled = [square.any(axis=2), square.any(axis=1)]  # qubits with a cross edge, moved first
+    rows, cols = (np.argsort(~c, axis=1, kind="stable") for c in coupled)
+    square = square[np.arange(len(square))[:, None, None], rows[:, :, None], cols[:, None, :]]
+    side, width = (c.sum(axis=1) for c in coupled)
+    out = np.zeros(len(square))
+    for s in set(side.tolist()) - {0}:
+        pick = np.flatnonzero(side == s)
+        w = square[pick, :s, : width[pick].max()]
+        distinct, inverse = np.unique(w.reshape(len(w), -1).view(f"V{w[0].nbytes}"), return_inverse=True)
+        distinct = distinct.view(float).reshape(-1, *w.shape[1:])
+        step = max(1, 2**18 // (8 * 4**s))  # stacks of R of about 256 KB
+        parts = [_coupling_entropies(distinct[i : i + step]) for i in range(0, len(distinct), step)]
+        out[pick] = np.concatenate(parts)[inverse.reshape(-1)]
+    return out
+
+
+def _coupling_entropies(w: np.ndarray) -> np.ndarray:
+    """Entropies in bits of R (see _weighted_entropies) of a (B, s, t) stack of
+    blocks W, from cos and sin tables of the half angles c(x) / 2."""
+    s = w.shape[1]
+    half = np.swapaxes(w, 1, 2) @ ((np.arange(2**s) >> np.arange(s)[:, None]) & 1) / 2  # (B, t, 2^s)
+    cos, sin = np.cos(half)[..., None], np.sin(half)[..., None]
+    mats = np.full((len(w), 2**s, 2**s), 2.0**-s)
+    for j in range(w.shape[2]):  # cos(u - v) = cos u cos v + sin u sin v
+        mats *= cos[:, j] * np.swapaxes(cos[:, j], 1, 2) + sin[:, j] * np.swapaxes(sin[:, j], 1, 2)
+    return _entropy_batch(mats)
 
 
 def _in_chunks(kernel, subsets) -> np.ndarray:
@@ -283,9 +330,11 @@ def mi_curve(
     mixed = backend == "dense-mixed"
     if backend == "stabilizer":
         kernel = functools.partial(_graph_entropies, source)
+    elif backend == "weighted-graph":
+        _check_qubit_budget(source.n_qubits)  # R is up to 2^(n/2) square
+        kernel = functools.partial(_weighted_entropies, source)
     elif backend == "dense-pure":
-        state = source if isinstance(source, StateVector) else build_graph_state(source)
-        kernel = functools.partial(_pure_entropies, state.amplitudes)
+        kernel = functools.partial(_pure_entropies, source.amplitudes)
     else:
         kernel = functools.partial(_mixed_entropies, source.entries)
     entropies = functools.partial(_in_chunks, kernel)
@@ -321,17 +370,18 @@ def classify_curve(curve: MICurve, slope_tol: float) -> str:
     Plateau: every size up to n_env - 1 sits within slope_tol of the system
     entropy (which must itself exceed slope_tol, otherwise there is no
     information whose redundancy could be witnessed).  Growing: at least two
-    consecutive size steps each increase by more than slope_tol.
+    consecutive size steps each rise by more than slope_tol, and by more than
+    2 sigma of the step where both points carry a stderr.
     """
-    means = curve.mean_values()
-    if len(means) < 3:
+    points = [p for p in curve.points if p.delta > 0]
+    if len(points) < 3:
         raise ValueError("classification needs at least 3 curve points")
     if curve.system_entropy > slope_tol and all(
-        abs(m - curve.system_entropy) <= slope_tol for m in means[:-1]
+        abs(p.mean_mi - curve.system_entropy) <= slope_tol for p in points[:-1]
     ):
         return "plateau"
-    steps = [b - a for a, b in zip(means, means[1:])]
-    for first, second in zip(steps, steps[1:]):
-        if first > slope_tol and second > slope_tol:
-            return "growing"
-    return "other"
+    rises = []
+    for a, b in zip(points, points[1:]):
+        noise = 0.0 if None in (a.stderr, b.stderr) else _STEP_SIGMAS * math.hypot(a.stderr, b.stderr)
+        rises.append(b.mean_mi - a.mean_mi > max(slope_tol, noise))
+    return "growing" if any(first and second for first, second in zip(rises, rises[1:])) else "other"

@@ -328,6 +328,13 @@ def _pipeline_curve(table: CorrelatorTable, system: int, pipeline: str) -> MICur
     return diamond_mutual_information(table, system)
 
 
+def _model_margin(data) -> dict:
+    """|P + Q - 1| and sigma_P of the closed form's point estimate, to 12 digits."""
+    params = star_parameters(estimate_correlators(data, list(plan_measurements("star").correlators)))
+    margin = {"model_deviation": params.deviation, "model_sigma_p": params.sigma_p}
+    return {key: float(f"{value:.12g}") for key, value in margin.items()}
+
+
 def _closed_form_replicas(values: np.ndarray):
     """Curve (B, 3) of each replica's 32 star correlators, and whether its
     (P, C) had to be clipped into the two-branch model."""

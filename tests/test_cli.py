@@ -69,7 +69,7 @@ class TestCurveCommand:
     def test_manifest_records_backend_and_fragment_split(self, tmp_path):
         cases = [
             (["--family", "diamond", "--n-env", "4", "--phi", "pi", "--theta=-pi"], "stabilizer"),
-            (["--family", "star", "--n-env", "4", "--phi", "pi/3"], "dense-pure"),
+            (["--family", "star", "--n-env", "4", "--phi", "pi/3"], "weighted-graph"),
             (["--named", "ghz4"], "dense-pure"),
         ]
         for flags, backend in cases:
@@ -243,6 +243,21 @@ class TestEstimateCommand:
         }
         assert diagnostics["replicas_projected"] == 10
         assert diagnostics["worst_replica_eigenvalue"] < 0
+
+
+    def test_manifest_records_closed_form_model_margin(self, tmp_path):
+        args = ["estimate", "--named", "star-experimental", "--pipeline", "closed_form",
+                "--shots", "2000", "--seed", "4", "--bootstrap", "20",
+                "--timestamp", "2026-01-01T00:00:00+00:00"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
+        manifest = (tmp_path / "a.csv.manifest.json").read_bytes()
+        assert manifest == (tmp_path / "b.csv.manifest.json").read_bytes()
+        assert a.read_bytes() == b.read_bytes()
+        diagnostics = json.loads(manifest)["diagnostics"]
+        assert set(diagnostics) == {"replicas_clipped", "model_deviation", "model_sigma_p"}
+        assert 0 <= diagnostics["model_deviation"] <= 6 * diagnostics["model_sigma_p"]
 
 
 class TestPlanCommand:

@@ -6,9 +6,11 @@ import pytest
 
 from conftest import as_density, as_state
 from oracle_utils import (
+    binary_entropy,
     brute_entropy,
     brute_mutual_information,
     brute_partial_trace,
+    graph_state_amplitudes,
     random_density_array,
     random_pure_array,
 )
@@ -27,8 +29,8 @@ from qdarwin import (
     named_state,
     star_spec,
 )
-from qdarwin.darwinism import _backend, _graph_entropies
-from qdarwin.qcore import _pure_entropies
+from qdarwin.darwinism import _backend, _graph_entropies, _weighted_entropies
+from qdarwin.qcore import _entropy_batch, _pure_entropies
 
 
 def _per_fragment_curve(state, system, fragments_by_size):
@@ -208,8 +210,8 @@ class TestEntropyBackends:
         couplings = {(1, 2): pi / 0.7, (2, 3): -pi / 0.7}
         spec = GraphSpec(3, 1, tuple((j, k, -g * 0.7) for (j, k), g in couplings.items()))
         assert _backend(spec) == "stabilizer"
-        assert _backend(star_spec(3, pi + 1e-9)) == "dense-pure"
-        assert _backend(diamond_spec(3, pi, pi / 3)) == "dense-pure"
+        assert _backend(star_spec(3, pi + 1e-9)) == "weighted-graph"
+        assert _backend(diamond_spec(3, pi, pi / 3)) == "weighted-graph"
         assert _backend(named_state("ghz4")) == "dense-pure"
         assert _backend(named_state("ghz4").density()) == "dense-mixed"
 
@@ -253,10 +255,69 @@ class TestEntropyBackends:
 
     def test_weighted_graph_matches_per_fragment_at_n_env_9(self):
         spec = diamond_spec(9, pi, pi / 3)
-        assert _backend(spec) == "dense-pure"
+        assert _backend(spec) == "weighted-graph"
         state = build_graph_state(spec)
         for source in (spec, state):
             _assert_curve_matches(mi_curve(source, 1), _per_fragment_curve(state, 1, _exhaustive(10, 1)))
+
+    def test_weighted_kernel_matches_brute_partial_traces(self, rng):
+        for trial in range(12):
+            n = 1 + trial % 6
+            phases = [float(rng.uniform(-2 * pi, 2 * pi)), pi / 3, -pi, 2 * pi, 0.0]
+            spec = _random_graph(n, rng, phases)
+            psi = graph_state_amplitudes(n, spec.edges)
+            rho = np.outer(psi, psi.conj())
+            for size in range(0, n + 1):
+                subsets = list(itertools.combinations(range(1, n + 1), size))
+                expected = [brute_entropy(brute_partial_trace(rho, s, n)) if s else 0.0 for s in subsets]
+                assert _weighted_entropies(spec, subsets) == pytest.approx(expected, abs=1e-12)
+
+    def test_weighted_star_closed_form(self):
+        # h(m): binary entropy of (1 + |cos(phi/2)|^m) / 2; I(k) = h(n) + h(k) - h(n - k)
+        for n, phi in ((6, pi / 3), (7, 2.0)):
+            h = [binary_entropy((1 + abs(np.cos(phi / 2)) ** m) / 2) for m in range(n + 1)]
+            curve = mi_curve(star_spec(n, phi), 1)
+            assert curve.system_entropy == pytest.approx(h[n], abs=1e-12)
+            _assert_curve_matches(curve, [(h[n] + h[k] - h[n - k],) * 3 for k in range(1, n + 1)])
+
+    def test_star_curve_runs_one_cut_block_per_size(self, monkeypatch):
+        import qdarwin.darwinism as darwinism
+
+        shapes = []
+
+        def spy(mats):
+            shapes.append(mats.shape)
+            return _entropy_batch(mats)
+
+        monkeypatch.setattr(darwinism, "_entropy_batch", spy)
+        mi_curve(star_spec(8, pi / 3), 1)
+        # H_S, then one block for each size 1..8; R runs over the hub, the smaller coupled side
+        assert shapes == [(1, 2, 2)] * 9
+
+    def test_every_size_sampled_from_spec_ket_and_density(self):
+        spec = diamond_spec(5, pi / 2, pi / 3)
+        state = build_graph_state(spec)
+        curves = [mi_curve(source, 1, max_exhaustive=0, sample_size=40) for source in (spec, state, state.density())]
+        assert all(p.stderr is not None for p in curves[0].points)
+        for curve in curves[1:]:
+            _assert_curve_matches(curve, [(p.mean_mi, p.min_mi, p.max_mi) for p in curves[0].points])
+            for point, reference in zip(curve.points, curves[0].points):
+                assert point.stderr == pytest.approx(reference.stderr, abs=1e-12)
+
+    def test_cuts_without_cross_edges(self):
+        # qubits 4 and 5 are isolated: the cuts {4}, {5}, {4, 5} and {1, 2, 3} carry no edge
+        spec = GraphSpec(5, 1, ((1, 2, pi / 3), (2, 3, 1.1), (1, 3, -0.7)))
+        amplitudes = build_graph_state(spec).amplitudes
+        for size in range(0, 6):
+            subsets = list(itertools.combinations(range(1, 6), size))
+            assert _weighted_entropies(spec, subsets) == pytest.approx(
+                _pure_entropies(amplitudes, subsets), abs=1e-12
+            )
+        for subsets in ([(4,), (5,)], [(4, 5)], [(1, 2, 3)]):
+            assert list(_weighted_entropies(spec, subsets)) == [0.0] * len(subsets)
+        _assert_curve_matches(
+            mi_curve(spec, 2), [(p.mean_mi, p.min_mi, p.max_mi) for p in mi_curve(as_state(amplitudes), 2).points]
+        )
 
     def test_density_matrix_curve_bit_identical_to_per_fragment(self, rng):
         rho = as_density(random_density_array(4, rng))
@@ -391,6 +452,16 @@ class TestClassifier:
         curve = MICurve(points=points, system_entropy=1.0, n_env=2)
         with pytest.raises(ValueError, match="3"):
             classify_curve(curve, 0.01)
+
+    def test_steps_within_stderr_are_not_growth(self):
+        def curve(stderr):
+            points = tuple(
+                MIPoint(d, m, m, m, comb(4, d), stderr) for d, m in zip((1, 2, 3, 4), (0.5, 0.55, 0.6, 0.65))
+            )
+            return MICurve(points=points, system_entropy=1.0, n_env=4)
+
+        assert classify_curve(curve(None), 0.01) == "growing"
+        assert classify_curve(curve(0.05), 0.01) == "other"  # 0.05-bit steps against 2 * sqrt(2) * 0.05
 
     def test_four_qubit_diamond_growing(self):
         curve = mi_curve(named_state("diamond-canonical"), 1)
