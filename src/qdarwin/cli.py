@@ -17,7 +17,7 @@ from math import pi
 from pathlib import Path
 
 from . import __version__
-from .darwinism import _curve_diagnostics, mi_curve
+from .darwinism import mi_curve
 from .estimator import plan_measurements
 from .graphstate import (
     NAMED_FIXED_STATES,
@@ -32,7 +32,6 @@ from .graphstate import (
 from .measurement import (  # noqa: F401  (mi_curve_from_counts: perfbench/tracer.py wraps this binding)
     RunConfig,
     _bootstrap_curve,
-    _model_margin,
     counts_from_json,
     counts_to_json,
     mi_curve_from_counts,
@@ -76,13 +75,16 @@ def _write_with_manifest(path: Path, content: str, manifest: dict) -> None:
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _manifest(command: str, parameters: dict, seed: int | None, timestamp: str | None) -> dict:
+def _manifest(args, names: str, seed: int | None = None) -> dict:
+    """The command, its named arguments that are set (a flag that is off is
+    not), seed, tool version and timestamp."""
+    values = {name: getattr(args, name) for name in names.split()}
     return {
-        "command": command,
-        "parameters": {k: v for k, v in parameters.items() if v is not None},
+        "command": args.command,
+        "parameters": {k: v for k, v in values.items() if v is not None and v is not False},
         "seed": seed,
         "tool_version": __version__,
-        "timestamp": timestamp or datetime.now(timezone.utc).isoformat(),
+        "timestamp": args.timestamp or datetime.now(timezone.utc).isoformat(),
     }
 
 
@@ -114,18 +116,7 @@ def _cmd_state(args) -> int:
         "n_qubits": state.n_qubits,
         "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
     }
-    manifest = _manifest(
-        "state",
-        {
-            "family": args.family,
-            "n_env": args.n_env,
-            "phi": args.phi,
-            "theta": args.theta,
-            "graph_file": args.graph_file,
-        },
-        seed=None,
-        timestamp=args.timestamp,
-    )
+    manifest = _manifest(args, "family n_env phi theta graph_file")
     _write_with_manifest(Path(args.out), json.dumps(dump, indent=2) + "\n", manifest)
     return 0
 
@@ -146,21 +137,8 @@ def _write_curve(curve, out: Path, manifest: dict) -> None:
 def _cmd_curve(args) -> int:
     source = _curve_source(args)
     curve = mi_curve(source, args.system)
-    manifest = _manifest(
-        "curve",
-        {
-            "family": args.family,
-            "named": args.named,
-            "n_env": args.n_env,
-            "phi": args.phi,
-            "theta": args.theta,
-            "graph_file": args.graph_file,
-            "system": args.system,
-        },
-        seed=None,
-        timestamp=args.timestamp,
-    )
-    _write_curve(curve, Path(args.out), {**manifest, "diagnostics": _curve_diagnostics(source)})
+    manifest = _manifest(args, "family named n_env phi theta graph_file system")
+    _write_curve(curve, Path(args.out), {**manifest, "diagnostics": curve._diagnostics})
     return 0
 
 
@@ -184,22 +162,7 @@ def _cmd_estimate(args) -> int:
         target = "star" if args.pipeline == "closed_form" else "full_tomography"
         data = [sample_setting(state, s, cfg) for s in plan_measurements(target).settings]
     curve, diagnostics = _bootstrap_curve(data, args.system, args.pipeline, args.bootstrap, args.seed)
-    if args.pipeline == "closed_form":
-        diagnostics.update(_model_margin(data))
-    manifest = _manifest(
-        "estimate",
-        {
-            "named": args.named,
-            "counts_file": args.counts_file,
-            "pipeline": args.pipeline,
-            "shots": args.shots,
-            "bootstrap": args.bootstrap,
-            "system": args.system,
-            "poisson": args.poisson or None,
-        },
-        seed=args.seed,
-        timestamp=args.timestamp,
-    )
+    manifest = _manifest(args, "named counts_file pipeline shots bootstrap system poisson", args.seed)
     if args.save_counts:
         _write_with_manifest(Path(args.save_counts), counts_to_json(data), manifest)
     _write_curve(curve, Path(args.out), {**manifest, "diagnostics": diagnostics})
@@ -208,7 +171,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_plan(args) -> int:
     plan = plan_measurements(args.target)
-    manifest = _manifest("plan", {"target": args.target}, seed=None, timestamp=args.timestamp)
+    manifest = _manifest(args, "target")
     _write_with_manifest(Path(args.out), plan.to_json(), manifest)
     return 0
 

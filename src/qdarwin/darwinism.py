@@ -11,15 +11,14 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .graphstate import GraphSpec
-from .qcore import (  # noqa: F401  (partial_trace, von_neumann_entropy: perfbench/tracer.py wraps these bindings)
+from .qcore import (  # noqa: F401  (partial_trace, subsystem_entropy, von_neumann_entropy: perfbench/tracer.py wraps these bindings)
     StateVector,
     _check_qubit_budget,
-    _cut,
     _entropy_batch,
     _partial_trace_batch,
     _pure_entropies,
@@ -33,6 +32,7 @@ _DEFAULT_MAX_EXHAUSTIVE = 10**6
 _DEFAULT_SAMPLE_SIZE = 1000
 _DEFAULT_SAMPLE_SEED = 1789
 _STEP_SIGMAS = 2.0  # classify_curve: a step between points with stderr must beat this many sigma
+_CHUNK = 4096  # qubit masks per entropy-kernel call, across fragment sizes
 
 CSV_HEADER = "delta,mean_mi,min_mi,max_mi,n_fragments,stderr"
 
@@ -90,14 +90,8 @@ def mutual_information(state, system: int, fragment) -> float:
     members = _validate_fragment(n, system, fragment)
     if not members:
         return 0.0
-    if not isinstance(state, StateVector):
-        return float(_mutual_information_batch(state.entries, system, [members])[0])
-    value = (
-        subsystem_entropy(state, (system,))
-        + subsystem_entropy(state, members)
-        - subsystem_entropy(state, (system,) + members)
-    )
-    return float(_nonnegative(np.array(value)))
+    source = state.amplitudes if isinstance(state, StateVector) else state.entries
+    return float(_mutual_information_batch(source, system, [members])[0])
 
 
 def _nonnegative(values: np.ndarray) -> np.ndarray:
@@ -108,10 +102,11 @@ def _nonnegative(values: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0) + 0.0
 
 
-def _mutual_information_batch(mats: np.ndarray, system: int, fragments) -> np.ndarray:
-    """I(S:F) >= 0 of every density matrix in a (..., d, d) stack for every
-    fragment (a validated tuple of labels): shape (..., len(fragments))."""
-    h = functools.partial(_mixed_entropies, mats)
+def _mutual_information_batch(source: np.ndarray, system: int, fragments) -> np.ndarray:
+    """I(S:F) >= 0 for every fragment (a validated tuple of labels) of a ket's
+    amplitudes, or of every density matrix in a (..., d, d) stack: shape
+    (..., len(fragments))."""
+    h = functools.partial(_pure_entropies if source.ndim == 1 else _mixed_entropies, source)
     return _nonnegative(h([(system,)]) + h(fragments) - h([(system,) + f for f in fragments]))
 
 
@@ -138,6 +133,7 @@ class MICurve:
     points: tuple[MIPoint, ...]
     system_entropy: float
     n_env: int
+    _diagnostics: dict | None = field(default=None, compare=False, repr=False)  # what mi_curve did
 
     def __post_init__(self) -> None:
         points = tuple(self.points)
@@ -219,58 +215,87 @@ def _backend(source) -> str:
     return "dense-pure" if isinstance(source, StateVector) else "dense-mixed"
 
 
-def _curve_diagnostics(source) -> dict:
-    """What mi_curve(source, system) does with its default sampling: the
-    backend and how many fragments it enumerates and draws."""
-    counts = [math.comb(source.n_qubits - 1, d) for d in range(1, source.n_qubits)]
-    return {
-        "backend": _backend(source),
-        "fragments_exhaustive": sum(c for c in counts if c <= _DEFAULT_MAX_EXHAUSTIVE),
-        "fragments_sampled": sum(_DEFAULT_SAMPLE_SIZE for c in counts if c > _DEFAULT_MAX_EXHAUSTIVE),
-        "sample_size": _DEFAULT_SAMPLE_SIZE,
-    }
+def _masks(subsets) -> np.ndarray:
+    """uint64 masks (bit q - 1 for label q) of label tuples; mask arrays pass through."""
+    if isinstance(subsets, np.ndarray):
+        return subsets
+    return np.array([sum(1 << (int(q) - 1) for q in s) for s in subsets], dtype=np.uint64)
 
 
-def _cut_blocks(spec: GraphSpec, subsets) -> np.ndarray:
-    """(B, k, n - k) blocks of edge phases, reduced into [-pi, pi], between
-    each of B subsets A of k labels and the rest of the graph."""
-    phases = np.zeros((spec.n_qubits, spec.n_qubits))
+def _bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """(B, n) membership of n qubits in B masks, label q at column q - 1."""
+    return (masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1) != 0
+
+
+def _unrank(env_bits: np.ndarray, d: int, ranks: np.ndarray) -> np.ndarray:
+    """Masks of the d-subsets of env_bits (one bit each) with the given ranks
+    in itertools.combinations order.  Reversed positions c = m - 1 - a put
+    that order backwards into colex order, whose rank sum_i C(c_i, i) over
+    c_d > ... > c_1 the combinatorial number system reads off greedily."""
+    m = len(env_bits)
+    binom = np.array([[math.comb(c, i) for c in range(m)] for i in range(d + 1)], dtype=np.int64)
+    rest = math.comb(m, d) - 1 - ranks
+    masks = np.zeros(len(ranks), dtype=np.uint64)
+    for i in range(d, 0, -1):
+        c = np.searchsorted(binom[i], rest, side="right") - 1
+        rest = rest - binom[i, c]
+        masks |= env_bits[m - 1 - c]
+    return masks
+
+
+@functools.lru_cache(maxsize=1)
+def _graph_tables(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only, built once per spec: the (n, n) edge phases reduced into
+    [-pi, pi], and the uint64 masks of the neighbours by phase pi (not 0) of
+    qubits 1..n and, last, of no qubit."""
+    n = spec.n_qubits
+    phases = np.zeros((n, n))
     for j, k, phase in spec.edges:
         phases[j - 1, k - 1] = phases[k - 1, j - 1] = math.remainder(phase, 2 * math.pi) + 0.0
-    k = len(subsets[0])
-    order = _cut(spec.n_qubits, subsets)
-    return phases[order[:, :k, None], order[:, None, k:]]
+    adjacency = np.append((np.abs(phases) > math.pi / 2) @ (np.uint64(1) << np.arange(n, dtype=np.uint64)), np.uint64(0))
+    phases.flags.writeable = adjacency.flags.writeable = False
+    return phases, adjacency
 
 
 def _graph_entropies(spec: GraphSpec, subsets) -> np.ndarray:
     """Entropies in bits of the reductions of a graph state with edge phases
-    pi or 0 (mod 2 pi) to B subsets A of k labels each: the ranks over GF(2)
-    of the adjacency blocks Gamma[A, not A] (Hein, Eisert and Briegel, PRA
-    69, 062311 (2004)), by Gaussian elimination on all blocks at once."""
-    blocks = (np.abs(_cut_blocks(spec, subsets)) > math.pi / 2).astype(np.uint8)  # pi, not 0: an edge
-    if 2 * len(subsets[0]) < spec.n_qubits:
-        blocks = blocks.transpose(0, 2, 1).copy()  # eliminate along the shorter side
-    rank = np.zeros(len(blocks))
-    for col in range(blocks.shape[2]):
-        ones = blocks[:, :, col]
-        rank += ones.any(axis=1)
-        # adding a pivot row to every row with a 1 in this column clears the
-        # column and the pivot row itself, which leaves the other rows' rank
-        blocks ^= ones[:, :, None] * blocks[np.arange(len(blocks)), ones.argmax(axis=1)][:, None, :]
+    pi or 0 (mod 2 pi) to B subsets A (label tuples or masks): the ranks over
+    GF(2) of the adjacency blocks Gamma[A, not A] (Hein, Eisert and Briegel,
+    PRA 69, 062311 (2004)).  Each qubit q on the smaller side gives one row,
+    the uint64 mask adj[q] & (other side); a (rows, B) array, padded with
+    zero rows to the widest side, is eliminated for all B blocks at once."""
+    masks, full = _masks(subsets), np.uint64(2**spec.n_qubits - 1)
+    side = np.where(2 * np.bitwise_count(masks) <= spec.n_qubits, masks, ~masks & full)  # the smaller side
+    other = side ^ full
+    rows = np.empty((int(np.bitwise_count(side).max(initial=0)), len(masks)), dtype=np.uint64)
+    adjacency = _graph_tables(spec)[1]
+    for row in rows:
+        low = side & (~side + np.uint64(1))  # the lowest qubit of each side left
+        side ^= low
+        # 2^q has binary exponent q + 1 and 0 has 0, whose index -1 is no qubit
+        row[:] = adjacency[np.frexp(low.astype(float))[1] - 1] & other
+    rank = np.zeros(len(masks))
+    for i, pivot in enumerate(rows):
+        rank += pivot != 0
+        low = pivot & (~pivot + np.uint64(1))  # the pivot's lowest set bit
+        # adding the pivot to every later row with that bit clears its column
+        rest = rows[i + 1 :]
+        rest ^= ((rest & low) != 0) * pivot
     return rank
 
 
 def _weighted_entropies(spec: GraphSpec, subsets) -> np.ndarray:
-    """Entropies in bits of the reductions of any graph state to B subsets of k
-    labels each, from the edges across each cut (Hein et al., quant-ph/0602096):
-    with W the phases between the coupled qubits (those with a cross edge), rows
-    on the side with fewer of them (s), the reduction is D R D^dag, D diagonal,
-    R[x, x'] = 2^-s prod_j cos((c_j(x) - c_j(x')) / 2), c(x) = x^T W; s = 0
-    leaves it pure.  Byte-identical blocks W are diagonalised once."""
-    blocks = _cut_blocks(spec, subsets)
-    size = max(blocks.shape[1:])
-    square = np.pad(blocks, ((0, 0), (0, size - blocks.shape[1]), (0, size - blocks.shape[2])))
-    flip = blocks.any(axis=2).sum(axis=1) > blocks.any(axis=1).sum(axis=1)
+    """Entropies in bits of the reductions of any graph state to B subsets
+    (label tuples or masks), from the edges across each cut (Hein et al.,
+    quant-ph/0602096): with W the phases between the coupled qubits (those
+    with a cross edge), rows on the side with fewer of them (s), the
+    reduction is D R D^dag, D diagonal, R[x, x'] = 2^-s prod_j cos((c_j(x) -
+    c_j(x')) / 2), c(x) = x^T W; s = 0 leaves it pure.  Byte-identical blocks
+    W are diagonalised once."""
+    inside = _bits(_masks(subsets), spec.n_qubits)
+    # the phase matrix masked to rows inside A and columns outside it
+    square = np.where(inside[:, :, None] & ~inside[:, None, :], _graph_tables(spec)[0], 0.0)
+    flip = square.any(axis=2).sum(axis=1) > square.any(axis=1).sum(axis=1)
     square[flip] = np.swapaxes(square[flip], 1, 2)  # rows: the side with fewer coupled qubits
     coupled = [square.any(axis=2), square.any(axis=1)]  # qubits with a cross edge, moved first
     rows, cols = (np.argsort(~c, axis=1, kind="stable") for c in coupled)
@@ -300,11 +325,18 @@ def _coupling_entropies(w: np.ndarray) -> np.ndarray:
     return _entropy_batch(mats)
 
 
-def _in_chunks(kernel, subsets) -> np.ndarray:
-    """kernel(chunk) over an iterable of subsets, 4096 at a time, so that
-    only one chunk of label tuples is ever held."""
-    subsets = iter(subsets)
-    return np.concatenate([kernel(c) for c in iter(lambda: list(itertools.islice(subsets, 4096)), [])])
+def _by_size(kernel, n: int, system: int, masks: np.ndarray) -> np.ndarray:
+    """kernel(labels) on each size k of a chunk of masks, labels the (B, k)
+    qubit labels of that size's subsets, the system first (as in
+    mutual_information's S u F), then ascending; the empty set has entropy 0."""
+    order = np.array([system] + [q for q in range(1, n + 1) if q != system])
+    inside = _bits(masks, n)[:, order - 1]
+    sizes = inside.sum(axis=1)
+    out = np.zeros(len(masks))
+    for k in set(sizes.tolist()) - {0}:
+        pick = np.flatnonzero(sizes == k)
+        out[pick] = kernel(order[np.nonzero(inside[pick])[1]].reshape(-1, k))
+    return out
 
 
 def mi_curve(
@@ -318,50 +350,64 @@ def mi_curve(
     """Mean/min/max mutual information for every fragment size 1..n_env.
 
     `source` is a StateVector, DensityMatrix or GraphSpec (its `system` is
-    ignored); it sets the entropy backend, see _backend.  Sizes with more
-    than max_exhaustive fragments are estimated from sample_size uniformly
-    drawn fragments (fixed seed, reported standard error); everything else
-    is enumerated exhaustively.
+    ignored; at most 64 qubits); it sets the entropy backend, see _backend.
+    Sizes with more than max_exhaustive fragments are estimated from
+    sample_size uniformly drawn fragments (fixed seed, reported standard
+    error); everything else is enumerated exhaustively.  Every size feeds
+    one stream of qubit masks that the backend reads _CHUNK at a time.
     """
-    if not 1 <= system <= source.n_qubits:
+    n = source.n_qubits
+    if not 1 <= system <= n:
         raise ValueError(f"system index {system} out of range")
-    env = [q for q in range(1, source.n_qubits + 1) if q != system]
     backend = _backend(source)
-    mixed = backend == "dense-mixed"
-    if backend == "stabilizer":
-        kernel = functools.partial(_graph_entropies, source)
-    elif backend == "weighted-graph":
-        _check_qubit_budget(source.n_qubits)  # R is up to 2^(n/2) square
-        kernel = functools.partial(_weighted_entropies, source)
-    elif backend == "dense-pure":
-        kernel = functools.partial(_pure_entropies, source.amplitudes)
+    if isinstance(source, GraphSpec):
+        if n > 64:
+            raise ValueError(f"{backend} curves hold qubit sets in 64-bit masks: {n} qubits exceed the limit of 64")
+        if backend == "weighted-graph":
+            _check_qubit_budget(n)  # R is up to 2^(n/2) square
+        kernel = functools.partial(_graph_entropies if backend == "stabilizer" else _weighted_entropies, source)
     else:
-        kernel = functools.partial(_mixed_entropies, source.entries)
-    entropies = functools.partial(_in_chunks, kernel)
-    h_s = float(entropies([(system,)])[0])
+        dense = (_pure_entropies, source.amplitudes) if backend == "dense-pure" else (_mixed_entropies, source.entries)
+        kernel = functools.partial(_by_size, functools.partial(*dense), n, system)
+    env = [q for q in range(1, n + 1) if q != system]
+    env_bits, sizes = _masks([[q] for q in env]), range(1, len(env) + 1)
     rng = np.random.default_rng(seed)
-    h_f, h_sf = {0: np.zeros(1)}, {}  # entropies of the fragments and their unions with S, by size
-    for d in range(1, len(env) + 1):
-        sampled = math.comb(len(env), d) > max_exhaustive
-        if sampled:
-            fragments = [tuple(sorted(rng.choice(env, size=d, replace=False))) for _ in range(sample_size)]
-        else:
-            fragments = itertools.combinations(env, d)
-        if sampled or mixed:
-            fragments = list(fragments)
-            # H(S u F), which is H(E \ F) if the global state is pure
-            joint = [(system,) + f if mixed else tuple(q for q in env if q not in f) for f in fragments]
-            h_sf[d] = entropies(joint)
-        h_f[d] = entropies(fragments)
+    drawn = {  # seeded draws, in size order
+        d: _masks([rng.choice(env, size=d, replace=False) for _ in range(sample_size)])
+        for d in sizes if math.comb(len(env), d) > max_exhaustive
+    }
+    # one stream of parts (d, x), the size-d fragments F XOR x: S itself (the
+    # empty set XOR S), every F, then S u F or, for a pure state, E \ F, of
+    # the same entropy; exhaustive sizes skip E \ F, as it runs through the
+    # size-(n_env - d) fragments in reverse order
+    mixed = backend == "dense-mixed"
+    joint, flip = (list(sizes), 1 << (system - 1)) if mixed else (sorted(drawn), sum(1 << (q - 1) for q in env))
+    parts = [(0, 1 << (system - 1))] + [(d, 0) for d in sizes] + [(d, flip) for d in joint]
+    counts = [len(drawn[d]) if d in drawn else math.comb(len(env), d) for d, _ in parts]
+    bounds = np.cumsum([0] + counts).tolist()
+    table = np.empty(bounds[-1])
+    for start in range(0, bounds[-1], _CHUNK):  # chunks run across part boundaries
+        stop, masks = min(start + _CHUNK, bounds[-1]), []
+        for (d, x), a, b in zip(parts, bounds, bounds[1:]):
+            lo, hi = max(start, a) - a, min(stop, b) - a
+            if lo < hi:
+                masks.append((drawn[d][lo:hi] if d in drawn else _unrank(env_bits, d, np.arange(lo, hi))) ^ x)
+        table[start:stop] = kernel(np.concatenate(masks))
+    h_s, tables = float(table[0]), np.split(table, bounds[1:-1])[1:]
+    h_f = {0: np.zeros(1), **dict(zip(sizes, tables))}  # by size
+    h_sf = dict(zip(joint, tables[len(env) :]))
     points = []
-    for d in range(1, len(env) + 1):
-        sampled = math.comb(len(env), d) > max_exhaustive
-        # otherwise H(S u F) is H(E \ F) again, and the complements of the
-        # size-d subsets are the size-(n_env - d) subsets in reverse order
+    for d in sizes:
         values = _nonnegative(h_s + h_f[d] - (h_sf[d] if d in h_sf else h_f[len(env) - d][::-1]))
-        stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if sampled else None
+        stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if d in drawn else None
         points.append(_aggregate(d, values, math.comb(len(env), d), stderr))
-    return MICurve(points=tuple(points), system_entropy=h_s, n_env=len(env))
+    diagnostics = {
+        "backend": backend,
+        "fragments_exhaustive": sum(math.comb(len(env), d) for d in sizes if d not in drawn),
+        "fragments_sampled": sum(len(f) for f in drawn.values()),
+        "sample_size": sample_size,
+    }
+    return MICurve(points=tuple(points), system_entropy=h_s, n_env=len(env), _diagnostics=diagnostics)
 
 
 def classify_curve(curve: MICurve, slope_tol: float) -> str:

@@ -311,8 +311,9 @@ def _clip_two_branch(p, c):
     return p, np.where(over, c * (c_max / np.where(over, magnitude, 1.0)), c)
 
 
-def _pipeline_curve(table: CorrelatorTable, system: int, pipeline: str) -> MICurve:
-    """The point estimate's curve; the closed form refuses data outside its model."""
+def _pipeline_curve(table: CorrelatorTable, system: int, pipeline: str) -> tuple[MICurve, dict]:
+    """The point estimate's curve, and for the closed form |P + Q - 1| and
+    sigma_P to 12 digits; the closed form refuses data outside its model."""
     if pipeline == "closed_form":
         params = star_parameters(table)
         if not params.consistent:
@@ -321,18 +322,13 @@ def _pipeline_curve(table: CorrelatorTable, system: int, pipeline: str) -> MICur
                 f"give |P + Q - 1| = {params.deviation:.3g} with sigma_P = {params.sigma_p:.3g}, "
                 "so the data are outside the two-branch model (use the reconstruction pipeline)"
             )
+        margin = {"model_deviation": params.deviation, "model_sigma_p": params.sigma_p}
         params = clip_to_two_branch_model(params)
         values = [star_mutual_information(params, d) for d in (1, 2, 3)]
         points = tuple(MIPoint(d, v, v, v, math.comb(3, d)) for d, v in zip((1, 2, 3), values))
-        return MICurve(points=points, system_entropy=values[0], n_env=3)
-    return diamond_mutual_information(table, system)
-
-
-def _model_margin(data) -> dict:
-    """|P + Q - 1| and sigma_P of the closed form's point estimate, to 12 digits."""
-    params = star_parameters(estimate_correlators(data, list(plan_measurements("star").correlators)))
-    margin = {"model_deviation": params.deviation, "model_sigma_p": params.sigma_p}
-    return {key: float(f"{value:.12g}") for key, value in margin.items()}
+        curve = MICurve(points=points, system_entropy=values[0], n_env=3)
+        return curve, {key: float(f"{value:.12g}") for key, value in margin.items()}
+    return diamond_mutual_information(table, system), {}
 
 
 def _closed_form_replicas(values: np.ndarray):
@@ -368,10 +364,11 @@ def _reconstruction_replicas(values: np.ndarray, system: int):
 def _bootstrap_curve(
     data, system: int, pipeline: str, bootstrap_resamples: int, seed: int
 ) -> tuple[MICurve, dict]:
-    """mi_curve_from_counts, plus the deterministic facts of its bootstrap:
-    for closed_form, how many replicas were clipped into the model; for
-    reconstruction, how many were projected, how many of those lay beyond
-    the point estimate's negativity tolerance, and the lowest eigenvalue."""
+    """mi_curve_from_counts, plus the deterministic facts of its run: for
+    closed_form, the point estimate's model margin and how many replicas
+    were clipped into the model; for reconstruction, how many replicas were
+    projected, how many of those lay beyond the point estimate's negativity
+    tolerance, and the lowest eigenvalue."""
     if pipeline not in ("closed_form", "reconstruction"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
     _check_resamples(bootstrap_resamples)
@@ -382,7 +379,7 @@ def _bootstrap_curve(
     else:
         wanted = [PauliString("IIII")] + list(plan.correlators)  # all_pauli_strings order
     table = estimate_correlators(data, wanted)
-    curve = _pipeline_curve(table, system, pipeline)
+    curve, margin = _pipeline_curve(table, system, pipeline)
 
     correlator_plan = _correlator_plan(
         tuple(oc.setting.labels for oc in data), tuple(w.labels for w in wanted)
@@ -408,7 +405,7 @@ def _bootstrap_curve(
     spread = np.std(np.concatenate(curves), axis=0, ddof=1)
     flags = np.concatenate(flags)
     if pipeline == "closed_form":
-        diagnostics = {"replicas_clipped": int(np.sum(flags))}
+        diagnostics = {"replicas_clipped": int(np.sum(flags)), **margin}
     else:
         diagnostics = {
             "replicas_projected": int(np.sum(flags < _EIGENVALUE_FLOOR)),

@@ -371,24 +371,18 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
     return DensityMatrix(mat @ mat.conj().T)
 
 
-def _cut(n: int, subsets) -> np.ndarray:
-    """(B, n) qubit orders: each of B subsets of 1-based labels as ascending
-    0-based indices, followed by the other qubits in ascending order."""
-    subsets = np.array(subsets, dtype=int)
-    inside = np.zeros((len(subsets), n), dtype=bool)
-    inside[np.arange(len(subsets))[:, None], subsets - 1] = True
-    return np.argsort(~inside, axis=1, kind="stable")
-
-
 def _pure_entropies(amplitudes: np.ndarray, subsets) -> np.ndarray:
     """Entropies in bits of a pure state's reductions to B subsets of k qubit
     labels each, from the Gram matrix of the smaller side of each cut, in
     chunks of about 256 KB so that the transposed copies never pile up."""
     n = amplitudes.size.bit_length() - 1
-    k = len(subsets[0])
-    order = _cut(n, subsets)
+    subsets = np.array(subsets, dtype=int)
+    k = subsets.shape[1]
+    inside = np.zeros((len(subsets), n), dtype=bool)
+    inside[np.arange(len(subsets))[:, None], subsets - 1] = True
     if 2 * k > n:  # the complement is the smaller side
-        order, k = np.roll(order, -k, axis=1), n - k
+        inside, k = ~inside, n - k
+    order = np.argsort(~inside, axis=1, kind="stable")  # each cut's side ascending, then the rest
     tensor = amplitudes.reshape((2,) * n)
     chunk = max(1, 2**18 // amplitudes.nbytes)
     out = np.empty(len(order))

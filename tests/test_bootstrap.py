@@ -233,4 +233,4 @@ class TestLowShotBootstrap:
                 for s in plan_measurements("star").settings]
         _, diagnostics = _bootstrap_curve(data, 1, "closed_form", 30, 4)
         # Re C = 1/2 is read exactly, so noise in Im C pushes |C| past its bound
-        assert diagnostics == {"replicas_clipped": 30}
+        assert diagnostics == {"replicas_clipped": 30, "model_deviation": 0.0, "model_sigma_p": 0.00395014042472}

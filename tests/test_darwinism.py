@@ -291,8 +291,9 @@ class TestEntropyBackends:
 
         monkeypatch.setattr(darwinism, "_entropy_batch", spy)
         mi_curve(star_spec(8, pi / 3), 1)
-        # H_S, then one block for each size 1..8; R runs over the hub, the smaller coupled side
-        assert shapes == [(1, 2, 2)] * 9
+        # one chunk holds H_S and sizes 1..8, and R runs over the hub, the
+        # smaller coupled side: one block per size, H_S's being size 8's
+        assert shapes == [(8, 2, 2)]
 
     def test_every_size_sampled_from_spec_ket_and_density(self):
         spec = diamond_spec(5, pi / 2, pi / 3)
