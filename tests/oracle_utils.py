@@ -47,6 +47,24 @@ def graph_state_amplitudes(n: int, edges) -> np.ndarray:
     return amps
 
 
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of a matrix given as lists of 0/1 entries, by plain
+    row reduction: take a row with a 1 in the current column as pivot, add
+    it to every other row with a 1 there."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def measurement_probabilities_kron(rho: np.ndarray, setting: str) -> np.ndarray:
     """Outcome probabilities of a full-weight setting from the explicit
     2^n x 2^n rotation U = kron of per-qubit blocks (Hadamard for X, the Y

@@ -1,4 +1,5 @@
 import itertools
+import math
 from math import comb, pi
 
 import numpy as np
@@ -10,6 +11,7 @@ from oracle_utils import (
     brute_entropy,
     brute_mutual_information,
     brute_partial_trace,
+    gf2_rank,
     graph_state_amplitudes,
     random_density_array,
     random_pure_array,
@@ -29,7 +31,8 @@ from qdarwin import (
     named_state,
     star_spec,
 )
-from qdarwin.darwinism import _backend, _graph_entropies, _weighted_entropies
+import qdarwin.darwinism as darwinism
+from qdarwin.darwinism import _backend, _graph_entropies, _masks, _unrank, _weighted_entropies
 from qdarwin.qcore import _entropy_batch, _pure_entropies
 
 
@@ -390,6 +393,142 @@ class TestEntropyBackends:
         assert curve.mean_values() == [1.0, 1.0, 1.0, 1.0, 2.0]
         with pytest.raises(ValueError, match="cap"):
             mi_curve(star_spec(5, pi / 3), 1)
+
+
+def _oracle_rank(spec, subset):
+    """GF(2) rank of Gamma[A, not A], read off the edge list by gf2_rank."""
+    edges = {frozenset((j, k)) for j, k, phase in spec.edges if abs(math.remainder(phase, 2 * pi)) > pi / 2}
+    outside = [q for q in range(1, spec.n_qubits + 1) if q not in subset]
+    return gf2_rank([[int(frozenset((a, b)) in edges) for b in outside] for a in subset])
+
+
+def _stream(env, system, sizes, drawn, joint_xor):
+    """The masks mi_curve hands its kernel: S, every fragment by size, then
+    each drawn size's fragments XOR joint_xor."""
+    stream = [1 << (system - 1)]
+    for d in sizes:
+        stream += list(drawn[d]) if d in drawn else list(_masks(itertools.combinations(env, d)))
+    for d in sorted(drawn):
+        stream += [int(f) ^ joint_xor for f in drawn[d]]
+    return [int(x) for x in stream]
+
+
+class TestMaskEnumeration:
+    def test_packed_ranks_match_row_reduction(self, rng):
+        for n in (1, 2, 5, 8, 11, 12, 12):
+            spec = _random_graph(n, rng, [pi, -pi, 3 * pi, 0.0])
+            for size in range(0, n + 1):  # the empty and the full subset too
+                subsets = list(itertools.combinations(range(1, n + 1), size))
+                expected = [_oracle_rank(spec, s) for s in subsets]
+                assert list(_graph_entropies(spec, subsets)) == expected
+                assert list(_graph_entropies(spec, _masks(subsets))) == expected
+
+    def test_stabilizer_curve_from_oracle_ranks(self, rng):
+        for n in (6, 9, 12):
+            spec = _random_graph(n, rng, [pi, -pi, 3 * pi, 0.0])
+            system = int(rng.integers(1, n + 1))
+            env = [q for q in range(1, n + 1) if q != system]
+            h_s = _oracle_rank(spec, (system,))
+            curve = mi_curve(spec, system)
+            for d in range(1, n):
+                values = np.array(
+                    [h_s + _oracle_rank(spec, f) - _oracle_rank(spec, f + (system,))
+                     for f in itertools.combinations(env, d)],
+                    dtype=float,
+                )
+                point = curve.point(d)
+                assert (point.min_mi, point.max_mi) == (values.min(), values.max())
+                assert point.mean_mi == pytest.approx(values.mean(), abs=1e-12)
+
+    def test_unranked_masks_follow_combinations(self):
+        for m in range(0, 11):
+            system = 1 + m // 2  # a gap in the labels
+            env = [q for q in range(1, m + 2) if q != system]
+            env_bits = _masks([[q] for q in env])
+            for d in range(0, m + 1):
+                expected = [int(x) for x in _masks(itertools.combinations(env, d))] if d else [0]
+                assert [int(x) for x in _unrank(env_bits, d, np.arange(comb(m, d)))] == expected
+                lo = comb(m, d) // 3  # a rank range that starts inside the size
+                assert [int(x) for x in _unrank(env_bits, d, np.arange(lo, comb(m, d)))] == expected[lo:]
+
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 64])
+    def test_chunks_cut_across_sizes(self, monkeypatch, chunk):
+        spec, system = diamond_spec(6, pi, pi), 3
+        env = [q for q in range(1, 8) if q != system]
+        calls = []
+
+        def spy(source, masks):
+            calls.append([int(x) for x in masks])
+            return _graph_entropies(source, masks)
+
+        for max_exhaustive in (10**6, 10):
+            reference = mi_curve(spec, system, max_exhaustive=max_exhaustive, sample_size=9, seed=4)
+            monkeypatch.setattr(darwinism, "_CHUNK", chunk)
+            monkeypatch.setattr(darwinism, "_graph_entropies", spy)
+            calls.clear()
+            curve = mi_curve(spec, system, max_exhaustive=max_exhaustive, sample_size=9, seed=4)
+            monkeypatch.undo()
+            draws = np.random.default_rng(4)
+            drawn = {
+                d: _masks([draws.choice(env, size=d, replace=False) for _ in range(9)])
+                for d in range(1, 7) if comb(6, d) > max_exhaustive
+            }
+            stream = _stream(env, system, range(1, 7), drawn, sum(1 << (q - 1) for q in env))
+            assert [len(c) for c in calls[:-1]] == [chunk] * (len(calls) - 1)
+            assert 0 < len(calls[-1]) <= chunk
+            assert sum(calls, []) == stream
+            assert curve == reference
+
+    def test_density_stream_pairs_every_fragment_with_the_system(self, monkeypatch, rng):
+        rho, system = as_density(random_density_array(4, rng)), 2
+        env = [1, 3, 4]
+        seen, by_size = [], darwinism._by_size
+
+        def spy(kernel, n, system, masks):
+            seen.extend(int(x) for x in masks)
+            return by_size(kernel, n, system, masks)
+
+        monkeypatch.setattr(darwinism, "_CHUNK", 5)
+        monkeypatch.setattr(darwinism, "_by_size", spy)
+        mi_curve(rho, system)
+        fragments = _stream(env, system, range(1, 4), {}, 0)[1:]
+        assert seen == [1 << (system - 1)] + fragments + [f | 1 << (system - 1) for f in fragments]
+
+    def test_curve_reports_the_enumeration_that_ran(self):
+        # C(6, d) = 6, 15, 20, 15, 6, 1: sizes 2, 3 and 4 are drawn
+        curve = mi_curve(diamond_spec(6, pi, pi / 3), 1, max_exhaustive=10, sample_size=7)
+        assert curve._diagnostics == {
+            "backend": "weighted-graph",
+            "fragments_exhaustive": 13,
+            "fragments_sampled": 21,
+            "sample_size": 7,
+        }
+
+    def test_64_qubits_with_the_system_on_the_top_bit(self):
+        spec = GraphSpec(64, 64, tuple((q, 64, pi) for q in range(1, 64)))
+        curve = mi_curve(spec, 64, max_exhaustive=100, sample_size=20)
+        assert curve.mean_values() == [1.0] * 62 + [2.0]
+        assert curve._diagnostics["fragments_exhaustive"] == 63 + 63 + 1
+
+    def test_graph_specs_beyond_64_qubits_fail_before_allocating(self, monkeypatch):
+        import tracemalloc
+
+        def fail(*args):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(darwinism, "_graph_entropies", fail)
+        monkeypatch.setattr(darwinism, "_weighted_entropies", fail)
+        monkeypatch.setenv("QDARWIN_MAX_QUBITS", "100")
+        for phase in (pi, pi / 3):
+            spec = star_spec(64, phase)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="limit of 64"):
+                    mi_curve(spec, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 50_000
 
 
 class TestCurveContainer:
