@@ -196,15 +196,6 @@ class MICurve:
         return cls(points=points, system_entropy=data["system_entropy"], n_env=data["n_env"])
 
 
-def _aggregate(delta: int, values: np.ndarray, n_total: int, stderr: float | None) -> MIPoint:
-    mean = float(np.mean(values))
-    lo = float(np.min(values))
-    hi = float(np.max(values))
-    # the mathematical mean lies in [min, max]; pin down summation round-off
-    mean = min(max(mean, lo), hi)
-    return MIPoint(delta, mean, lo, hi, n_total, stderr)
-
-
 def _backend(source) -> str:
     """mi_curve's entropy backend: "stabilizer" for a GraphSpec whose edge
     phases are all pi or 0 (mod 2 pi), "weighted-graph" for other GraphSpecs,
@@ -227,19 +218,22 @@ def _bits(masks: np.ndarray, n: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1) != 0
 
 
-def _unrank(env_bits: np.ndarray, d: int, ranks: np.ndarray) -> np.ndarray:
-    """Masks of the d-subsets of env_bits (one bit each) with the given ranks
-    in itertools.combinations order.  Reversed positions c = m - 1 - a put
-    that order backwards into colex order, whose rank sum_i C(c_i, i) over
-    c_d > ... > c_1 the combinatorial number system reads off greedily."""
+def _unrank(env_bits: np.ndarray, sizes, ranks: np.ndarray) -> np.ndarray:
+    """Masks of the subsets of env_bits (one bit each) of the given sizes with
+    the given ranks in itertools.combinations order.  Reversed positions
+    c = m - 1 - a put that order backwards into colex order, whose rank
+    sum_i C(c_i, i) over c_d > ... > c_1 the combinatorial number system
+    reads off greedily."""
     m = len(env_bits)
-    binom = np.array([[math.comb(c, i) for c in range(m)] for i in range(d + 1)], dtype=np.int64)
-    rest = math.comb(m, d) - 1 - ranks
+    sizes = np.broadcast_to(sizes, ranks.shape)
+    binom = np.array([[math.comb(c, i) for c in range(m + 1)] for i in range(m + 1)], dtype=np.int64)
+    rest = binom[sizes, m] - 1 - ranks
     masks = np.zeros(len(ranks), dtype=np.uint64)
-    for i in range(d, 0, -1):
-        c = np.searchsorted(binom[i], rest, side="right") - 1
-        rest = rest - binom[i, c]
-        masks |= env_bits[m - 1 - c]
+    for i in range(int(sizes.max(initial=0)), 0, -1):
+        c = np.searchsorted(binom[i, :m], rest, side="right") - 1
+        take = sizes >= i
+        rest = np.where(take, rest - binom[i, c], rest)
+        masks |= np.where(take, env_bits[m - 1 - c], np.uint64(0))
     return masks
 
 
@@ -376,31 +370,37 @@ def mi_curve(
         d: _masks([rng.choice(env, size=d, replace=False) for _ in range(sample_size)])
         for d in sizes if math.comb(len(env), d) > max_exhaustive
     }
-    # one stream of parts (d, x), the size-d fragments F XOR x: S itself (the
-    # empty set XOR S), every F, then S u F or, for a pure state, E \ F, of
-    # the same entropy; exhaustive sizes skip E \ F, as it runs through the
-    # size-(n_env - d) fragments in reverse order
+    # one stream of parts (d, x), the size-d fragments F XOR x, unranked ones
+    # first: S (the empty set XOR S), every F, then S u F or, for a pure state,
+    # E \ F of the same entropy, which exhaustive sizes find in reverse order
+    # among the size-(n_env - d) fragments
     mixed = backend == "dense-mixed"
-    joint, flip = (list(sizes), 1 << (system - 1)) if mixed else (sorted(drawn), sum(1 << (q - 1) for q in env))
-    parts = [(0, 1 << (system - 1))] + [(d, 0) for d in sizes] + [(d, flip) for d in joint]
-    counts = [len(drawn[d]) if d in drawn else math.comb(len(env), d) for d, _ in parts]
-    bounds = np.cumsum([0] + counts).tolist()
-    table = np.empty(bounds[-1])
-    for start in range(0, bounds[-1], _CHUNK):  # chunks run across part boundaries
-        stop, masks = min(start + _CHUNK, bounds[-1]), []
-        for (d, x), a, b in zip(parts, bounds, bounds[1:]):
-            lo, hi = max(start, a) - a, min(stop, b) - a
-            if lo < hi:
-                masks.append((drawn[d][lo:hi] if d in drawn else _unrank(env_bits, d, np.arange(lo, hi))) ^ x)
-        table[start:stop] = kernel(np.concatenate(masks))
-    h_s, tables = float(table[0]), np.split(table, bounds[1:-1])[1:]
-    h_f = {0: np.zeros(1), **dict(zip(sizes, tables))}  # by size
-    h_sf = dict(zip(joint, tables[len(env) :]))
+    flip = 1 << (system - 1) if mixed else sum(1 << (q - 1) for q in env)
+    every = [d for d in sizes if d not in drawn]
+    ranked = [(0, 1 << (system - 1))] + [(d, 0) for d in every] + [(d, flip) for d in every if mixed]
+    listed = [(d, x) for x in (0, flip) for d in drawn]
+    given = np.concatenate([drawn[d] ^ x for d, x in listed] + [np.zeros(0, dtype=np.uint64)])
+    bounds = np.cumsum([0] + [math.comb(len(env), d) for d, _ in ranked] + [len(drawn[d]) for d, _ in listed])
+    part_d, part_x = np.array([d for d, _ in ranked]), np.array([x for _, x in ranked], dtype=np.uint64)
+    end = int(bounds[len(ranked)])  # of the unranked parts
+    table = np.empty(int(bounds[-1]))
+    for start in range(0, len(table), _CHUNK):  # chunks run across part boundaries
+        stop = min(start + _CHUNK, len(table))
+        at = np.arange(start, min(stop, end))
+        part = np.searchsorted(bounds, at, side="right") - 1
+        masks = _unrank(env_bits, part_d[part], at - bounds[part]) ^ part_x[part]
+        table[start:stop] = kernel(np.concatenate([masks, given[max(start - end, 0) : max(stop - end, 0)]]))
+    tables = dict(zip(ranked + listed, np.split(table, bounds[1:-1])))
+    h_s = float(table[0])
+    h_f = {0: np.zeros(1), **{d: tables[d, 0] for d in sizes}}  # by size
+    h_sf = {d: tables[d, flip] for d in sizes if (d, flip) in tables}
     points = []
     for d in sizes:
         values = _nonnegative(h_s + h_f[d] - (h_sf[d] if d in h_sf else h_f[len(env) - d][::-1]))
         stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if d in drawn else None
-        points.append(_aggregate(d, values, math.comb(len(env), d), stderr))
+        lo, hi = float(np.min(values)), float(np.max(values))
+        # the mathematical mean lies in [min, max]; pin down summation round-off
+        points.append(MIPoint(d, min(max(float(np.mean(values)), lo), hi), lo, hi, math.comb(len(env), d), stderr))
     diagnostics = {
         "backend": backend,
         "fragments_exhaustive": sum(math.comb(len(env), d) for d in sizes if d not in drawn),

@@ -403,13 +403,14 @@ def _oracle_rank(spec, subset):
 
 
 def _stream(env, system, sizes, drawn, joint_xor):
-    """The masks mi_curve hands its kernel: S, every fragment by size, then
-    each drawn size's fragments XOR joint_xor."""
+    """The masks mi_curve hands its kernel: S, every fragment of each size
+    not drawn, then the drawn fragments by size, then those XOR joint_xor."""
     stream = [1 << (system - 1)]
     for d in sizes:
-        stream += list(drawn[d]) if d in drawn else list(_masks(itertools.combinations(env, d)))
-    for d in sorted(drawn):
-        stream += [int(f) ^ joint_xor for f in drawn[d]]
+        stream += [] if d in drawn else list(_masks(itertools.combinations(env, d)))
+    for x in (0, joint_xor):
+        for d in sorted(drawn):
+            stream += [int(f) ^ x for f in drawn[d]]
     return [int(x) for x in stream]
 
 
