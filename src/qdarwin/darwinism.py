@@ -242,11 +242,11 @@ def _graph_tables(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
     """Read-only, built once per spec: the (n, n) edge phases reduced into
     [-pi, pi], and the uint64 masks of the neighbours by phase pi (not 0) of
     qubits 1..n and, last, of no qubit."""
-    n = spec.n_qubits
-    phases = np.zeros((n, n))
+    phases = np.zeros((spec.n_qubits,) * 2)
     for j, k, phase in spec.edges:
         phases[j - 1, k - 1] = phases[k - 1, j - 1] = math.remainder(phase, 2 * math.pi) + 0.0
-    adjacency = np.append((np.abs(phases) > math.pi / 2) @ (np.uint64(1) << np.arange(n, dtype=np.uint64)), np.uint64(0))
+    bits = np.uint64(1) << np.arange(spec.n_qubits, dtype=np.uint64)
+    adjacency = np.append((np.abs(phases) > math.pi / 2) @ bits, np.uint64(0))
     phases.flags.writeable = adjacency.flags.writeable = False
     return phases, adjacency
 
@@ -286,19 +286,20 @@ def _weighted_entropies(spec: GraphSpec, subsets) -> np.ndarray:
     reduction is D R D^dag, D diagonal, R[x, x'] = 2^-s prod_j cos((c_j(x) -
     c_j(x')) / 2), c(x) = x^T W; s = 0 leaves it pure.  Byte-identical blocks
     W are diagonalised once."""
+    phases = _graph_tables(spec)[0]
     inside = _bits(_masks(subsets), spec.n_qubits)
-    # the phase matrix masked to rows inside A and columns outside it
-    square = np.where(inside[:, :, None] & ~inside[:, None, :], _graph_tables(spec)[0], 0.0)
-    flip = square.any(axis=2).sum(axis=1) > square.any(axis=1).sum(axis=1)
-    square[flip] = np.swapaxes(square[flip], 1, 2)  # rows: the side with fewer coupled qubits
-    coupled = [square.any(axis=2), square.any(axis=1)]  # qubits with a cross edge, moved first
+    cut = (inside[:, :, None] != inside[:, None, :]) & (phases != 0)  # each cut's cross edges
+    coupled = cut.any(axis=2)  # qubits with a cross edge
+    # rows: the side with fewer coupled qubits, A itself on a tie
+    row_side = inside == ((coupled & inside).sum(axis=1) <= (coupled & ~inside).sum(axis=1))[:, None]
+    coupled = [coupled & row_side, coupled & ~row_side]  # moved first, in label order
     rows, cols = (np.argsort(~c, axis=1, kind="stable") for c in coupled)
-    square = square[np.arange(len(square))[:, None, None], rows[:, :, None], cols[:, None, :]]
     side, width = (c.sum(axis=1) for c in coupled)
-    out = np.zeros(len(square))
+    out = np.zeros(len(inside))
     for s in set(side.tolist()) - {0}:
         pick = np.flatnonzero(side == s)
-        w = square[pick, :s, : width[pick].max()]
+        r, c = rows[pick, :s, None], cols[pick, None, : width[pick].max()]
+        w = np.where(cut[pick[:, None, None], r, c], phases[r, c], 0.0)
         distinct, inverse = np.unique(w.reshape(len(w), -1).view(f"V{w[0].nbytes}"), return_inverse=True)
         distinct = distinct.view(float).reshape(-1, *w.shape[1:])
         step = max(1, 2**18 // (8 * 4**s))  # stacks of R of about 256 KB
@@ -320,9 +321,8 @@ def _coupling_entropies(w: np.ndarray) -> np.ndarray:
 
 
 def _by_size(kernel, n: int, system: int, masks: np.ndarray) -> np.ndarray:
-    """kernel(labels) on each size k of a chunk of masks, labels the (B, k)
-    qubit labels of that size's subsets, the system first (as in
-    mutual_information's S u F), then ascending; the empty set has entropy 0."""
+    """kernel(labels) on each size k in a chunk of masks, labels (B, k) with the
+    system first as in mutual_information's S u F; the empty set has entropy 0."""
     order = np.array([system] + [q for q in range(1, n + 1) if q != system])
     inside = _bits(masks, n)[:, order - 1]
     sizes = inside.sum(axis=1)
@@ -403,7 +403,7 @@ def mi_curve(
         points.append(MIPoint(d, min(max(float(np.mean(values)), lo), hi), lo, hi, math.comb(len(env), d), stderr))
     diagnostics = {
         "backend": backend,
-        "fragments_exhaustive": sum(math.comb(len(env), d) for d in sizes if d not in drawn),
+        "fragments_exhaustive": sum(math.comb(len(env), d) for d in every),
         "fragments_sampled": sum(len(f) for f in drawn.values()),
         "sample_size": sample_size,
     }
