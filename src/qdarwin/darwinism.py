@@ -35,6 +35,8 @@ _STEP_SIGMAS = 2.0  # classify_curve: a step between points with stderr must bea
 _CHUNK = 4096  # qubit masks per entropy-kernel call, across fragment sizes
 
 CSV_HEADER = "delta,mean_mi,min_mi,max_mi,n_fragments,stderr"
+_BINOMIALS = np.array([[math.comb(c, i) for c in range(65)] for i in range(65)], dtype=np.int64)  # C(c, i) at [i, c]
+_BINOMIALS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -69,15 +71,6 @@ def enumerate_fragments(n_env: int, delta: int) -> list[Fragment]:
     return [Fragment(combo) for combo in itertools.combinations(labels, delta)]
 
 
-def _validate_fragment(n: int, system: int, fragment) -> tuple[int, ...]:
-    members = Fragment(tuple(fragment)).members
-    if system in members:
-        raise ValueError(f"fragment {members} contains the system qubit {system}")
-    if any(q > n for q in members):
-        raise ValueError(f"fragment {members} out of range for {n} qubits")
-    return members
-
-
 def mutual_information(state, system: int, fragment) -> float:
     """I = H_S + H_F - H_SF in bits, clamped to >= 0.
 
@@ -87,7 +80,11 @@ def mutual_information(state, system: int, fragment) -> float:
     n = state.n_qubits
     if not 1 <= system <= n:
         raise ValueError(f"system index {system} out of range")
-    members = _validate_fragment(n, system, fragment)
+    members = Fragment(tuple(fragment)).members
+    if system in members:
+        raise ValueError(f"fragment {members} contains the system qubit {system}")
+    if any(q > n for q in members):
+        raise ValueError(f"fragment {members} out of range for {n} qubits")
     if not members:
         return 0.0
     source = state.amplitudes if isinstance(state, StateVector) else state.entries
@@ -226,13 +223,12 @@ def _unrank(env_bits: np.ndarray, sizes, ranks: np.ndarray) -> np.ndarray:
     reads off greedily."""
     m = len(env_bits)
     sizes = np.broadcast_to(sizes, ranks.shape)
-    binom = np.array([[math.comb(c, i) for c in range(m + 1)] for i in range(m + 1)], dtype=np.int64)
-    rest = binom[sizes, m] - 1 - ranks
+    rest = _BINOMIALS[sizes, m] - 1 - ranks
     masks = np.zeros(len(ranks), dtype=np.uint64)
     for i in range(int(sizes.max(initial=0)), 0, -1):
-        c = np.searchsorted(binom[i, :m], rest, side="right") - 1
+        c = np.searchsorted(_BINOMIALS[i, :m], rest, side="right") - 1
         take = sizes >= i
-        rest = np.where(take, rest - binom[i, c], rest)
+        rest = np.where(take, rest - _BINOMIALS[i, c], rest)
         masks |= np.where(take, env_bits[m - 1 - c], np.uint64(0))
     return masks
 
@@ -268,7 +264,7 @@ def _graph_entropies(spec: GraphSpec, subsets) -> np.ndarray:
         side ^= low
         # 2^q has binary exponent q + 1 and 0 has 0, whose index -1 is no qubit
         row[:] = adjacency[np.frexp(low.astype(float))[1] - 1] & other
-    rank = np.zeros(len(masks))
+    rank = np.zeros(len(masks), dtype=np.uint8)  # at most 32
     for i, pivot in enumerate(rows):
         rank += pivot != 0
         low = pivot & (~pivot + np.uint64(1))  # the pivot's lowest set bit
@@ -284,22 +280,21 @@ def _weighted_entropies(spec: GraphSpec, subsets) -> np.ndarray:
     quant-ph/0602096): with W the phases between the coupled qubits (those
     with a cross edge), rows on the side with fewer of them (s), the
     reduction is D R D^dag, D diagonal, R[x, x'] = 2^-s prod_j cos((c_j(x) -
-    c_j(x')) / 2), c(x) = x^T W; s = 0 leaves it pure.  Byte-identical blocks
-    W are diagonalised once."""
+    c_j(x')) / 2), c(x) = x^T W; s = 0 leaves it pure.  Blocks W equal up
+    to the order of their rows and columns share one R (see _canonical)."""
     phases = _graph_tables(spec)[0]
     inside = _bits(_masks(subsets), spec.n_qubits)
     cut = (inside[:, :, None] != inside[:, None, :]) & (phases != 0)  # each cut's cross edges
     coupled = cut.any(axis=2)  # qubits with a cross edge
     # rows: the side with fewer coupled qubits, A itself on a tie
     row_side = inside == ((coupled & inside).sum(axis=1) <= (coupled & ~inside).sum(axis=1))[:, None]
-    coupled = [coupled & row_side, coupled & ~row_side]  # moved first, in label order
-    rows, cols = (np.argsort(~c, axis=1, kind="stable") for c in coupled)
-    side, width = (c.sum(axis=1) for c in coupled)
+    order = np.argsort(np.where(coupled, ~row_side, 2), axis=1, kind="stable")  # coupled rows, then columns
+    side, ends = (coupled & row_side).sum(axis=1), coupled.sum(axis=1)
     out = np.zeros(len(inside))
     for s in set(side.tolist()) - {0}:
         pick = np.flatnonzero(side == s)
-        r, c = rows[pick, :s, None], cols[pick, None, : width[pick].max()]
-        w = np.where(cut[pick[:, None, None], r, c], phases[r, c], 0.0)
+        r, c = order[pick, :s, None], order[pick, None, s : ends[pick].max()]  # uncoupled columns are 0
+        w = _canonical(np.where(cut[pick[:, None, None], r, c], phases[r, c], 0.0).view(np.uint64))
         distinct, inverse = np.unique(w.reshape(len(w), -1).view(f"V{w[0].nbytes}"), return_inverse=True)
         distinct = distinct.view(float).reshape(-1, *w.shape[1:])
         step = max(1, 2**18 // (8 * 4**s))  # stacks of R of about 256 KB
@@ -308,15 +303,35 @@ def _weighted_entropies(spec: GraphSpec, subsets) -> np.ndarray:
     return out
 
 
+def _canonical(bits: np.ndarray) -> np.ndarray:
+    """A (P, s, t) stack of blocks W as uint64 bits, rows and columns permuted
+    so that blocks equal up to that order mostly come out equal.  Two rounds of
+    colour refinement hash each row's colour with its (weight, column colour)
+    pairs, and each column's likewise.  Columns go in colour order, then rows
+    and columns again by colour, ties by content in the other axis's order
+    (lexsort's last key leads).  A miss costs sharing, never a value."""
+    def mix(x):  # a multiply-xorshift hash; products wrap mod 2^64
+        x = (x ^ (x >> np.uint64(32))) * np.uint64(0xBF58476D1CE4E5B9)
+        return x ^ (x >> np.uint64(29))
+    rows, cols = np.zeros(bits.shape[:2], np.uint64), np.zeros((len(bits), bits.shape[2]), np.uint64)
+    for _ in range(2):
+        rows = mix(rows + mix(bits ^ cols[:, None, :]).sum(axis=2))
+        cols = mix(cols + mix(bits ^ rows[:, :, None]).sum(axis=1))
+    c = np.argsort(cols, axis=1, kind="stable")
+    r = np.lexsort((*np.take_along_axis(bits, c[:, None, :], axis=2).transpose(2, 0, 1)[::-1], rows), axis=-1)
+    c = np.lexsort((*np.take_along_axis(bits, r[:, :, None], axis=1).transpose(1, 0, 2)[::-1], cols), axis=-1)
+    return bits[np.arange(len(bits))[:, None, None], r[:, :, None], c[:, None, :]]
+
+
 def _coupling_entropies(w: np.ndarray) -> np.ndarray:
     """Entropies in bits of R (see _weighted_entropies) of a (B, s, t) stack of
     blocks W, from cos and sin tables of the half angles c(x) / 2."""
     s = w.shape[1]
     half = np.swapaxes(w, 1, 2) @ ((np.arange(2**s) >> np.arange(s)[:, None]) & 1) / 2  # (B, t, 2^s)
-    cos, sin = np.cos(half)[..., None], np.sin(half)[..., None]
+    pairs = np.stack([np.cos(half), np.sin(half)], axis=-1)  # (B, t, 2^s, 2)
     mats = np.full((len(w), 2**s, 2**s), 2.0**-s)
     for j in range(w.shape[2]):  # cos(u - v) = cos u cos v + sin u sin v
-        mats *= cos[:, j] * np.swapaxes(cos[:, j], 1, 2) + sin[:, j] * np.swapaxes(sin[:, j], 1, 2)
+        mats *= pairs[:, j] @ np.swapaxes(pairs[:, j], 1, 2)
     return _entropy_batch(mats)
 
 
@@ -383,7 +398,7 @@ def mi_curve(
     bounds = np.cumsum([0] + [math.comb(len(env), d) for d, _ in ranked] + [len(drawn[d]) for d, _ in listed])
     part_d, part_x = np.array([d for d, _ in ranked]), np.array([x for _, x in ranked], dtype=np.uint64)
     end = int(bounds[len(ranked)])  # of the unranked parts
-    table = np.empty(int(bounds[-1]))
+    table = np.empty(int(bounds[-1]), dtype=np.uint8 if backend == "stabilizer" else float)  # ranks fit a byte
     for start in range(0, len(table), _CHUNK):  # chunks run across part boundaries
         stop = min(start + _CHUNK, len(table))
         at = np.arange(start, min(stop, end))

@@ -111,6 +111,24 @@ def brute_entropy(rho: np.ndarray) -> float:
     return float(-np.sum(eigs * np.log2(eigs)))
 
 
+def brute_pure_entropy(psi: np.ndarray, keep, n: int) -> float:
+    """Entropy of a pure state's reduction from the Gram matrix M M^dag of
+    the smaller side of the cut, M[i, t] = psi at the index whose side qubits
+    read i and other qubits read t, placed bit by bit (qubit 1 most
+    significant, labels 1-based)."""
+    side = sorted(keep)
+    if 2 * len(side) > n:
+        side = [q for q in range(1, n + 1) if q not in side]
+    other = [q for q in range(1, n + 1) if q not in side]
+    index = np.zeros((2 ** len(side), 2 ** len(other)), dtype=np.int64)
+    for qubits, axis in ((side, 0), (other, 1)):
+        values = np.arange(2 ** len(qubits)).reshape((-1, 1) if axis == 0 else (1, -1))
+        for pos, q in enumerate(qubits):
+            index |= ((values >> (len(qubits) - 1 - pos)) & 1) << (n - q)
+    m = psi[index]
+    return brute_entropy(m @ m.conj().T)
+
+
 def brute_mutual_information(psi: np.ndarray, system: int, fragment, n: int) -> float:
     rho = np.outer(psi, psi.conj())
     return brute_mutual_information_dm(rho, system, fragment, n)

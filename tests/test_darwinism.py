@@ -11,6 +11,7 @@ from oracle_utils import (
     brute_entropy,
     brute_mutual_information,
     brute_partial_trace,
+    brute_pure_entropy,
     gf2_rank,
     graph_state_amplitudes,
     random_density_array,
@@ -32,7 +33,15 @@ from qdarwin import (
     star_spec,
 )
 import qdarwin.darwinism as darwinism
-from qdarwin.darwinism import _backend, _graph_entropies, _masks, _unrank, _weighted_entropies
+from qdarwin.darwinism import (
+    _backend,
+    _canonical,
+    _coupling_entropies,
+    _graph_entropies,
+    _masks,
+    _unrank,
+    _weighted_entropies,
+)
 from qdarwin.qcore import _entropy_batch, _pure_entropies
 
 
@@ -530,6 +539,133 @@ class TestMaskEnumeration:
             finally:
                 tracemalloc.stop()
             assert peak < 50_000
+
+
+def _raw_block(spec, subset):
+    """W of one cut by _weighted_entropies' definition, in label order: the
+    phases (mod 2 pi, into [-pi, pi]) between the qubits with a cross edge,
+    rows on the side with fewer of them, the subset itself on a tie."""
+    phase = {}
+    for j, k, p in spec.edges:
+        phase[j, k] = phase[k, j] = math.remainder(p, 2 * pi) + 0.0
+    inside = set(subset)
+    outside = [q for q in range(1, spec.n_qubits + 1) if q not in inside]
+    ours = [q for q in sorted(inside) if any(phase.get((q, r), 0.0) for r in outside)]
+    theirs = [q for q in outside if any(phase.get((q, r), 0.0) for r in inside)]
+    rows, cols = (ours, theirs) if len(ours) <= len(theirs) else (theirs, ours)
+    return np.array([[phase.get((r, c), 0.0) for c in cols] for r in rows]).reshape(len(rows), len(cols))
+
+
+def _raw_entropies(blocks):
+    """_coupling_entropies of every block on its own shape, with no merging
+    (0 for a block without rows)."""
+    out = np.zeros(len(blocks))
+    for shape in {b.shape for b in blocks if b.shape[0]}:
+        pick = [i for i, b in enumerate(blocks) if b.shape == shape]
+        out[pick] = _coupling_entropies(np.stack([blocks[i] for i in pick]))
+    return out
+
+
+def _count_matrices(monkeypatch):
+    """The number of matrices each later _entropy_batch call receives."""
+    counts = []
+
+    def spy(mats):
+        counts.append(len(mats))
+        return _entropy_batch(mats)
+
+    monkeypatch.setattr(darwinism, "_entropy_batch", spy)
+    return counts
+
+
+def _pad(blocks):
+    """Blocks of s rows padded with zero columns to one width, as
+    _weighted_entropies gathers them."""
+    width = max(b.shape[1] for b in blocks)
+    return np.stack([np.pad(b, ((0, 0), (0, width - b.shape[1]))) for b in blocks])
+
+
+class TestBlockClasses:
+    def test_merged_blocks_match_raw_blocks_and_oracle(self, rng, monkeypatch):
+        counts = _count_matrices(monkeypatch)
+        solved, distinct = 0, 0
+        for n in (3, 5, 7, 8, 9, 10):
+            spec = _random_graph(n, rng, [pi / 3, -pi / 3, 2 * pi / 3, -pi / 2])
+            psi = graph_state_amplitudes(n, spec.edges)
+            subsets = [s for d in range(n + 1) for s in itertools.combinations(range(1, n + 1), d)]
+            counts.clear()
+            merged = _weighted_entropies(spec, subsets)
+            solved += sum(counts)
+            blocks = [_raw_block(spec, s) for s in subsets]
+            assert merged == pytest.approx(_raw_entropies(blocks), abs=1e-12)
+            assert merged == pytest.approx([brute_pure_entropy(psi, s, n) for s in subsets], abs=1e-12)
+            if n <= 5:
+                rho = np.outer(psi, psi.conj())
+                expected = [brute_entropy(brute_partial_trace(rho, s, n)) if s else 0.0 for s in subsets]
+                assert merged == pytest.approx(expected, abs=1e-12)
+            distinct += len({(b.shape, b.tobytes()) for b in blocks if b.shape[0]})
+        # blocks equal up to row and column order share one matrix
+        assert solved < distinct
+
+    @pytest.mark.parametrize("n_env", [5, 8, 11])
+    def test_every_merged_group_carries_one_entropy(self, n_env):
+        spec = diamond_spec(n_env, pi, pi / 3)
+        n = n_env + 1
+        subsets = [s for d in range(n + 1) for s in itertools.combinations(range(1, n + 1), d)]
+        blocks = [_raw_block(spec, s) for s in subsets]
+        raw = _raw_entropies(blocks)
+        assert _weighted_entropies(spec, subsets) == pytest.approx(raw, abs=1e-12)
+        merges = 0
+        for s in {b.shape[0] for b in blocks} - {0}:
+            pick = [i for i, b in enumerate(blocks) if b.shape[0] == s]
+            groups = {}
+            for i, key in zip(pick, _canonical(_pad([blocks[i] for i in pick]).view(np.uint64))):
+                groups.setdefault(key.tobytes(), []).append(i)
+            for members in groups.values():
+                assert np.ptp(raw[members]) <= 1e-12
+            merges += len(pick) - len(groups)
+        assert merges > 0
+
+    def test_colour_refinement_blind_pair_kept_apart(self, monkeypatch):
+        # two 4 x 4 blocks of pi/3 whose bipartite graphs are an 8-cycle and
+        # two 4-cycles: every row and column meets two edges in both, so
+        # colour refinement cannot tell them apart, and no reordering makes
+        # them equal
+        eight = [(1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (3, 8), (4, 8), (4, 5)]
+        two_fours = [(1, 5), (1, 6), (2, 5), (2, 6), (3, 7), (3, 8), (4, 7), (4, 8)]
+        edges = [(j, k, pi / 3) for j, k in eight] + [(j + 8, k + 8, pi / 3) for j, k in two_fours]
+        counts = _count_matrices(monkeypatch)
+        merged = _weighted_entropies(GraphSpec(16, 1, tuple(edges)), [(1, 2, 3, 4), (9, 10, 11, 12)])
+        assert counts == [2]
+        for value, pairs in zip(merged, (eight, two_fours)):
+            psi = graph_state_amplitudes(8, [(j, k, pi / 3) for j, k in pairs])
+            assert value == pytest.approx(brute_pure_entropy(psi, (1, 2, 3, 4), 8), abs=1e-12)
+        assert merged == pytest.approx([1.916, 1.660], abs=1e-3)
+
+    def test_canonical_order_only_permutes(self, rng):
+        w = rng.choice([0.0, pi / 3, -pi / 3, 1.1], size=(50, 4, 6))
+        out = _canonical(w.view(np.uint64))
+        assert out.shape == w.shape
+        for block, reordered in zip(w, out.view(float)):
+            assert sorted(block.ravel()) == sorted(reordered.ravel())
+            assert sorted(map(sorted, block)) == sorted(map(sorted, reordered))
+            assert sorted(map(sorted, block.T)) == sorted(map(sorted, reordered.T))
+        # a block with its rows and columns shuffled comes out the same
+        shuffled = w[:, rng.permutation(4)][:, :, rng.permutation(6)]
+        assert np.array_equal(_canonical(shuffled.view(np.uint64)), out)
+
+    @pytest.mark.parametrize("n_env, solved", [(10, 158), (12, 358)])
+    def test_diamond_curve_matrix_count(self, monkeypatch, n_env, solved):
+        # byte-distinct blocks, 683 and 2392, fall into these classes up to
+        # row and column order
+        counts = _count_matrices(monkeypatch)
+        mi_curve(diamond_spec(n_env, pi, pi / 3), 1)
+        assert sum(counts) == solved
+
+    def test_stabilizer_ranks_are_bytes(self):
+        spec = diamond_spec(6, pi, pi)
+        ranks = _graph_entropies(spec, list(itertools.combinations(range(1, 8), 3)))
+        assert ranks.dtype == np.uint8
 
 
 class TestCurveContainer:
