@@ -9,12 +9,15 @@ it byte for byte (pin --timestamp for fully identical manifests).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import sys
 from datetime import datetime, timezone
 from math import pi
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .darwinism import mi_curve
@@ -77,13 +80,14 @@ def _write_with_manifest(path: Path, content: str, manifest: dict) -> None:
 
 def _manifest(args, names: str, seed: int | None = None) -> dict:
     """The command, its named arguments that are set (a flag that is off is
-    not), seed, tool version and timestamp."""
+    not), seed, tool and numpy versions, and timestamp."""
     values = {name: getattr(args, name) for name in names.split()}
     return {
         "command": args.command,
         "parameters": {k: v for k, v in values.items() if v is not None and v is not False},
         "seed": seed,
         "tool_version": __version__,
+        "numpy_version": np.__version__,
         "timestamp": args.timestamp or datetime.now(timezone.utc).isoformat(),
     }
 
@@ -148,7 +152,8 @@ def _cmd_estimate(args) -> int:
             raise _UsageError("--counts-file cannot be combined with --named")
         if args.shots is not None:
             raise _UsageError("--shots has no effect when estimating from --counts-file")
-        data = counts_from_json(Path(args.counts_file).read_text())
+        raw = Path(args.counts_file).read_bytes()
+        data = counts_from_json(raw.decode())
     else:
         if not args.named:
             raise _UsageError("either --named or --counts-file is required")
@@ -163,6 +168,8 @@ def _cmd_estimate(args) -> int:
         data = [sample_setting(state, s, cfg) for s in plan_measurements(target).settings]
     curve, diagnostics = _bootstrap_curve(data, args.system, args.pipeline, args.bootstrap, args.seed)
     manifest = _manifest(args, "named counts_file pipeline shots bootstrap system poisson", args.seed)
+    if args.counts_file:
+        manifest["counts_sha256"] = hashlib.sha256(raw).hexdigest()
     if args.save_counts:
         _write_with_manifest(Path(args.save_counts), counts_to_json(data), manifest)
     _write_curve(curve, Path(args.out), {**manifest, "diagnostics": diagnostics})

@@ -361,13 +361,15 @@ def mi_curve(
     `source` is a StateVector, DensityMatrix or GraphSpec (its `system` is
     ignored; at most 64 qubits); it sets the entropy backend, see _backend.
     Sizes with more than max_exhaustive fragments are estimated from
-    sample_size uniformly drawn fragments (fixed seed, reported standard
-    error); everything else is enumerated exhaustively.  Every size feeds
+    sample_size >= 2 uniformly drawn fragments (fixed seed, reported
+    standard error); everything else is enumerated exhaustively.  Every size feeds
     one stream of qubit masks that the backend reads _CHUNK at a time.
     """
     n = source.n_qubits
     if not 1 <= system <= n:
         raise ValueError(f"system index {system} out of range")
+    if sample_size < 2:
+        raise ValueError(f"sample_size must be at least 2 for a standard error, got {sample_size}")
     backend = _backend(source)
     if isinstance(source, GraphSpec):
         if n > 64:

@@ -14,13 +14,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from .darwinism import MICurve, MIPoint, _mutual_information_batch
-from .estimator import (
+from .darwinism import MICurve, MIPoint, _mixed_entropies, _mutual_information_batch
+from .estimator import (  # noqa: F401  (diamond_mutual_information, star_mutual_information: perfbench/tracer.py wraps these bindings)
     _NEGATIVITY_TOL,
+    STAR_CORRELATORS,
     CorrelatorTable,
     StarParameters,
     _density_batch,
@@ -39,6 +40,7 @@ from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this 
     PauliString,
     StateVector,
     _projected_density,
+    all_pauli_strings,
     apply_gate,
     as_pauli,
 )
@@ -279,9 +281,7 @@ def estimate_correlators(data, wanted) -> CorrelatorTable:
     """
     data = list(data)
     wanted = [as_pauli(w) for w in wanted]
-    plan = _correlator_plan(
-        tuple(oc.setting.labels for oc in data), tuple(w.labels for w in wanted)
-    )
+    plan = _correlator_plan(tuple(oc.setting.labels for oc in data), tuple(w.labels for w in wanted))
     counts, shots = _count_arrays(data)
     values, sigmas = _estimate_batch(counts[None], shots, plan)
     return CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0]))))
@@ -311,41 +311,24 @@ def _clip_two_branch(p, c):
     return p, np.where(over, c * (c_max / np.where(over, magnitude, 1.0)), c)
 
 
-def _pipeline_curve(table: CorrelatorTable, system: int, pipeline: str) -> tuple[MICurve, dict]:
-    """The point estimate's curve, and for the closed form |P + Q - 1| and
-    sigma_P to 12 digits; the closed form refuses data outside its model."""
-    if pipeline == "closed_form":
-        params = star_parameters(table)
-        if not params.consistent:
-            raise ValueError(
-                "the closed-form model check failed: the two measured branch populations "
-                f"give |P + Q - 1| = {params.deviation:.3g} with sigma_P = {params.sigma_p:.3g}, "
-                "so the data are outside the two-branch model (use the reconstruction pipeline)"
-            )
-        margin = {"model_deviation": params.deviation, "model_sigma_p": params.sigma_p}
-        params = clip_to_two_branch_model(params)
-        values = [star_mutual_information(params, d) for d in (1, 2, 3)]
-        points = tuple(MIPoint(d, v, v, v, math.comb(3, d)) for d, v in zip((1, 2, 3), values))
-        curve = MICurve(points=points, system_entropy=values[0], n_env=3)
-        return curve, {key: float(f"{value:.12g}") for key, value in margin.items()}
-    return diamond_mutual_information(table, system), {}
-
-
 def _closed_form_replicas(values: np.ndarray):
-    """Curve (B, 3) of each replica's 32 star correlators, and whether its
-    (P, C) had to be clipped into the two-branch model."""
+    """Mean, min and max (B, 3) per fragment size of each replica's 32 star
+    correlators (one closed-form value per size, so all three are equal),
+    its H_S = I(1), and whether its (P, C) had to be clipped into the
+    two-branch model."""
     p_raw, _, c_raw = _star_populations(values)
     p, c = _clip_two_branch(p_raw, c_raw)
     curves, _ = _two_branch_mi(p, c)
-    return curves, (p != p_raw) | (c != c_raw)
+    return (curves, curves, curves), curves[:, 0], (p != p_raw) | (c != c_raw)
 
 
 def _reconstruction_replicas(values: np.ndarray, system: int):
-    """Curve (B, 3) of each replica's 256 correlators, and the lowest
-    eigenvalue of its linear inversion.
+    """Mean, min and max (B, 3) per fragment size of each replica's 256
+    correlators, its H_S, and the lowest eigenvalue of its linear inversion.
 
-    Unlike the point estimate, a replica is projected to the physical set
-    however negative its spectrum: one bad resample must not end the run.
+    Every inversion is projected to the physical set however negative its
+    spectrum: one bad resample must not end the run.  Refusing the point
+    estimate is left to the caller.
     """
     rho = _density_batch(values)
     eigs, vecs = np.linalg.eigh(rho)
@@ -353,12 +336,10 @@ def _reconstruction_replicas(values: np.ndarray, system: int):
     unphysical = lowest < _EIGENVALUE_FLOOR
     rho[unphysical] = _projected_density(eigs[unphysical], vecs[unphysical])
     env = [q for q in range(1, 5) if q != system]
-    means = []
-    for delta in range(1, len(env) + 1):
-        group = _mutual_information_batch(rho, system, list(itertools.combinations(env, delta)))
-        # as in mi_curve: round-off must not put a mean outside [min, max]
-        means.append(np.clip(group.mean(axis=1), group.min(axis=1), group.max(axis=1)))
-    return np.stack(means, axis=1), lowest
+    groups = [_mutual_information_batch(rho, system, list(itertools.combinations(env, d))) for d in (1, 2, 3)]
+    mean, lo, hi = (np.stack([f(group, axis=1) for group in groups], axis=1) for f in (np.mean, np.min, np.max))
+    # as in mi_curve: round-off must not put a mean outside [min, max]
+    return (np.clip(mean, lo, hi), lo, hi), _mixed_entropies(rho, [(system,)])[:, 0], lowest
 
 
 def _bootstrap_curve(
@@ -368,23 +349,36 @@ def _bootstrap_curve(
     closed_form, the point estimate's model margin and how many replicas
     were clipped into the model; for reconstruction, how many replicas were
     projected, how many of those lay beyond the point estimate's negativity
-    tolerance, and the lowest eigenvalue."""
+    tolerance, and the lowest eigenvalue.  The observed counts are replica
+    zero: the point estimate runs through the kernel every replica runs."""
     if pipeline not in ("closed_form", "reconstruction"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
+    if not 1 <= system <= 4:
+        raise ValueError(f"system index {system} out of range")
     _check_resamples(bootstrap_resamples)
     data = list(data)
-    plan = plan_measurements("star" if pipeline == "closed_form" else "full_tomography")
-    if pipeline == "closed_form":
-        wanted = list(plan.correlators)  # STAR_CORRELATORS order
-    else:
-        wanted = [PauliString("IIII")] + list(plan.correlators)  # all_pauli_strings order
-    table = estimate_correlators(data, wanted)
-    curve, margin = _pipeline_curve(table, system, pipeline)
-
-    correlator_plan = _correlator_plan(
-        tuple(oc.setting.labels for oc in data), tuple(w.labels for w in wanted)
-    )
+    wanted = STAR_CORRELATORS if pipeline == "closed_form" else all_pauli_strings(4)
+    plan = _correlator_plan(tuple(oc.setting.labels for oc in data), tuple(w.labels for w in wanted))
     counts, shots = _count_arrays(data)
+    values, sigmas = _estimate_batch(counts[None], shots, plan)
+    if pipeline == "closed_form":
+        params = star_parameters(CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0])))))
+        if not params.consistent:
+            raise ValueError(
+                "the closed-form model check failed: the two measured branch populations "
+                f"give |P + Q - 1| = {params.deviation:.3g} with sigma_P = {params.sigma_p:.3g}, "
+                "so the data are outside the two-branch model (use the reconstruction pipeline)"
+            )
+        kernel = _closed_form_replicas
+    else:
+        kernel = partial(_reconstruction_replicas, system=system)
+    (mean, lo, hi), h_s, flag = kernel(values)
+    if pipeline == "reconstruction" and flag[0] < -_NEGATIVITY_TOL:
+        raise ValueError(
+            f"reconstruction has eigenvalue {flag[0]:.3f}, beyond the "
+            f"projection tolerance {_NEGATIVITY_TOL}"
+        )
+
     probabilities = counts / counts.sum(axis=1, keepdims=True)
     boot_rng = np.random.default_rng(
         np.random.SeedSequence([seed & _SEED_MASK, _BOOTSTRAP_STREAM])
@@ -395,28 +389,26 @@ def _bootstrap_curve(
         # replica-major, setting-minor: the same draws as one multinomial per
         # (replica, setting) in that order
         resampled = boot_rng.multinomial(shots, probabilities, size=(size, len(shots)))
-        values, _ = _estimate_batch(resampled.astype(float), shots, correlator_plan)
-        if pipeline == "closed_form":
-            block_curves, block_flags = _closed_form_replicas(values)
-        else:
-            block_curves, block_flags = _reconstruction_replicas(values, system)
+        (block_curves, _, _), _, block_flags = kernel(_estimate_batch(resampled.astype(float), shots, plan)[0])
         curves.append(block_curves)
         flags.append(block_flags)
     spread = np.std(np.concatenate(curves), axis=0, ddof=1)
     flags = np.concatenate(flags)
     if pipeline == "closed_form":
-        diagnostics = {"replicas_clipped": int(np.sum(flags)), **margin}
+        diagnostics = {
+            "replicas_clipped": int(np.sum(flags)),
+            "model_deviation": float(f"{params.deviation:.12g}"),
+            "model_sigma_p": float(f"{params.sigma_p:.12g}"),
+        }
     else:
         diagnostics = {
             "replicas_projected": int(np.sum(flags < _EIGENVALUE_FLOOR)),
             "replicas_beyond_tolerance": int(np.sum(flags < -_NEGATIVITY_TOL)),
             "worst_replica_eigenvalue": float(f"{flags.min():.12g}"),
         }
-    points = tuple(
-        replace(point, stderr=float(err)) for point, err in zip(curve.points, spread)
-    )
-    curve = MICurve(points=points, system_entropy=curve.system_entropy, n_env=curve.n_env)
-    return curve, diagnostics
+    rows = zip((1, 2, 3), mean[0].tolist(), lo[0].tolist(), hi[0].tolist(), spread.tolist())
+    points = tuple(MIPoint(d, m, low, high, math.comb(3, d), err) for d, m, low, high, err in rows)
+    return MICurve(points=points, system_entropy=float(h_s[0]), n_env=3), diagnostics
 
 
 def mi_curve_from_counts(
@@ -452,9 +444,5 @@ def estimate_mi_curve(state, system: int, cfg: RunConfig, pipeline: str) -> MICu
     plan = plan_measurements("star" if pipeline == "closed_form" else "full_tomography")
     data = [sample_setting(state, s, cfg) for s in plan.settings]
     return mi_curve_from_counts(
-        data,
-        system,
-        pipeline,
-        bootstrap_resamples=cfg.bootstrap_resamples,
-        seed=cfg.seed,
+        data, system, pipeline, bootstrap_resamples=cfg.bootstrap_resamples, seed=cfg.seed
     )

@@ -20,19 +20,24 @@ from qdarwin import (
     OutcomeCounts,
     RunConfig,
     all_pauli_strings,
+    diamond_mutual_information,
     estimate_correlators,
     mi_curve_from_counts,
     named_state,
     plan_measurements,
     project_to_physical,
     sample_setting,
+    star_mutual_information,
+    star_parameters,
 )
+from qdarwin.estimator import STAR_CORRELATORS
 from qdarwin.measurement import (
     _BOOTSTRAP_STREAM,
     _bootstrap_curve,
     _correlator_plan,
     _estimate_batch,
     _reconstruction_replicas,
+    clip_to_two_branch_model,
 )
 from qdarwin.qcore import DensityMatrix, _projected_density, _water_fill
 
@@ -208,7 +213,7 @@ class TestBootstrapAgainstOracle:
         probabilities = np.stack([oc.count_vector() / oc.shots for oc in data])
         counts = rng.multinomial(shots, probabilities, size=(6, len(shots))).astype(float)
         values, _ = _estimate_batch(counts, shots, _correlator_plan(labels, ALL_LABELS))
-        curves, lowest = _reconstruction_replicas(values, 1)
+        (curves, _, _), _, lowest = _reconstruction_replicas(values, 1)
         assert (lowest < -0.25).any()
         for row in range(6):
             entries = estimate_entries_loop(labels, counts[row], shots, ALL_LABELS)
@@ -234,3 +239,46 @@ class TestLowShotBootstrap:
         _, diagnostics = _bootstrap_curve(data, 1, "closed_form", 30, 4)
         # Re C = 1/2 is read exactly, so noise in Im C pushes |C| past its bound
         assert diagnostics == {"replicas_clipped": 30, "model_deviation": 0.0, "model_sigma_p": 0.00395014042472}
+
+
+def scalar_point_curve(data, system: int, pipeline: str):
+    """The point estimate through the public scalar functions: one
+    (mean, min, max) per fragment size, and the system entropy."""
+    if pipeline == "closed_form":
+        params = clip_to_two_branch_model(star_parameters(estimate_correlators(data, STAR_CORRELATORS)))
+        values = [star_mutual_information(params, d) for d in (1, 2, 3)]
+        return [(v, v, v) for v in values], values[0]
+    curve = diamond_mutual_information(estimate_correlators(data, all_pauli_strings(4)), system)
+    return [(p.mean_mi, p.min_mi, p.max_mi) for p in curve.points], curve.system_entropy
+
+
+class TestPointEstimateIsReplicaZero:
+    """The point curve comes from the replica kernels run on the observed
+    counts; it must equal the scalar path bit for bit."""
+
+    @pytest.mark.parametrize("shots", [30, 300, 100_000])
+    @pytest.mark.parametrize(
+        "name,pipeline,target",
+        [
+            ("star-experimental", "closed_form", "star"),
+            ("diamond-canonical", "reconstruction", "full_tomography"),
+            ("hyperentangled-xi", "reconstruction", "full_tomography"),
+        ],
+    )
+    def test_point_curve_equals_scalar_path(self, name, pipeline, target, shots):
+        for seed in (1, 2, 3):
+            cfg = RunConfig(shots_per_setting=shots, seed=seed)
+            data = [sample_setting(named_state(name), s, cfg) for s in plan_measurements(target).settings]
+            for system in (1, 2, 3, 4):
+                points, system_entropy = scalar_point_curve(data, system, pipeline)
+                curve = mi_curve_from_counts(data, system, pipeline, bootstrap_resamples=2, seed=seed)
+                assert [(p.mean_mi, p.min_mi, p.max_mi) for p in curve.points] == points
+                assert curve.system_entropy == system_entropy
+
+    def test_point_refused_beyond_negativity_tolerance(self):
+        # every shot of every setting reads 0000: all correlators are +1 and
+        # the inversion's lowest eigenvalue is -0.933
+        data = [OutcomeCounts(setting=s, shots=50, counts={"0000": 50})
+                for s in plan_measurements("full_tomography").settings]
+        with pytest.raises(ValueError, match=r"eigenvalue -0\.933, beyond the projection tolerance 0\.25"):
+            mi_curve_from_counts(data, 1, "reconstruction", bootstrap_resamples=2)

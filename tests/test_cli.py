@@ -1,3 +1,4 @@
+import hashlib
 import json
 from math import pi
 
@@ -258,6 +259,57 @@ class TestEstimateCommand:
         diagnostics = json.loads(manifest)["diagnostics"]
         assert set(diagnostics) == {"replicas_clipped", "model_deviation", "model_sigma_p"}
         assert 0 <= diagnostics["model_deviation"] <= 6 * diagnostics["model_sigma_p"]
+
+    @pytest.mark.parametrize(
+        "pipeline,system", [("closed_form", "7"), ("closed_form", "0"), ("closed_form", "-2"), ("reconstruction", "5")]
+    )
+    def test_system_out_of_range_exits_one(self, tmp_path, capsys, pipeline, system):
+        code = run(
+            ["estimate", "--named", "star-experimental", "--pipeline", pipeline, "--shots", "200",
+             "--bootstrap", "2", "--system", system, "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        assert f"system index {system} out of range" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_counts_file_manifest_records_its_hash(self, tmp_path):
+        counts = tmp_path / "counts.json"
+        assert run(
+            ["estimate", "--named", "diamond-canonical", "--pipeline", "reconstruction",
+             "--shots", "300", "--seed", "3", "--bootstrap", "5", "--save-counts", str(counts),
+             "--out", str(tmp_path / "direct.csv"), "--timestamp", "2026-01-01T00:00:00+00:00"]
+        ) == 0
+        args = ["estimate", "--counts-file", str(counts), "--pipeline", "reconstruction",
+                "--seed", "3", "--bootstrap", "5", "--timestamp", "2026-01-01T00:00:00+00:00"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
+        manifest = (tmp_path / "a.csv.manifest.json").read_bytes()
+        assert manifest == (tmp_path / "b.csv.manifest.json").read_bytes()
+        assert json.loads(manifest)["counts_sha256"] == hashlib.sha256(counts.read_bytes()).hexdigest()
+        direct = json.loads((tmp_path / "direct.csv.manifest.json").read_text())
+        assert "counts_sha256" not in direct
+        assert a.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+class TestManifests:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state", "--family", "star", "--n-env", "3", "--phi", "pi"],
+            ["curve", "--named", "ghz4"],
+            ["estimate", "--named", "star-experimental", "--pipeline", "closed_form", "--shots", "200",
+             "--bootstrap", "2"],
+            ["plan", "--target", "star"],
+        ],
+    )
+    def test_every_manifest_records_numpy_version(self, tmp_path, argv):
+        pinned = ["--timestamp", "2026-01-01T00:00:00+00:00"]
+        for name in ("a.json", "b.json"):
+            assert run(argv + pinned + ["--out", str(tmp_path / name)]) == 0
+        manifest = (tmp_path / "a.json.manifest.json").read_bytes()
+        assert manifest == (tmp_path / "b.json.manifest.json").read_bytes()
+        assert json.loads(manifest)["numpy_version"] == np.__version__
 
 
 class TestPlanCommand:

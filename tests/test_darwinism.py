@@ -202,6 +202,12 @@ class TestMICurve:
             for point in curve.points:
                 assert point.max_mi <= 2 * min(h_s, point.delta) + 1e-9
 
+    def test_sample_size_below_two_rejected(self):
+        # one draw has no standard error (ddof=1 would give NaN), none has no mean
+        for size in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"sample_size must be at least 2 for a standard error, got {size}"):
+                mi_curve(star_spec(5, pi), 1, max_exhaustive=4, sample_size=size)
+
     def test_sampled_fragments_deterministic(self, rng):
         psi = as_state(random_pure_array(6, rng))
         a = mi_curve(psi, 1, max_exhaustive=4, sample_size=40, seed=5)

@@ -349,6 +349,14 @@ class TestEstimateMICurve:
         assert all(math.copysign(1.0, p.mean_mi) == 1.0 for p in curve.points)
         assert math.copysign(1.0, curve.system_entropy) == 1.0
 
+    @pytest.mark.parametrize("pipeline,target", [("closed_form", "star"), ("reconstruction", "full_tomography")])
+    def test_rejects_system_out_of_range(self, pipeline, target):
+        cfg = RunConfig(shots_per_setting=200, seed=2)
+        data = [sample_setting(named_state("star-experimental"), s, cfg) for s in plan_measurements(target).settings]
+        for system in (0, -2, 5, 7):
+            with pytest.raises(ValueError, match=f"system index {system} out of range"):
+                mi_curve_from_counts(data, system, pipeline, bootstrap_resamples=2)
+
     def test_stored_counts_replay(self):
         state = named_state("star-experimental")
         cfg = RunConfig(shots_per_setting=2000, seed=5, bootstrap_resamples=20)
