@@ -32,9 +32,9 @@ from .graphstate import (
     star_ghz_check,
     star_spec,
 )
-from .measurement import (  # noqa: F401  (mi_curve_from_counts: perfbench/tracer.py wraps this binding)
+from .measurement import (
     RunConfig,
-    _bootstrap_curve,
+    _check_estimate,
     counts_from_json,
     counts_to_json,
     mi_curve_from_counts,
@@ -135,14 +135,15 @@ def _curve_source(args):
 
 
 def _write_curve(curve, out: Path, manifest: dict) -> None:
-    _write_with_manifest(out, curve.to_json() if out.suffix == ".json" else curve.to_csv(), manifest)
+    content = curve.to_json() if out.suffix == ".json" else curve.to_csv()
+    _write_with_manifest(out, content, {**manifest, "diagnostics": curve._diagnostics})
 
 
 def _cmd_curve(args) -> int:
     source = _curve_source(args)
     curve = mi_curve(source, args.system)
     manifest = _manifest(args, "family named n_env phi theta graph_file system")
-    _write_curve(curve, Path(args.out), {**manifest, "diagnostics": curve._diagnostics})
+    _write_curve(curve, Path(args.out), manifest)
     return 0
 
 
@@ -164,15 +165,16 @@ def _cmd_estimate(args) -> int:
             bootstrap_resamples=args.bootstrap,
             poisson_shots=args.poisson,
         )
+        _check_estimate(args.system, args.pipeline)
         target = "star" if args.pipeline == "closed_form" else "full_tomography"
         data = [sample_setting(state, s, cfg) for s in plan_measurements(target).settings]
-    curve, diagnostics = _bootstrap_curve(data, args.system, args.pipeline, args.bootstrap, args.seed)
+    curve = mi_curve_from_counts(data, args.system, args.pipeline, bootstrap_resamples=args.bootstrap, seed=args.seed)
     manifest = _manifest(args, "named counts_file pipeline shots bootstrap system poisson", args.seed)
     if args.counts_file:
         manifest["counts_sha256"] = hashlib.sha256(raw).hexdigest()
     if args.save_counts:
         _write_with_manifest(Path(args.save_counts), counts_to_json(data), manifest)
-    _write_curve(curve, Path(args.out), {**manifest, "diagnostics": diagnostics})
+    _write_curve(curve, Path(args.out), manifest)
     return 0
 
 

@@ -88,7 +88,8 @@ def mutual_information(state, system: int, fragment) -> float:
     if not members:
         return 0.0
     source = state.amplitudes if isinstance(state, StateVector) else state.entries
-    return float(_mutual_information_batch(source, system, [members])[0])
+    h = functools.partial(_pure_entropies if source.ndim == 1 else _mixed_entropies, source)
+    return float(_nonnegative(h([(system,)]) + h([members]) - h([(system,) + members]))[0])
 
 
 def _nonnegative(values: np.ndarray) -> np.ndarray:
@@ -97,14 +98,6 @@ def _nonnegative(values: np.ndarray) -> np.ndarray:
     if values.min() < -1e-9:
         raise ValueError(f"mutual information {float(values.min())!r} violates nonnegativity")
     return np.maximum(values, 0.0) + 0.0
-
-
-def _mutual_information_batch(source: np.ndarray, system: int, fragments) -> np.ndarray:
-    """I(S:F) >= 0 for every fragment (a validated tuple of labels) of a ket's
-    amplitudes, or of every density matrix in a (..., d, d) stack: shape
-    (..., len(fragments))."""
-    h = functools.partial(_pure_entropies if source.ndim == 1 else _mixed_entropies, source)
-    return _nonnegative(h([(system,)]) + h(fragments) - h([(system,) + f for f in fragments]))
 
 
 def _mixed_entropies(mats: np.ndarray, subsets) -> np.ndarray:
@@ -130,7 +123,7 @@ class MICurve:
     points: tuple[MIPoint, ...]
     system_entropy: float
     n_env: int
-    _diagnostics: dict | None = field(default=None, compare=False, repr=False)  # what mi_curve did
+    _diagnostics: dict | None = field(default=None, compare=False, repr=False)  # what mi_curve or the estimate did
 
     def __post_init__(self) -> None:
         points = tuple(self.points)

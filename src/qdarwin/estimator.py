@@ -373,6 +373,12 @@ def plan_measurements(target: str) -> MeasurementPlan:
     return MeasurementPlan(correlators=correlators, settings=settings, counts=counts)
 
 
+def _check_negativity(lowest: float, tol: float = _NEGATIVITY_TOL) -> None:
+    """Refuse a reconstruction whose lowest eigenvalue lies below -tol."""
+    if lowest < -tol:
+        raise ValueError(f"reconstruction has eigenvalue {lowest:.3f}, beyond the projection tolerance {tol}")
+
+
 def diamond_mutual_information(
     table: CorrelatorTable, system: int, *, negativity_tol: float = _NEGATIVITY_TOL
 ) -> MICurve:
@@ -384,11 +390,6 @@ def diamond_mutual_information(
     """
     rho = reconstruct_density(table)
     if not rho.physical:
-        most_negative = float(np.linalg.eigvalsh(rho.entries).min())
-        if most_negative < -negativity_tol:
-            raise ValueError(
-                f"reconstruction has eigenvalue {most_negative:.3f}, beyond the "
-                f"projection tolerance {negativity_tol}"
-            )
+        _check_negativity(float(np.linalg.eigvalsh(rho.entries).min()), negativity_tol)
         rho = project_to_physical(rho)
     return mi_curve(rho, system)

@@ -18,12 +18,13 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from .darwinism import MICurve, MIPoint, _mixed_entropies, _mutual_information_batch
+from .darwinism import MICurve, MIPoint, _mixed_entropies, _nonnegative
 from .estimator import (  # noqa: F401  (diamond_mutual_information, star_mutual_information: perfbench/tracer.py wraps these bindings)
     _NEGATIVITY_TOL,
     STAR_CORRELATORS,
     CorrelatorTable,
     StarParameters,
+    _check_negativity,
     _density_batch,
     _magnitude,
     _star_populations,
@@ -236,9 +237,12 @@ def _correlator_plan(setting_labels: tuple[str, ...], wanted_labels: tuple[str, 
     return parity, tuple(groups)
 
 
-def _count_arrays(data) -> tuple[np.ndarray, np.ndarray]:
-    """(S, 2^n) count vectors and (S,) shot totals of the settings in data."""
-    return np.stack([oc.count_vector() for oc in data]), np.array([oc.shots for oc in data])
+def _observed_correlators(data: list, wanted: list):
+    """The correlator plan of data for the wanted strings, data's (S, 2^n) count vectors
+    and (S,) shot totals, and the (1, W) correlators and one-sigma errors they give."""
+    plan = _correlator_plan(tuple(oc.setting.labels for oc in data), tuple(w.labels for w in wanted))
+    counts, shots = np.stack([oc.count_vector() for oc in data]), np.array([oc.shots for oc in data])
+    return (plan, counts, shots, *_estimate_batch(counts[None], shots, plan))
 
 
 def _estimate_batch(counts: np.ndarray, shots: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
@@ -279,11 +283,8 @@ def estimate_correlators(data, wanted) -> CorrelatorTable:
     parity on its non-identity positions, with sigma = sqrt((1 - c^2)/N);
     several covering settings combine by inverse-variance weighting.
     """
-    data = list(data)
     wanted = [as_pauli(w) for w in wanted]
-    plan = _correlator_plan(tuple(oc.setting.labels for oc in data), tuple(w.labels for w in wanted))
-    counts, shots = _count_arrays(data)
-    values, sigmas = _estimate_batch(counts[None], shots, plan)
+    *_, values, sigmas = _observed_correlators(list(data), wanted)
     return CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0]))))
 
 
@@ -336,31 +337,47 @@ def _reconstruction_replicas(values: np.ndarray, system: int):
     unphysical = lowest < _EIGENVALUE_FLOOR
     rho[unphysical] = _projected_density(eigs[unphysical], vecs[unphysical])
     env = [q for q in range(1, 5) if q != system]
-    groups = [_mutual_information_batch(rho, system, list(itertools.combinations(env, d))) for d in (1, 2, 3)]
+    h = partial(_mixed_entropies, rho)
+    h_s = h([(system,)])  # once for every size; S u F lists the system first, as in mutual_information
+    sizes = [list(itertools.combinations(env, d)) for d in (1, 2, 3)]
+    groups = [_nonnegative(h_s + h(fragments) - h([(system,) + f for f in fragments])) for fragments in sizes]
     mean, lo, hi = (np.stack([f(group, axis=1) for group in groups], axis=1) for f in (np.mean, np.min, np.max))
     # as in mi_curve: round-off must not put a mean outside [min, max]
-    return (np.clip(mean, lo, hi), lo, hi), _mixed_entropies(rho, [(system,)])[:, 0], lowest
+    return (np.clip(mean, lo, hi), lo, hi), h_s[:, 0], lowest
 
 
-def _bootstrap_curve(
-    data, system: int, pipeline: str, bootstrap_resamples: int, seed: int
-) -> tuple[MICurve, dict]:
-    """mi_curve_from_counts, plus the deterministic facts of its run: for
-    closed_form, the point estimate's model margin and how many replicas
-    were clipped into the model; for reconstruction, how many replicas were
-    projected, how many of those lay beyond the point estimate's negativity
-    tolerance, and the lowest eigenvalue.  The observed counts are replica
-    zero: the point estimate runs through the kernel every replica runs."""
+def _check_estimate(system: int, pipeline: str) -> None:
+    """Refuse an unknown pipeline or a system outside 1..4, before any sampling."""
     if pipeline not in ("closed_form", "reconstruction"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
     if not 1 <= system <= 4:
         raise ValueError(f"system index {system} out of range")
+
+
+def mi_curve_from_counts(
+    data,
+    system: int,
+    pipeline: str,
+    *,
+    bootstrap_resamples: int = 500,
+    seed: int = 0,
+) -> MICurve:
+    """Run the estimation pipeline on stored outcome histograms.
+
+    The data must cover the pipeline's correlators (17 settings for
+    closed_form, the 81 tomography settings for reconstruction).  The
+    observed counts are replica zero of a seeded bootstrap: point standard
+    errors are standard deviations over multinomially resampled counts (at
+    least 2).  The closed form raises when the point estimate fails its
+    model check.  The curve's _diagnostics holds what the run did: the
+    closed form's model margin and clipped replicas, or how many replicas
+    the reconstruction projected and their lowest eigenvalue.
+    """
+    _check_estimate(system, pipeline)
     _check_resamples(bootstrap_resamples)
     data = list(data)
     wanted = STAR_CORRELATORS if pipeline == "closed_form" else all_pauli_strings(4)
-    plan = _correlator_plan(tuple(oc.setting.labels for oc in data), tuple(w.labels for w in wanted))
-    counts, shots = _count_arrays(data)
-    values, sigmas = _estimate_batch(counts[None], shots, plan)
+    plan, counts, shots, values, sigmas = _observed_correlators(data, wanted)
     if pipeline == "closed_form":
         params = star_parameters(CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0])))))
         if not params.consistent:
@@ -373,11 +390,8 @@ def _bootstrap_curve(
     else:
         kernel = partial(_reconstruction_replicas, system=system)
     (mean, lo, hi), h_s, flag = kernel(values)
-    if pipeline == "reconstruction" and flag[0] < -_NEGATIVITY_TOL:
-        raise ValueError(
-            f"reconstruction has eigenvalue {flag[0]:.3f}, beyond the "
-            f"projection tolerance {_NEGATIVITY_TOL}"
-        )
+    if pipeline == "reconstruction":
+        _check_negativity(flag[0])
 
     probabilities = counts / counts.sum(axis=1, keepdims=True)
     boot_rng = np.random.default_rng(
@@ -408,26 +422,7 @@ def _bootstrap_curve(
         }
     rows = zip((1, 2, 3), mean[0].tolist(), lo[0].tolist(), hi[0].tolist(), spread.tolist())
     points = tuple(MIPoint(d, m, low, high, math.comb(3, d), err) for d, m, low, high, err in rows)
-    return MICurve(points=points, system_entropy=float(h_s[0]), n_env=3), diagnostics
-
-
-def mi_curve_from_counts(
-    data,
-    system: int,
-    pipeline: str,
-    *,
-    bootstrap_resamples: int = 500,
-    seed: int = 0,
-) -> MICurve:
-    """Run the estimation pipeline on stored outcome histograms.
-
-    The data must cover the pipeline's correlators (17 settings for
-    closed_form, the 81 tomography settings for reconstruction).  Point
-    standard errors are bootstrap standard deviations over multinomially
-    resampled counts (at least 2), seeded for reproducibility.  The closed
-    form raises when the point estimate fails its model check.
-    """
-    return _bootstrap_curve(data, system, pipeline, bootstrap_resamples, seed)[0]
+    return MICurve(points=points, system_entropy=float(h_s[0]), n_env=3, _diagnostics=diagnostics)
 
 
 def estimate_mi_curve(state, system: int, cfg: RunConfig, pipeline: str) -> MICurve:
@@ -439,8 +434,7 @@ def estimate_mi_curve(state, system: int, cfg: RunConfig, pipeline: str) -> MICu
     """
     if state.n_qubits != 4:
         raise ValueError("the estimation pipeline is defined for 4-qubit states")
-    if pipeline not in ("closed_form", "reconstruction"):
-        raise ValueError(f"unknown pipeline {pipeline!r}")
+    _check_estimate(system, pipeline)
     plan = plan_measurements("star" if pipeline == "closed_form" else "full_tomography")
     data = [sample_setting(state, s, cfg) for s in plan.settings]
     return mi_curve_from_counts(

@@ -33,7 +33,6 @@ from qdarwin import (
 from qdarwin.estimator import STAR_CORRELATORS
 from qdarwin.measurement import (
     _BOOTSTRAP_STREAM,
-    _bootstrap_curve,
     _correlator_plan,
     _estimate_batch,
     _reconstruction_replicas,
@@ -226,7 +225,8 @@ class TestLowShotBootstrap:
         cfg = RunConfig(shots_per_setting=30, seed=1, bootstrap_resamples=100)
         data = [sample_setting(named_state("diamond-canonical"), s, cfg)
                 for s in plan_measurements("full_tomography").settings]
-        curve, diagnostics = _bootstrap_curve(data, 1, "reconstruction", 100, 1)
+        curve = mi_curve_from_counts(data, 1, "reconstruction", bootstrap_resamples=100, seed=1)
+        diagnostics = curve._diagnostics
         assert all(np.isfinite(p.stderr) and p.stderr > 0 for p in curve.points)
         assert diagnostics["replicas_projected"] == 100
         assert 0 < diagnostics["replicas_beyond_tolerance"] <= 100
@@ -236,7 +236,7 @@ class TestLowShotBootstrap:
         cfg = RunConfig(shots_per_setting=2000, seed=4, bootstrap_resamples=30)
         data = [sample_setting(named_state("star-experimental"), s, cfg)
                 for s in plan_measurements("star").settings]
-        _, diagnostics = _bootstrap_curve(data, 1, "closed_form", 30, 4)
+        diagnostics = mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=30, seed=4)._diagnostics
         # Re C = 1/2 is read exactly, so noise in Im C pushes |C| past its bound
         assert diagnostics == {"replicas_clipped": 30, "model_deviation": 0.0, "model_sigma_p": 0.00395014042472}
 

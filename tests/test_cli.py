@@ -5,7 +5,7 @@ from math import pi
 import numpy as np
 import pytest
 
-from qdarwin import MICurve, build_graph_state, diamond_spec
+from qdarwin import MICurve, RunConfig, build_graph_state, diamond_spec, estimate_mi_curve, named_state
 from qdarwin.cli import parse_angle, run
 
 
@@ -271,6 +271,33 @@ class TestEstimateCommand:
         assert code == 1
         assert f"system index {system} out of range" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("pipeline,system", [("reconstruction", "0"), ("reconstruction", "5"),
+                                                 ("reconstruction", "7"), ("closed_form", "7")])
+    def test_system_refused_before_sampling(self, tmp_path, capsys, monkeypatch, pipeline, system):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample_setting was called")
+
+        monkeypatch.setattr("qdarwin.cli.sample_setting", refuse)
+        monkeypatch.setattr("qdarwin.measurement.sample_setting", refuse)
+        code = run(["estimate", "--named", "diamond-canonical", "--pipeline", pipeline, "--system", system,
+                    "--save-counts", str(tmp_path / "counts.json"), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: system index {system} out of range\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "name,pipeline", [("star-experimental", "closed_form"), ("diamond-canonical", "reconstruction")]
+    )
+    def test_library_curve_carries_the_manifest_diagnostics(self, tmp_path, name, pipeline):
+        out = tmp_path / "est.csv"
+        assert run(["estimate", "--named", name, "--pipeline", pipeline, "--shots", "1000", "--seed", "6",
+                    "--bootstrap", "10", "--out", str(out)]) == 0
+        cfg = RunConfig(shots_per_setting=1000, seed=6, bootstrap_resamples=10)
+        curve = estimate_mi_curve(named_state(name), 1, cfg, pipeline)
+        assert curve.to_csv() == out.read_text()
+        manifest = json.loads((tmp_path / "est.csv.manifest.json").read_text())
+        assert curve._diagnostics == manifest["diagnostics"]
 
     def test_counts_file_manifest_records_its_hash(self, tmp_path):
         counts = tmp_path / "counts.json"

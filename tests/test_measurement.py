@@ -367,3 +367,25 @@ class TestEstimateMICurve:
         # 17 closed-form settings cannot feed the full reconstruction
         with pytest.raises(ValueError, match="covers"):
             mi_curve_from_counts(data, 1, "reconstruction", bootstrap_resamples=5, seed=5)
+
+
+class TestArgumentsCheckedBeforeSampling:
+    """An out-of-range system or an unknown pipeline is refused before a
+    single setting is sampled."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample_setting was called")
+
+        monkeypatch.setattr("qdarwin.measurement.sample_setting", refuse)
+
+    @pytest.mark.parametrize("pipeline", ["closed_form", "reconstruction"])
+    @pytest.mark.parametrize("system", [0, 5, 7])
+    def test_system_out_of_range(self, pipeline, system):
+        with pytest.raises(ValueError, match=f"system index {system} out of range"):
+            estimate_mi_curve(named_state("diamond-canonical"), system, RunConfig(seed=0), pipeline)
+
+    def test_unknown_pipeline(self):
+        with pytest.raises(ValueError, match="unknown pipeline 'magic'"):
+            estimate_mi_curve(named_state("diamond-canonical"), 7, RunConfig(seed=0), "magic")
