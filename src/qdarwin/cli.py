@@ -33,6 +33,7 @@ from .graphstate import (
     star_spec,
 )
 from .measurement import (
+    PLAN_TARGETS,
     RunConfig,
     _check_estimate,
     counts_from_json,
@@ -92,10 +93,17 @@ def _manifest(args, names: str, seed: int | None = None) -> dict:
     }
 
 
+def _refuse(args, source: str, names: str) -> None:
+    """Refuse the flags among `names` that are set, since `source` ignores them."""
+    given = [name for name in names.split() if getattr(args, name) not in (None, False)]
+    if given:
+        flags = "/".join("--" + name.replace("_", "-") for name in given)
+        raise _UsageError(f"{source} cannot be combined with {flags}")
+
+
 def _resolve_graph(args) -> GraphSpec:
     if args.graph_file:
-        if args.family or args.n_env is not None:
-            raise _UsageError("--graph-file cannot be combined with --family/--n-env")
+        _refuse(args, "--graph-file", "family n_env phi theta")
         data = json.loads(Path(args.graph_file).read_text())
         return GraphSpec.from_dict(data)
     if not args.family:
@@ -128,8 +136,7 @@ def _cmd_state(args) -> int:
 def _curve_source(args):
     """The named state, or the graph spec itself: mi_curve may not need the state."""
     if args.named:
-        if args.family or args.n_env is not None:
-            raise _UsageError("--named cannot be combined with --family/--n-env")
+        _refuse(args, "--named", "family n_env phi theta graph_file")
         return named_state(args.named)
     return _resolve_graph(args)
 
@@ -149,10 +156,7 @@ def _cmd_curve(args) -> int:
 
 def _cmd_estimate(args) -> int:
     if args.counts_file:
-        if args.named:
-            raise _UsageError("--counts-file cannot be combined with --named")
-        if args.shots is not None:
-            raise _UsageError("--shots has no effect when estimating from --counts-file")
+        _refuse(args, "--counts-file", "named shots poisson")
         raw = Path(args.counts_file).read_bytes()
         data = counts_from_json(raw.decode())
     else:
@@ -166,8 +170,8 @@ def _cmd_estimate(args) -> int:
             poisson_shots=args.poisson,
         )
         _check_estimate(args.system, args.pipeline)
-        target = "star" if args.pipeline == "closed_form" else "full_tomography"
-        data = [sample_setting(state, s, cfg) for s in plan_measurements(target).settings]
+        plan = plan_measurements(PLAN_TARGETS[args.pipeline])
+        data = [sample_setting(state, s, cfg) for s in plan.settings]
     curve = mi_curve_from_counts(data, args.system, args.pipeline, bootstrap_resamples=args.bootstrap, seed=args.seed)
     manifest = _manifest(args, "named counts_file pipeline shots bootstrap system poisson", args.seed)
     if args.counts_file:
@@ -229,7 +233,7 @@ def build_parser() -> _Parser:
     p_est = sub.add_parser("estimate", help="finite-statistics estimated curve")
     p_est.add_argument("--named", choices=list(NAMED_FIXED_STATES))
     p_est.add_argument("--counts-file", default=None, help="stored OutcomeCounts JSON to re-analyze")
-    p_est.add_argument("--pipeline", required=True, choices=["closed_form", "reconstruction"])
+    p_est.add_argument("--pipeline", required=True, choices=list(PLAN_TARGETS))
     p_est.add_argument("--shots", type=int, default=None, help="shots per setting (default 4500)")
     p_est.add_argument("--seed", type=int, default=0)
     p_est.add_argument("--bootstrap", type=int, default=500)
@@ -240,7 +244,7 @@ def build_parser() -> _Parser:
     p_est.set_defaults(func=_cmd_estimate)
 
     p_plan = sub.add_parser("plan", help="measurement plan as JSON")
-    p_plan.add_argument("--target", required=True, choices=["star", "full_tomography"])
+    p_plan.add_argument("--target", required=True, choices=list(PLAN_TARGETS.values()))
     add_common(p_plan)
     p_plan.set_defaults(func=_cmd_plan)
 

@@ -6,10 +6,10 @@ parameters (P, C) for the star state, the closed-form mutual information
 they determine, and the measurement plan that certifies a 32-correlator
 budget against full tomography.
 
-The (P, C) combinations are realized by expanding the projector
-|0101><0101| in the I/Z basis and the ladder operator |1010><0101| in the
-X/Y basis; the resulting signed permutation sums are calibrated so the
-ideal star state yields (P, C) = (1/2, 1/2).
+P, Q and C are the entries <0101|rho|0101>, <1010|rho|1010> and
+<0101|rho|1010> of the linear inversion rho = (1/16) sum_p <p> p, so each
+correlator enters with the matching entry of its Pauli matrix; the ideal
+star state yields (P, C) = (1/2, 1/2).
 """
 from __future__ import annotations
 
@@ -17,12 +17,13 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
 from .darwinism import MICurve, mi_curve
 from .qcore import (
+    PAULI_MATRICES,
     DensityMatrix,
     PauliString,
     all_pauli_strings,
@@ -31,8 +32,6 @@ from .qcore import (
     project_to_physical,
 )
 
-_STAR_BRANCH = "0101"
-_OTHER_BRANCH = "1010"
 _F_WINDOW = 1e-9
 _XLOGX_CUTOFF = 1e-12
 _NEGATIVITY_TOL = 0.25
@@ -143,33 +142,19 @@ def _density_batch(values: np.ndarray) -> np.ndarray:
     return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None]
 
 
-def _diagonal_terms(branch: str) -> list[tuple[str, float]]:
-    """Signed I/Z strings expanding |branch><branch| (coefficients x16)."""
-    terms = []
-    for choice in itertools.product("IZ", repeat=len(branch)):
-        sign = 1.0
-        for letter, bit in zip(choice, branch):
-            if letter == "Z":
-                sign *= 1.0 if bit == "0" else -1.0
-        terms.append(("".join(choice), sign))
-    return terms
+def _pauli_entries(letters: str, row: str, col: str) -> list[tuple[str, complex]]:
+    """(s, <row|s|col>) for every string s over `letters`, in lexicographic
+    order: each entry is the product of the single-qubit matrix entries."""
+    return [
+        ("".join(s), prod(PAULI_MATRICES[x][int(r), int(c)] for x, r, c in zip(s, row, col)))
+        for s in itertools.product(letters, repeat=len(row))
+    ]
 
 
-def _coherence_terms(branch: str) -> list[tuple[str, complex]]:
-    """Signed X/Y strings expanding |~branch><branch| (coefficients x16)."""
-    terms = []
-    for choice in itertools.product("XY", repeat=len(branch)):
-        coeff = 1.0 + 0j
-        for letter, bit in zip(choice, branch):
-            if letter == "Y":
-                coeff *= -1j if bit == "0" else 1j
-        terms.append(("".join(choice), coeff))
-    return terms
-
-
-_P_TERMS = _diagonal_terms(_STAR_BRANCH)
-_Q_TERMS = _diagonal_terms(_OTHER_BRANCH)
-_C_TERMS = _coherence_terms(_STAR_BRANCH)
+# x16 coefficients of P, Q and C; the strings outside these letters give 0
+_P_TERMS = [(s, entry.real) for s, entry in _pauli_entries("IZ", "0101", "0101")]
+_Q_TERMS = [(s, entry.real) for s, entry in _pauli_entries("IZ", "1010", "1010")]
+_C_TERMS = _pauli_entries("XY", "0101", "1010")
 
 
 def _star_families() -> tuple[PauliString, ...]:
@@ -287,14 +272,15 @@ def star_mutual_information(params: StarParameters, delta: int, *, uncorrected: 
     """Closed-form system-fragment mutual information of the two-branch state.
 
     Fragment sizes 1 and 2 depend on P alone; size 3 also feels the coherence
-    through the branch eigenvalues f+/f-.  With `uncorrected` the inconsistent
-    eigenvalue variant is used, taking real parts of x log2 x for its negative
-    arguments.
+    through the branch eigenvalues f+/f-.  Every size raises when those
+    eigenvalues leave [0, 1], since (P, C) is then outside the model.  With
+    `uncorrected` the inconsistent eigenvalue variant is used, taking real
+    parts of x log2 x for its negative arguments.
     """
     if delta not in (1, 2, 3):
         raise ValueError(f"delta must be 1, 2 or 3, got {delta}")
     values, in_model = _two_branch_mi(params.p, params.c, uncorrected=uncorrected)
-    if delta == 3 and not in_model:
+    if not in_model:
         raise ValueError(
             f"branch eigenvalues {branch_eigenvalues(params)} outside [0, 1]: the "
             "table is not consistent with the two-branch model"

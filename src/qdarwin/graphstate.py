@@ -125,6 +125,19 @@ def ghz_state(n_qubits: int) -> StateVector:
     return _superposition((1, "0" * n_qubits), (1, "1" * n_qubits))
 
 
+# The parameterless named states as (amplitude, basis ket) terms, in the
+# paper's qubit order 1234 (logical 0/1 for H/V and left/right path).
+_DIAMOND_KET = ((-1, "0001"), (1, "0110"), (1, "1010"), (1, "1101"))
+_NAMED_KETS = {
+    "hyperentangled-xi": ((1, "0001"), (1, "0010"), (1, "1101"), (1, "1110")),  # (|00> + |11>)(|01> + |10>)
+    "star-experimental": ((1, "0101"), (1, "1010")),
+    "diamond-experimental": _DIAMOND_KET,  # the waveplate-encoded ket coincides with the canonical one
+    "diamond-canonical": _DIAMOND_KET,
+    "ghz4": ((1, "0000"), (1, "1111")),
+}
+NAMED_FIXED_STATES = tuple(_NAMED_KETS)
+
+
 def named_state(
     name: str,
     *,
@@ -133,19 +146,12 @@ def named_state(
     theta: float | None = None,
     n_qubits: int | None = None,
 ) -> StateVector:
-    """Construct one of the named resource states.
-
-    Parameterless names (logical encoding 0/1 for H/V and left/right path,
-    paper qubit order 1234):
-      hyperentangled-xi     (|00> + |11>) (x) (|01> + |10>) / 2
-      star-experimental     (|0101> + |1010>) / sqrt(2)
-      diamond-experimental  the waveplate-encoded diamond ket
-      diamond-canonical     (-|0001> + |0110> + |1010> + |1101>) / 2
-      ghz4                  four-qubit GHZ
-    Parameterized: star (n_env, phi), diamond (n_env, phi, theta),
-    ghz (n_qubits).
-    """
-    key = name.strip().lower().replace("-", "_")
+    """Construct one of the named resource states: a parameterless name of
+    NAMED_FIXED_STATES (with "_" or "-", in any case), or star (n_env, phi),
+    diamond (n_env, phi, theta) or ghz (n_qubits)."""
+    key = name.strip().lower().replace("_", "-")
+    if key in _NAMED_KETS:
+        return _superposition(*_NAMED_KETS[key])
     if key == "star":
         if n_env is None or phi is None:
             raise ValueError("star requires n_env and phi")
@@ -158,25 +164,7 @@ def named_state(
         if n_qubits is None:
             raise ValueError("ghz requires n_qubits")
         return ghz_state(n_qubits)
-    if key == "ghz4":
-        return ghz_state(4)
-    if key == "hyperentangled_xi":
-        return _superposition((1, "0001"), (1, "0010"), (1, "1101"), (1, "1110"))
-    if key == "star_experimental":
-        return _superposition((1, "0101"), (1, "1010"))
-    if key in ("diamond_experimental", "diamond_canonical"):
-        # the waveplate-encoded ket coincides with the canonical one
-        return _superposition((-1, "0001"), (1, "0110"), (1, "1010"), (1, "1101"))
     raise ValueError(f"unknown named state {name!r}")
-
-
-NAMED_FIXED_STATES = (
-    "hyperentangled-xi",
-    "star-experimental",
-    "diamond-experimental",
-    "diamond-canonical",
-    "ghz4",
-)
 
 
 @dataclass(frozen=True)

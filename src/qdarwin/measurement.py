@@ -346,9 +346,13 @@ def _reconstruction_replicas(values: np.ndarray, system: int):
     return (np.clip(mean, lo, hi), lo, hi), h_s[:, 0], lowest
 
 
+# the measurement plan each estimate pipeline samples
+PLAN_TARGETS = {"closed_form": "star", "reconstruction": "full_tomography"}
+
+
 def _check_estimate(system: int, pipeline: str) -> None:
     """Refuse an unknown pipeline or a system outside 1..4, before any sampling."""
-    if pipeline not in ("closed_form", "reconstruction"):
+    if pipeline not in PLAN_TARGETS:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     if not 1 <= system <= 4:
         raise ValueError(f"system index {system} out of range")
@@ -435,7 +439,7 @@ def estimate_mi_curve(state, system: int, cfg: RunConfig, pipeline: str) -> MICu
     if state.n_qubits != 4:
         raise ValueError("the estimation pipeline is defined for 4-qubit states")
     _check_estimate(system, pipeline)
-    plan = plan_measurements("star" if pipeline == "closed_form" else "full_tomography")
+    plan = plan_measurements(PLAN_TARGETS[pipeline])
     data = [sample_setting(state, s, cfg) for s in plan.settings]
     return mi_curve_from_counts(
         data, system, pipeline, bootstrap_resamples=cfg.bootstrap_resamples, seed=cfg.seed

@@ -442,7 +442,9 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 @lru_cache(maxsize=4096)
 def _pauli_action(labels: str) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation/phase form of a Pauli string: P|j> = phases[j] |perm[j]>."""
+    """Permutation/phase form of a Pauli string: P|j> = phases[j] |perm[j]>,
+    read from each letter's matrix: a zero diagonal flips the letter's bit,
+    and the phase on input bit b is the nonzero entry in column b."""
     n = len(labels)
     dim = 2**n
     indices = np.arange(dim)
@@ -450,14 +452,12 @@ def _pauli_action(labels: str) -> tuple[np.ndarray, np.ndarray]:
     phases = np.ones(dim, dtype=complex)
     for pos, letter in enumerate(labels):
         shift = n - 1 - pos
-        bit = (indices >> shift) & 1
-        if letter == "X":
-            flip_mask |= 1 << shift
-        elif letter == "Y":
-            flip_mask |= 1 << shift
-            phases = phases * (1j * (1 - 2 * bit))
-        elif letter == "Z":
-            phases = phases * (1 - 2 * bit)
+        matrix = PAULI_MATRICES[letter]
+        flips = int(matrix[0, 0] == 0)
+        flip_mask |= flips << shift
+        column_phases = matrix[[flips, 1 - flips], [0, 1]]
+        if np.any(column_phases != 1):
+            phases = phases * column_phases[(indices >> shift) & 1]
     perm = indices ^ flip_mask
     perm.flags.writeable = False
     phases.flags.writeable = False

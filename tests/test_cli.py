@@ -5,7 +5,17 @@ from math import pi
 import numpy as np
 import pytest
 
-from qdarwin import MICurve, RunConfig, build_graph_state, diamond_spec, estimate_mi_curve, named_state
+from qdarwin import (
+    MICurve,
+    RunConfig,
+    build_graph_state,
+    counts_to_json,
+    diamond_spec,
+    estimate_mi_curve,
+    named_state,
+    plan_measurements,
+    sample_setting,
+)
 from qdarwin.cli import parse_angle, run
 
 
@@ -337,6 +347,41 @@ class TestManifests:
         manifest = (tmp_path / "a.json.manifest.json").read_bytes()
         assert manifest == (tmp_path / "b.json.manifest.json").read_bytes()
         assert json.loads(manifest)["numpy_version"] == np.__version__
+
+
+class TestIgnoredFlagsRefused:
+    """A flag that the chosen input ignores is refused: exit 1 and no file,
+    while the same command without it runs."""
+
+    @pytest.mark.parametrize(
+        "base,ignored",
+        [
+            (["curve", "--named", "ghz4"], ["--phi", "pi", "--theta", "pi/3"]),
+            (["curve", "--named", "ghz4"], ["--phi", "pi"]),
+            (["curve", "--named", "ghz4"], ["--theta", "pi/3"]),
+            (["curve", "--named", "ghz4"], ["--n-env", "3"]),
+            (["curve", "--named", "ghz4"], ["--graph-file", "missing.json"]),
+            (["curve", "--graph-file", "{graph}"], ["--family", "star"]),
+            (["curve", "--graph-file", "{graph}"], ["--phi", "pi"]),
+            (["state", "--graph-file", "{graph}"], ["--phi", "pi", "--theta", "pi/3"]),
+            (["state", "--graph-file", "{graph}"], ["--n-env", "3"]),
+            (["estimate", "--counts-file", "{counts}", "--pipeline", "closed_form", "--bootstrap", "4"],
+             ["--poisson"]),
+        ],
+    )
+    def test_refused_with_no_file_written(self, tmp_path, capsys, base, ignored):
+        graph, counts = tmp_path / "graph.json", tmp_path / "counts.json"
+        graph.write_text(json.dumps(diamond_spec(3, pi, pi).to_dict()))
+        star = named_state("star-experimental")
+        cfg = RunConfig(shots_per_setting=200, seed=3)
+        counts.write_text(counts_to_json([sample_setting(star, s, cfg) for s in plan_measurements("star").settings]))
+        base = [arg.format(graph=graph, counts=counts) for arg in base]
+        before = sorted(tmp_path.iterdir())
+        assert run(base + ignored + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert sorted(tmp_path.iterdir()) == before
+        flags = "/".join(arg for arg in ignored if arg.startswith("--"))
+        assert f"cannot be combined with {flags}" in capsys.readouterr().err
+        assert run(base + ["--out", str(tmp_path / "x.csv")]) == 0
 
 
 class TestPlanCommand:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import as_density
 from oracle_utils import (
     brute_mutual_information_dm,
     eig2x2,
+    pauli_matrix,
     random_density_array,
     two_branch_rho,
 )
@@ -23,7 +26,16 @@ from qdarwin import (
     star_mutual_information,
     star_parameters,
 )
-from qdarwin.estimator import STAR_CORRELATORS, StarParameters, branch_eigenvalues, covering_setting
+from qdarwin.estimator import (
+    _C_TERMS,
+    _P_TERMS,
+    _Q_TERMS,
+    STAR_CORRELATORS,
+    StarParameters,
+    _star_populations,
+    branch_eigenvalues,
+    covering_setting,
+)
 
 ALL_STRINGS = all_pauli_strings(4)
 
@@ -142,6 +154,33 @@ class TestStarParameters:
         assert params.sigma_c == pytest.approx(0.01 * 4 / 16)
 
 
+class TestPauliEntryCoefficients:
+    """P, Q and C are entries of rho = (1/16) sum_p <p> p, so each correlator's
+    coefficient is the matching entry of its Pauli matrix."""
+
+    @pytest.mark.parametrize(
+        "terms,letters,row,col",
+        [(_P_TERMS, "IZ", "0101", "0101"), (_Q_TERMS, "IZ", "1010", "1010"), (_C_TERMS, "XY", "0101", "1010")],
+    )
+    def test_coefficients_are_kronecker_matrix_entries(self, terms, letters, row, col):
+        assert [s for s, _ in terms] == sorted({"".join(t) for t in itertools.product(letters, repeat=4)})
+        for string, coeff in terms:
+            assert coeff == pauli_matrix(string)[int(row, 2), int(col, 2)], string
+
+    def test_star_correlators_are_the_strings_with_a_nonzero_entry(self):
+        entries = [(0b0101, 0b0101), (0b1010, 0b1010), (0b0101, 0b1010)]
+        nonzero = {s for s in ALL_STRINGS if any(pauli_matrix(s.labels)[e] != 0 for e in entries)}
+        assert set(STAR_CORRELATORS) == nonzero
+        assert len(STAR_CORRELATORS) == 32
+
+    def test_populations_are_the_linear_inversion_entries(self, rng):
+        for _ in range(5):
+            rho = random_density_array(4, rng, rank=4)
+            values = np.array([np.real(np.trace(rho @ pauli_matrix(s.labels))) for s in STAR_CORRELATORS])
+            p, q, c = _star_populations(values)
+            assert (p, q, c) == pytest.approx((rho[5, 5].real, rho[10, 10].real, rho[5, 10]), abs=1e-12)
+
+
 class TestClosedFormMutualInformation:
     def test_ideal_star_curve(self):
         params = star_parameters(ideal_star_table())
@@ -184,6 +223,19 @@ class TestClosedFormMutualInformation:
         bad = StarParameters(p=0.2, c=0.9)
         with pytest.raises(ValueError, match="two-branch"):
             star_mutual_information(bad, 3)
+
+    @pytest.mark.parametrize("p,c", [(1.1, 0.0), (-0.05, 0.0), (0.5, 0.6)])
+    def test_out_of_model_refused_at_every_fragment_size(self, p, c):
+        # these gave -0.483, -0.290 and 1.0 bits at sizes 1 and 2
+        for delta in (1, 2, 3):
+            with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+                star_mutual_information(StarParameters(p=p, c=c), delta)
+
+    def test_uncorrected_keeps_out_of_model_values(self):
+        binary = -1.1 * np.log2(1.1) + 0.1 * np.log2(0.1)  # -x log x - Re[(1-x) log(1-x)]
+        values = [star_mutual_information(StarParameters(p=1.1, c=0.0), d, uncorrected=True) for d in (1, 2)]
+        assert values == pytest.approx([binary, binary], abs=1e-12)
+        assert values[0] < 0
 
     def test_uncorrected_variant(self):
         # the legacy form coincides at the symmetric ideal point ...

@@ -23,6 +23,7 @@ from qdarwin import (
     star_spec,
     states_equal_up_to_phase,
 )
+from qdarwin.graphstate import NAMED_FIXED_STATES
 
 
 class TestGraphSpec:
@@ -214,6 +215,16 @@ class TestNamedStates:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown"):
             named_state("pentagon")
+
+    def test_fixed_names_and_their_spellings(self):
+        assert NAMED_FIXED_STATES == (
+            "hyperentangled-xi", "star-experimental", "diamond-experimental", "diamond-canonical", "ghz4"
+        )
+        for name in NAMED_FIXED_STATES:
+            amplitudes = named_state(name).amplitudes
+            for spelling in (name.upper(), name.replace("-", "_"), f" {name.title()} "):
+                assert named_state(spelling).amplitudes.tobytes() == amplitudes.tobytes()
+        assert named_state("ghz4").amplitudes.tobytes() == ghz_state(4).amplitudes.tobytes()
 
 
 class TestLocalEquivalence:

@@ -37,6 +37,7 @@ from qdarwin import (
     tensor_product,
     von_neumann_entropy,
 )
+from qdarwin.qcore import _pauli_action
 
 
 class TestStateConstruction:
@@ -365,6 +366,15 @@ class TestPauliExpectation:
         for string in all_pauli_strings(n):
             rebuilt = rebuilt + pauli_expectation(rho, string) * string.matrix()
         np.testing.assert_allclose(rebuilt / 2**n, rho.entries, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_action_rebuilds_the_kronecker_matrix(self, n):
+        # P|j> = phases[j] |perm[j]>, read from PAULI_MATRICES letter by letter
+        for string in all_pauli_strings(n):
+            perm, phases = _pauli_action(string.labels)
+            rebuilt = np.zeros((2**n, 2**n), dtype=complex)
+            rebuilt[perm, np.arange(2**n)] = phases
+            assert (rebuilt == pauli_matrix(string.labels)).all(), string
 
     def test_from_indices(self):
         assert PauliString.from_indices([0, 1, 2, 3]).labels == "IXYZ"
