@@ -49,9 +49,9 @@ from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this 
 _SEED_MASK = (1 << 64) - 1
 _SAMPLE_STREAM = 0x5E77
 _BOOTSTRAP_STREAM = 0xB007
-# Bootstrap replicas are resampled and analysed this many at a time, which
-# bounds the memory of the batched arrays whatever the replica count.
-_BOOTSTRAP_BLOCK = 25
+# Count entries (replicas x settings x outcomes) per bootstrap block, those of 25
+# tomography replicas: it bounds the batched arrays whatever the replica count.
+_BOOTSTRAP_ENTRIES = 25 * 81 * 16
 
 # Rotations that take each letter's eigenbasis to the computational basis
 # (Z needs none), +1 eigenvector first.
@@ -98,6 +98,8 @@ class OutcomeCounts:
         setting = as_pauli(self.setting)
         if setting.weight != len(setting):
             raise ValueError(f"setting {setting} contains identity symbols")
+        if self.shots < 1:
+            raise ValueError(f"setting {setting} has {self.shots} shots; every setting needs at least 1")
         n = len(setting)
         total = 0
         for key, count in self.counts.items():
@@ -259,13 +261,12 @@ def _estimate_batch(counts: np.ndarray, shots: np.ndarray, plan) -> tuple[np.nda
     sigma = np.empty_like(value)
     for rows, flat, settings in groups:
         # np.take keeps each string's covering settings contiguous, so the
-        # sums below add in the same order as np.sum over one string, and
-        # float_power rounds as Python's ** on one value does
+        # sums below add in the same order as np.sum over one string
         values = np.take(parities, flat, axis=1)
-        sigmas = np.sqrt(np.maximum(1.0 - np.float_power(values, 2), 0.0) / shots[settings])
+        sigmas = np.sqrt(np.maximum(1.0 - values * values, 0.0) / shots[settings])
         exact = sigmas == 0.0
         n_exact = exact.sum(axis=-1)
-        weights = np.where(exact, 0.0, 1.0 / np.float_power(np.where(exact, 1.0, sigmas), 2))
+        weights = np.where(exact, 0.0, 1.0 / np.where(exact, 1.0, sigmas * sigmas))
         total = np.where(n_exact > 0, 1.0, weights.sum(axis=-1))
         value[:, rows] = np.where(
             n_exact > 0,
@@ -401,17 +402,16 @@ def mi_curve_from_counts(
     boot_rng = np.random.default_rng(
         np.random.SeedSequence([seed & _SEED_MASK, _BOOTSTRAP_STREAM])
     )
-    curves, flags = [], []
-    for start in range(0, bootstrap_resamples, _BOOTSTRAP_BLOCK):
-        size = min(_BOOTSTRAP_BLOCK, bootstrap_resamples - start)
+    blocks = []
+    per_block = max(1, _BOOTSTRAP_ENTRIES // counts.size)
+    for start in range(0, bootstrap_resamples, per_block):
+        size = min(per_block, bootstrap_resamples - start)
         # replica-major, setting-minor: the same draws as one multinomial per
-        # (replica, setting) in that order
+        # (replica, setting) in that order, however the replicas are blocked
         resampled = boot_rng.multinomial(shots, probabilities, size=(size, len(shots)))
-        (block_curves, _, _), _, block_flags = kernel(_estimate_batch(resampled.astype(float), shots, plan)[0])
-        curves.append(block_curves)
-        flags.append(block_flags)
-    spread = np.std(np.concatenate(curves), axis=0, ddof=1)
-    flags = np.concatenate(flags)
+        blocks.append(kernel(_estimate_batch(resampled.astype(float), shots, plan)[0]))
+    spread = np.std(np.concatenate([c for (c, _, _), _, _ in blocks]), axis=0, ddof=1)
+    flags = np.concatenate([f for _, _, f in blocks])
     if pipeline == "closed_form":
         diagnostics = {
             "replicas_clipped": int(np.sum(flags)),

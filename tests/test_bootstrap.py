@@ -31,6 +31,7 @@ from qdarwin import (
     star_parameters,
 )
 from qdarwin.estimator import STAR_CORRELATORS
+from qdarwin import measurement
 from qdarwin.measurement import (
     _BOOTSTRAP_STREAM,
     _correlator_plan,
@@ -239,6 +240,38 @@ class TestLowShotBootstrap:
         diagnostics = mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=30, seed=4)._diagnostics
         # Re C = 1/2 is read exactly, so noise in Im C pushes |C| past its bound
         assert diagnostics == {"replicas_clipped": 30, "model_deviation": 0.0, "model_sigma_p": 0.00395014042472}
+
+
+class TestBlockSizeIndependence:
+    """Replicas are drawn replica-major and every kernel is row-independent,
+    so the curve and its diagnostics must not depend on how many replicas
+    a bootstrap block holds: one per block, the default budget, or all in one."""
+
+    @pytest.mark.parametrize(
+        "name,pipeline,target,shots,replicas,flag",
+        [
+            # the default budget gives blocks of 119 closed-form replicas
+            ("star-experimental", "closed_form", "star", 2000, 250, "replicas_clipped"),
+            ("star-experimental", "closed_form", "star", 3000, 250, "replicas_clipped"),
+            # and of 25 tomography replicas
+            ("diamond-canonical", "reconstruction", "full_tomography", 30, 60, "replicas_projected"),
+        ],
+    )
+    def test_budget_does_not_move_a_bit(self, monkeypatch, name, pipeline, target, shots, replicas, flag):
+        cfg = RunConfig(shots_per_setting=shots, seed=1)
+        data = [sample_setting(named_state(name), s, cfg) for s in plan_measurements(target).settings]
+        runs = []
+        for budget in (measurement._BOOTSTRAP_ENTRIES, 1, 10**9):
+            monkeypatch.setattr(measurement, "_BOOTSTRAP_ENTRIES", budget)
+            runs.append(mi_curve_from_counts(data, 1, pipeline, bootstrap_resamples=replicas, seed=1))
+        default = runs[0]
+        assert default._diagnostics[flag] > 0
+        for curve in runs[1:]:
+            assert [(p.mean_mi, p.min_mi, p.max_mi, p.stderr) for p in curve.points] == [
+                (p.mean_mi, p.min_mi, p.max_mi, p.stderr) for p in default.points
+            ]
+            assert curve.system_entropy == default.system_entropy
+            assert curve._diagnostics == default._diagnostics
 
 
 def scalar_point_curve(data, system: int, pipeline: str):

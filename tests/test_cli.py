@@ -191,6 +191,26 @@ class TestEstimateCommand:
         ) == 0
         assert replayed.read_bytes() == direct.read_bytes()
 
+    def test_counts_file_with_a_zero_shot_setting_exits_one(self, tmp_path, capsys):
+        counts = tmp_path / "counts.json"
+        assert run(
+            ["estimate", "--named", "star-experimental", "--pipeline", "closed_form",
+             "--shots", "200", "--seed", "3", "--bootstrap", "2",
+             "--save-counts", str(counts), "--out", str(tmp_path / "direct.csv")]
+        ) == 0
+        data = json.loads(counts.read_text())
+        data[5]["shots"], data[5]["counts"] = 0, {}
+        counts.write_text(json.dumps(data))
+        capsys.readouterr()
+        out = tmp_path / "replayed.csv"
+        code = run(
+            ["estimate", "--counts-file", str(counts), "--pipeline", "closed_form",
+             "--bootstrap", "2", "--out", str(out)]
+        )
+        assert code == 1
+        assert f"setting {data[5]['setting']} has 0 shots" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_counts_file_conflicts(self, tmp_path):
         counts = tmp_path / "counts.json"
         counts.write_text("[]")

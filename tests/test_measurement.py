@@ -48,6 +48,11 @@ class TestConfigAndCounts:
         with pytest.raises(ValueError, match="sum"):
             OutcomeCounts(setting="ZZZZ", shots=10, counts={"0000": 9})
 
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_counts_reject_settings_without_shots(self, shots):
+        with pytest.raises(ValueError, match=rf"setting XXYZ has {shots} shots"):
+            OutcomeCounts(setting="XXYZ", shots=shots, counts={})
+
     def test_counts_reject_identity_setting(self):
         with pytest.raises(ValueError, match="identity"):
             OutcomeCounts(setting="ZIZZ", shots=1, counts={"0000": 1})
