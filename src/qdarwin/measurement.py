@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
 
@@ -347,6 +349,39 @@ def _reconstruction_replicas(values: np.ndarray, system: int):
     return (np.clip(mean, lo, hi), lo, hi), h_s[:, 0], lowest
 
 
+def _drawn_ahead(draw, sizes):
+    """Yield draw(size) for each size in order, after a bare first yield that starts
+    one worker thread.  It makes every draw, at most one block ahead of the caller;
+    a failed draw raises here, and the worker is joined when the generator closes."""
+    slot, ready, taken, stop = [], threading.Semaphore(0), threading.Semaphore(0), False
+
+    def work():
+        for size in sizes:
+            try:
+                slot.append(draw(size))
+            except BaseException as exc:  # raised in the caller's thread instead
+                slot.append(exc)
+            ready.release()
+            taken.acquire()
+            if stop:
+                return
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    try:
+        yield
+        for _ in sizes:
+            ready.acquire()
+            if isinstance(slot[0], BaseException):
+                raise slot[0]
+            taken.release()
+            yield slot.pop(0)  # FIFO: the worker may append the next block first
+    finally:
+        stop = True
+        taken.release()
+        worker.join()
+
+
 # the measurement plan each estimate pipeline samples
 PLAN_TARGETS = {"closed_form": "star", "reconstruction": "full_tomography"}
 
@@ -374,42 +409,45 @@ def mi_curve_from_counts(
     observed counts are replica zero of a seeded bootstrap: point standard
     errors are standard deviations over multinomially resampled counts (at
     least 2).  The closed form raises when the point estimate fails its
-    model check.  The curve's _diagnostics holds what the run did: the
-    closed form's model margin and clipped replicas, or how many replicas
-    the reconstruction projected and their lowest eigenvalue.
+    model check or its counts pin no error on P.  The curve's _diagnostics
+    holds what the run did: the closed form's model margin and clipped
+    replicas, or how many replicas the reconstruction projected and their
+    lowest eigenvalue.
     """
     _check_estimate(system, pipeline)
     _check_resamples(bootstrap_resamples)
     data = list(data)
     wanted = STAR_CORRELATORS if pipeline == "closed_form" else all_pauli_strings(4)
     plan, counts, shots, values, sigmas = _observed_correlators(data, wanted)
-    if pipeline == "closed_form":
-        params = star_parameters(CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0])))))
-        if not params.consistent:
-            raise ValueError(
-                "the closed-form model check failed: the two measured branch populations "
-                f"give |P + Q - 1| = {params.deviation:.3g} with sigma_P = {params.sigma_p:.3g}, "
-                "so the data are outside the two-branch model (use the reconstruction pipeline)"
-            )
-        kernel = _closed_form_replicas
-    else:
-        kernel = partial(_reconstruction_replicas, system=system)
-    (mean, lo, hi), h_s, flag = kernel(values)
-    if pipeline == "reconstruction":
-        _check_negativity(flag[0])
-
     probabilities = counts / counts.sum(axis=1, keepdims=True)
-    boot_rng = np.random.default_rng(
-        np.random.SeedSequence([seed & _SEED_MASK, _BOOTSTRAP_STREAM])
-    )
-    blocks = []
+    boot_rng = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, _BOOTSTRAP_STREAM]))
     per_block = max(1, _BOOTSTRAP_ENTRIES // counts.size)
-    for start in range(0, bootstrap_resamples, per_block):
-        size = min(per_block, bootstrap_resamples - start)
-        # replica-major, setting-minor: the same draws as one multinomial per
-        # (replica, setting) in that order, however the replicas are blocked
-        resampled = boot_rng.multinomial(shots, probabilities, size=(size, len(shots)))
-        blocks.append(kernel(_estimate_batch(resampled.astype(float), shots, plan)[0]))
+    sizes = [min(per_block, bootstrap_resamples - start) for start in range(0, bootstrap_resamples, per_block)]
+    # replica-major, setting-minor: one multinomial per (replica, setting), however blocked
+    draw = lambda size: boot_rng.multinomial(shots, probabilities, size=(size, len(shots))).astype(float)
+    with closing(_drawn_ahead(draw, sizes)) as resampled:
+        next(resampled)  # block 0 is drawn while the point estimate runs
+        if pipeline == "closed_form":
+            params = star_parameters(CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0])))))
+            if params.sigma_p == 0.0 and abs(params.c) >= 3.0 * params.sigma_c:
+                raise ValueError(
+                    f"the counts pin no error on P: every ZZZZ shot gave one outcome, so P = {params.p:.3g} with "
+                    f"sigma_P = 0, yet |C| = {abs(params.c):.3g} (sigma_C = {params.sigma_c:.3g}) needs both "
+                    "branches; take more shots per setting"
+                )
+            if not params.consistent:
+                raise ValueError(
+                    "the closed-form model check failed: the two measured branch populations "
+                    f"give |P + Q - 1| = {params.deviation:.3g} with sigma_P = {params.sigma_p:.3g}, "
+                    "so the data are outside the two-branch model (use the reconstruction pipeline)"
+                )
+            kernel = _closed_form_replicas
+        else:
+            kernel = partial(_reconstruction_replicas, system=system)
+        (mean, lo, hi), h_s, flag = kernel(values)
+        if pipeline == "reconstruction":
+            _check_negativity(flag[0])
+        blocks = [kernel(_estimate_batch(block, shots, plan)[0]) for block in resampled]
     spread = np.std(np.concatenate([c for (c, _, _), _, _ in blocks]), axis=0, ddof=1)
     flags = np.concatenate([f for _, _, f in blocks])
     if pipeline == "closed_form":

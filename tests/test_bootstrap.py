@@ -19,6 +19,7 @@ from oracle_utils import (
 from qdarwin import (
     OutcomeCounts,
     RunConfig,
+    StateVector,
     all_pauli_strings,
     diamond_mutual_information,
     estimate_correlators,
@@ -315,3 +316,161 @@ class TestPointEstimateIsReplicaZero:
                 for s in plan_measurements("full_tomography").settings]
         with pytest.raises(ValueError, match=r"eigenvalue -0\.933, beyond the projection tolerance 0\.25"):
             mi_curve_from_counts(data, 1, "reconstruction", bootstrap_resamples=2)
+
+
+def star_counts(shots: int, seed: int):
+    cfg = RunConfig(shots_per_setting=shots, seed=seed)
+    return [sample_setting(named_state("star-experimental"), s, cfg) for s in plan_measurements("star").settings]
+
+
+class TestLowShotClosedForm:
+    """At a few shots per setting every ZZZZ shot may land on one bitstring:
+    P is then 0 or 1 with sigma_P = 0, every replica equals the point, and the
+    all-zero curve would carry zero error bars against a truth of (1, 1, 2)."""
+
+    @pytest.mark.parametrize("shots", [1, 2, 3])
+    def test_refuses_or_reports_an_error_bar(self, shots):
+        refused = 0
+        for seed in range(1, 11):
+            data = star_counts(shots, seed)
+            params = star_parameters(estimate_correlators(data, STAR_CORRELATORS))
+            try:
+                curve = mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=20, seed=seed)
+            except ValueError as refusal:
+                assert "the counts pin no error on P" in str(refusal)
+                assert "take more shots" in str(refusal)
+                assert params.sigma_p == 0.0
+                refused += 1
+                continue
+            assert params.sigma_p > 0
+            assert all(p.stderr > 0 for p in curve.points)
+        assert refused == {1: 10, 2: 5, 3: 2}[shots]
+
+    def test_a_pure_branch_without_coherence_is_kept(self):
+        # |1010>: P = 0 with sigma_P = 0 is the truth, and C is noise around 0
+        cfg = RunConfig(shots_per_setting=500, seed=3)
+        data = [sample_setting(StateVector.computational_basis("1010"), s, cfg)
+                for s in plan_measurements("star").settings]
+        assert star_parameters(estimate_correlators(data, STAR_CORRELATORS)).sigma_p == 0.0
+        curve = mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=5, seed=3)
+        assert curve.mean_values() == [0.0, 0.0, 0.0]
+
+
+class _FailingRng:
+    def multinomial(self, *args, **kwargs):
+        raise RuntimeError("multinomial stub failed")
+
+
+class TestDrawWorker:
+    """The next bootstrap block is drawn on one worker thread per call; it
+    must be joined before the call returns or raises, whatever happened."""
+
+    @pytest.fixture
+    def threads(self):
+        import threading
+
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "name,pipeline,target,shots",
+        [
+            ("star-experimental", "closed_form", "star", 2000),
+            ("diamond-canonical", "reconstruction", "full_tomography", 300),
+        ],
+    )
+    def test_joined_after_a_run(self, threads, name, pipeline, target, shots):
+        cfg = RunConfig(shots_per_setting=shots, seed=2)
+        data = [sample_setting(named_state(name), s, cfg) for s in plan_measurements(target).settings]
+        mi_curve_from_counts(data, 1, pipeline, bootstrap_resamples=60, seed=2)
+
+    def test_joined_after_the_closed_form_refusal(self, threads):
+        with pytest.raises(ValueError, match="the counts pin no error on P"):
+            mi_curve_from_counts(star_counts(1, 1), 1, "closed_form", bootstrap_resamples=500, seed=1)
+
+    def test_joined_after_the_reconstruction_refusal(self, threads):
+        cfg = RunConfig(shots_per_setting=1, seed=1)
+        data = [sample_setting(named_state("diamond-canonical"), s, cfg)
+                for s in plan_measurements("full_tomography").settings]
+        with pytest.raises(ValueError, match=r"eigenvalue -1\.177"):
+            mi_curve_from_counts(data, 1, "reconstruction", bootstrap_resamples=100, seed=1)
+
+    def test_a_failed_draw_raises_in_the_caller(self, threads, monkeypatch):
+        data = star_counts(2000, 1)
+        monkeypatch.setattr(measurement.np.random, "default_rng", lambda *args: _FailingRng())
+        with pytest.raises(RuntimeError, match="^multinomial stub failed$"):
+            mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=500, seed=1)
+
+    def test_a_draw_failing_after_the_first_block(self, threads, monkeypatch):
+        data = star_counts(2000, 1)
+        real = np.random.default_rng
+
+        class FailsSecond:
+            def __init__(self, *args):
+                self.rng, self.calls = real(*args), 0
+
+            def multinomial(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("second block failed")
+                return self.rng.multinomial(*args, **kwargs)
+
+        monkeypatch.setattr(measurement.np.random, "default_rng", FailsSecond)
+        with pytest.raises(RuntimeError, match="^second block failed$"):
+            mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=500, seed=1)
+
+    def test_two_user_threads_at_once(self):
+        import threading
+
+        cfg = RunConfig(shots_per_setting=3000, seed=5)
+        jobs = {
+            "closed_form": [sample_setting(named_state("star-experimental"), s, cfg)
+                            for s in plan_measurements("star").settings],
+            "reconstruction": [sample_setting(named_state("diamond-canonical"), s, cfg)
+                               for s in plan_measurements("full_tomography").settings],
+        }
+
+        def result(pipeline):
+            curve = mi_curve_from_counts(jobs[pipeline], 1, pipeline, bootstrap_resamples=120, seed=5)
+            return [(p.mean_mi, p.min_mi, p.max_mi, p.stderr) for p in curve.points], curve.system_entropy, curve._diagnostics
+
+        alone = {pipeline: result(pipeline) for pipeline in jobs}
+        for _ in range(3):
+            together = {}
+            users = [threading.Thread(target=lambda p=p: together.update({p: result(p)})) for p in jobs]
+            for user in users:
+                user.start()
+            for user in users:
+                user.join(timeout=60)
+                assert not user.is_alive()
+            assert together == alone
+
+    def test_many_small_blocks_under_fast_thread_switching(self, monkeypatch):
+        # one replica per block makes a hand-over per replica; four callers
+        # on two cores, switching threads every 10 us, must still get the
+        # curves of one call at a time
+        import sys
+        import threading
+
+        monkeypatch.setattr(measurement, "_BOOTSTRAP_ENTRIES", 1)
+        datasets = [star_counts(500, seed) for seed in (1, 2, 3, 4)]
+
+        def result(i):
+            curve = mi_curve_from_counts(datasets[i], 1, "closed_form", bootstrap_resamples=40, seed=i)
+            return [p.stderr for p in curve.points], curve._diagnostics
+
+        alone = [result(i) for i in range(4)]
+        together = [None] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            users = [threading.Thread(target=lambda i=i: together.__setitem__(i, result(i))) for i in range(4)]
+            for user in users:
+                user.start()
+            for user in users:
+                user.join(timeout=60)
+                assert not user.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert together == alone

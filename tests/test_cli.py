@@ -245,6 +245,21 @@ class TestEstimateCommand:
         assert "two-branch model" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_closed_form_without_an_error_on_p_exits_one(self, tmp_path, capsys):
+        # one shot per setting: every ZZZZ shot reads one branch, so sigma_P = 0
+        args = ["estimate", "--named", "star-experimental", "--pipeline", "closed_form", "--shots", "1"]
+        assert run(args + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert "the counts pin no error on P" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        cfg = RunConfig(shots_per_setting=1, seed=0)
+        data = [sample_setting(named_state("star-experimental"), s, cfg) for s in plan_measurements("star").settings]
+        counts = tmp_path / "counts.json"
+        counts.write_text(counts_to_json(data))
+        replay = ["estimate", "--counts-file", str(counts), "--pipeline", "closed_form", "--out", str(tmp_path / "y.csv")]
+        assert run(replay) == 1
+        assert "the counts pin no error on P" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.json"]
+
     def test_no_negative_zero_fields(self, tmp_path):
         from qdarwin import RunConfig, StateVector, counts_to_json, plan_measurements, sample_setting
 
