@@ -15,17 +15,20 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from functools import lru_cache
-from math import prod, sqrt
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
+from math import comb, prod, sqrt
 
 import numpy as np
 
-from .darwinism import MICurve, mi_curve
-from .qcore import (
+from .darwinism import MICurve, MIPoint, _mixed_entropies, _nonnegative
+from .darwinism import mi_curve  # noqa: F401  (mi_curve: perfbench/tracer.py wraps this binding)
+from .qcore import (  # noqa: F401  (project_to_physical: perfbench/tracer.py wraps this binding)
+    _EIGENVALUE_FLOOR,
     PAULI_MATRICES,
     DensityMatrix,
     PauliString,
+    _projected_density,
     all_pauli_strings,
     as_pauli,
     pauli_expectation,
@@ -115,17 +118,21 @@ def _pauli_stack() -> tuple[list[PauliString], np.ndarray]:
     return strings, stack
 
 
+def _table_values(table: CorrelatorTable, strings) -> np.ndarray:
+    """The values of the given strings in table, in order; a missing string is refused."""
+    missing = [str(s) for s in strings if s not in table]
+    if missing:
+        raise ValueError(f"table is missing {len(missing)} strings (e.g. {missing[:4]})")
+    return np.array([table.value(s) for s in strings])
+
+
 def reconstruct_density(table: CorrelatorTable) -> DensityMatrix:
     """Linear inversion: rho = (1/16) sum_p <p> p over all 256 Pauli strings.
 
     The physical flag is set False when the reconstructed spectrum dips below
     -1e-9, as happens for finite-statistics tables.
     """
-    strings, _ = _pauli_stack()
-    missing = [str(s) for s in strings if s not in table]
-    if missing:
-        raise ValueError(f"table is missing {len(missing)} strings (e.g. {missing[:4]})")
-    rho = _density_batch(np.array([table.value(s) for s in strings]))
+    rho = _density_batch(_table_values(table, _pauli_stack()[0]))
     physical = bool(np.linalg.eigvalsh(rho).min() >= -1e-9)
     return DensityMatrix(rho, physical=physical)
 
@@ -212,13 +219,7 @@ class StarParameters:
 
 def star_parameters(table: CorrelatorTable) -> StarParameters:
     """Extract (P, C) from the 32 star correlators."""
-    missing = [str(s) for s in STAR_CORRELATORS if s not in table]
-    if missing:
-        raise ValueError(f"table is missing required strings: {missing}")
-
-    p_value, q_value, c_value = _star_populations(
-        np.array([table.value(s) for s in STAR_CORRELATORS])
-    )
+    p_value, q_value, c_value = _star_populations(_table_values(table, STAR_CORRELATORS))
 
     sigmas_diag = [table.sigma(s) for s, _ in _P_TERMS]
     sigmas_xy = [table.sigma(s) for s, _ in _C_TERMS]
@@ -307,6 +308,41 @@ def _two_branch_mi(p, c, *, uncorrected: bool = False):
     return np.stack([binary, binary, full], axis=-1), in_model
 
 
+def clip_to_two_branch_model(params: StarParameters) -> StarParameters:
+    """Project sampled (P, C) onto the physical two-branch set.
+
+    The ideal star state sits on the positivity boundary, and its Re C = 1/2
+    is read exactly, so noise in Im C puts nearly every finite-sample
+    estimate outside it; clamping P to [0, 1] and |C| to sqrt(P(1-P)) is the
+    model-space analogue of project_to_physical and leaves the
+    fragment-size-1/2 values untouched.
+    """
+    p, c = _clip_two_branch(params.p, params.c)
+    if p == params.p and c == params.c:
+        return params
+    return replace(params, p=float(p), c=complex(c))
+
+
+def _clip_two_branch(p, c):
+    """clip_to_two_branch_model, elementwise over arrays of P and C."""
+    p = np.clip(p, 0.0, 1.0)
+    c_max = np.sqrt(np.maximum(p * (1.0 - p), 0.0))
+    magnitude = _magnitude(c)
+    over = magnitude > c_max
+    return p, np.where(over, c * (c_max / np.where(over, magnitude, 1.0)), c)
+
+
+def _closed_form_replicas(values: np.ndarray):
+    """Mean, min and max (B, 3) per fragment size of each replica's 32 star
+    correlators (one closed-form value per size, so all three are equal),
+    its H_S = I(1), and whether its (P, C) had to be clipped into the
+    two-branch model."""
+    p_raw, _, c_raw = _star_populations(values)
+    p, c = _clip_two_branch(p_raw, c_raw)
+    curves, _ = _two_branch_mi(p, c)
+    return (curves, curves, curves), curves[:, 0], (p != p_raw) | (c != c_raw)
+
+
 @dataclass(frozen=True)
 class MeasurementPlan:
     """Correlators to estimate and the physical settings that cover them.
@@ -360,22 +396,50 @@ def plan_measurements(target: str) -> MeasurementPlan:
 
 
 def _check_negativity(lowest: float, tol: float = _NEGATIVITY_TOL) -> None:
-    """Refuse a reconstruction whose lowest eigenvalue lies below -tol."""
-    if lowest < -tol:
+    """Refuse a reconstruction whose lowest eigenvalue lies below -tol (and below -1e-9)."""
+    if lowest < min(-tol, _EIGENVALUE_FLOOR):
         raise ValueError(f"reconstruction has eigenvalue {lowest:.3f}, beyond the projection tolerance {tol}")
+
+
+def _reconstruction_replicas(values: np.ndarray, system: int):
+    """Mean, min and max (B, 3) per fragment size of each replica's 256
+    correlators, its H_S, and the lowest eigenvalue of its linear inversion.
+
+    Every inversion is projected to the physical set however negative its
+    spectrum: one bad resample must not end the run.  Refusing the point
+    estimate is left to the caller.
+    """
+    rho = _density_batch(values)
+    eigs, vecs = np.linalg.eigh(rho)
+    lowest = eigs[:, 0]
+    unphysical = lowest < _EIGENVALUE_FLOOR
+    rho[unphysical] = _projected_density(eigs[unphysical], vecs[unphysical])
+    env = [q for q in range(1, 5) if q != system]
+    h = partial(_mixed_entropies, rho)
+    h_s = h([(system,)])  # once for every size; S u F lists the system first, as in mutual_information
+    sizes = [list(itertools.combinations(env, d)) for d in (1, 2, 3)]
+    groups = [_nonnegative(h_s + h(fragments) - h([(system,) + f for f in fragments])) for fragments in sizes]
+    mean, lo, hi = (np.stack([f(group, axis=1) for group in groups], axis=1) for f in (np.mean, np.min, np.max))
+    # as in mi_curve: round-off must not put a mean outside [min, max]
+    return (np.clip(mean, lo, hi), lo, hi), h_s[:, 0], lowest
+
+
+def _point_curve(replicas, stderr=(None, None, None), diagnostics: dict | None = None) -> MICurve:
+    """The MICurve of row 0 of a replica kernel's (mean, min, max), H_S and flag."""
+    (mean, lo, hi), h_s, _ = replicas
+    rows = zip((1, 2, 3), mean[0].tolist(), lo[0].tolist(), hi[0].tolist(), stderr)
+    points = tuple(MIPoint(d, m, low, high, comb(3, d), err) for d, m, low, high, err in rows)
+    return MICurve(points=points, system_entropy=float(h_s[0]), n_env=3, _diagnostics=diagnostics)
 
 
 def diamond_mutual_information(
     table: CorrelatorTable, system: int, *, negativity_tol: float = _NEGATIVITY_TOL
 ) -> MICurve:
-    """Mutual-information curve from a full 256-string correlator table.
-
-    Reconstructs the state by linear inversion, projects to the physical set
-    when finite statistics produced (mildly) negative eigenvalues, and then
-    runs the exact fragment analysis on the result.
-    """
-    rho = reconstruct_density(table)
-    if not rho.physical:
-        _check_negativity(float(np.linalg.eigvalsh(rho.entries).min()), negativity_tol)
-        rho = project_to_physical(rho)
-    return mi_curve(rho, system)
+    """Mutual-information curve from a full 256-string correlator table, run as the one replica of
+    the reconstruction kernel: linear inversion, projection to the physical set when finite
+    statistics produced (mildly) negative eigenvalues, then the fragment entropies."""
+    if not 1 <= system <= 4:
+        raise ValueError(f"system index {system} out of range")
+    replicas = _reconstruction_replicas(_table_values(table, _pauli_stack()[0])[None], system)
+    _check_negativity(float(replicas[2][0]), negativity_tol)
+    return _point_curve(replicas)

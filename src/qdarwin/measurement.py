@@ -10,27 +10,23 @@ so results are independent of setting order and of any parallel scheduling.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import threading
-from contextlib import closing
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from .darwinism import MICurve, MIPoint, _mixed_entropies, _nonnegative
+from .darwinism import MICurve
 from .estimator import (  # noqa: F401  (diamond_mutual_information, star_mutual_information: perfbench/tracer.py wraps these bindings)
     _NEGATIVITY_TOL,
     STAR_CORRELATORS,
     CorrelatorTable,
-    StarParameters,
     _check_negativity,
-    _density_batch,
-    _magnitude,
-    _star_populations,
-    _two_branch_mi,
+    _closed_form_replicas,
+    _point_curve,
+    _reconstruction_replicas,
     diamond_mutual_information,
     plan_measurements,
     star_mutual_information,
@@ -42,7 +38,6 @@ from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this 
     PAULI_MATRICES,
     PauliString,
     StateVector,
-    _projected_density,
     all_pauli_strings,
     apply_gate,
     as_pauli,
@@ -291,97 +286,6 @@ def estimate_correlators(data, wanted) -> CorrelatorTable:
     return CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0]))))
 
 
-def clip_to_two_branch_model(params: StarParameters) -> StarParameters:
-    """Project sampled (P, C) onto the physical two-branch set.
-
-    The ideal star state sits on the positivity boundary, and its Re C = 1/2
-    is read exactly, so noise in Im C puts nearly every finite-sample
-    estimate outside it; clamping P to [0, 1] and |C| to sqrt(P(1-P)) is the
-    model-space analogue of project_to_physical and leaves the
-    fragment-size-1/2 values untouched.
-    """
-    p, c = _clip_two_branch(params.p, params.c)
-    if p == params.p and c == params.c:
-        return params
-    return replace(params, p=float(p), c=complex(c))
-
-
-def _clip_two_branch(p, c):
-    """clip_to_two_branch_model, elementwise over arrays of P and C."""
-    p = np.clip(p, 0.0, 1.0)
-    c_max = np.sqrt(np.maximum(p * (1.0 - p), 0.0))
-    magnitude = _magnitude(c)
-    over = magnitude > c_max
-    return p, np.where(over, c * (c_max / np.where(over, magnitude, 1.0)), c)
-
-
-def _closed_form_replicas(values: np.ndarray):
-    """Mean, min and max (B, 3) per fragment size of each replica's 32 star
-    correlators (one closed-form value per size, so all three are equal),
-    its H_S = I(1), and whether its (P, C) had to be clipped into the
-    two-branch model."""
-    p_raw, _, c_raw = _star_populations(values)
-    p, c = _clip_two_branch(p_raw, c_raw)
-    curves, _ = _two_branch_mi(p, c)
-    return (curves, curves, curves), curves[:, 0], (p != p_raw) | (c != c_raw)
-
-
-def _reconstruction_replicas(values: np.ndarray, system: int):
-    """Mean, min and max (B, 3) per fragment size of each replica's 256
-    correlators, its H_S, and the lowest eigenvalue of its linear inversion.
-
-    Every inversion is projected to the physical set however negative its
-    spectrum: one bad resample must not end the run.  Refusing the point
-    estimate is left to the caller.
-    """
-    rho = _density_batch(values)
-    eigs, vecs = np.linalg.eigh(rho)
-    lowest = eigs[:, 0]
-    unphysical = lowest < _EIGENVALUE_FLOOR
-    rho[unphysical] = _projected_density(eigs[unphysical], vecs[unphysical])
-    env = [q for q in range(1, 5) if q != system]
-    h = partial(_mixed_entropies, rho)
-    h_s = h([(system,)])  # once for every size; S u F lists the system first, as in mutual_information
-    sizes = [list(itertools.combinations(env, d)) for d in (1, 2, 3)]
-    groups = [_nonnegative(h_s + h(fragments) - h([(system,) + f for f in fragments])) for fragments in sizes]
-    mean, lo, hi = (np.stack([f(group, axis=1) for group in groups], axis=1) for f in (np.mean, np.min, np.max))
-    # as in mi_curve: round-off must not put a mean outside [min, max]
-    return (np.clip(mean, lo, hi), lo, hi), h_s[:, 0], lowest
-
-
-def _drawn_ahead(draw, sizes):
-    """Yield draw(size) for each size in order, after a bare first yield that starts
-    one worker thread.  It makes every draw, at most one block ahead of the caller;
-    a failed draw raises here, and the worker is joined when the generator closes."""
-    slot, ready, taken, stop = [], threading.Semaphore(0), threading.Semaphore(0), False
-
-    def work():
-        for size in sizes:
-            try:
-                slot.append(draw(size))
-            except BaseException as exc:  # raised in the caller's thread instead
-                slot.append(exc)
-            ready.release()
-            taken.acquire()
-            if stop:
-                return
-
-    worker = threading.Thread(target=work, daemon=True)
-    worker.start()
-    try:
-        yield
-        for _ in sizes:
-            ready.acquire()
-            if isinstance(slot[0], BaseException):
-                raise slot[0]
-            taken.release()
-            yield slot.pop(0)  # FIFO: the worker may append the next block first
-    finally:
-        stop = True
-        taken.release()
-        worker.join()
-
-
 # the measurement plan each estimate pipeline samples
 PLAN_TARGETS = {"closed_form": "star", "reconstruction": "full_tomography"}
 
@@ -425,8 +329,9 @@ def mi_curve_from_counts(
     sizes = [min(per_block, bootstrap_resamples - start) for start in range(0, bootstrap_resamples, per_block)]
     # replica-major, setting-minor: one multinomial per (replica, setting), however blocked
     draw = lambda size: boot_rng.multinomial(shots, probabilities, size=(size, len(shots))).astype(float)
-    with closing(_drawn_ahead(draw, sizes)) as resampled:
-        next(resampled)  # block 0 is drawn while the point estimate runs
+    blocks = []
+    with ThreadPoolExecutor(1) as worker:  # joined when the block exits, however it exits
+        pending = worker.submit(draw, sizes[0])  # block 0 is drawn while the point estimate runs
         if pipeline == "closed_form":
             params = star_parameters(CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0])))))
             if params.sigma_p == 0.0 and abs(params.c) >= 3.0 * params.sigma_c:
@@ -444,10 +349,14 @@ def mi_curve_from_counts(
             kernel = _closed_form_replicas
         else:
             kernel = partial(_reconstruction_replicas, system=system)
-        (mean, lo, hi), h_s, flag = kernel(values)
+        point = kernel(values)
         if pipeline == "reconstruction":
-            _check_negativity(flag[0])
-        blocks = [kernel(_estimate_batch(block, shots, plan)[0]) for block in resampled]
+            _check_negativity(point[2][0])
+        for size in sizes[1:] + [None]:
+            block = pending.result()  # a failed draw raises here, with its own type
+            if size is not None:
+                pending = worker.submit(draw, size)  # the next block is drawn while this one is analysed
+            blocks.append(kernel(_estimate_batch(block, shots, plan)[0]))
     spread = np.std(np.concatenate([c for (c, _, _), _, _ in blocks]), axis=0, ddof=1)
     flags = np.concatenate([f for _, _, f in blocks])
     if pipeline == "closed_form":
@@ -462,9 +371,7 @@ def mi_curve_from_counts(
             "replicas_beyond_tolerance": int(np.sum(flags < -_NEGATIVITY_TOL)),
             "worst_replica_eigenvalue": float(f"{flags.min():.12g}"),
         }
-    rows = zip((1, 2, 3), mean[0].tolist(), lo[0].tolist(), hi[0].tolist(), spread.tolist())
-    points = tuple(MIPoint(d, m, low, high, math.comb(3, d), err) for d, m, low, high, err in rows)
-    return MICurve(points=points, system_entropy=float(h_s[0]), n_env=3, _diagnostics=diagnostics)
+    return _point_curve(point, spread.tolist(), diagnostics)
 
 
 def estimate_mi_curve(state, system: int, cfg: RunConfig, pipeline: str) -> MICurve:

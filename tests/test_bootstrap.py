@@ -8,7 +8,9 @@ import pytest
 
 from oracle_utils import (
     binary_entropy,
+    brute_entropy,
     brute_mutual_information_dm,
+    brute_partial_trace,
     eig2x2,
     estimate_entries_loop,
     linear_inversion,
@@ -21,6 +23,7 @@ from qdarwin import (
     RunConfig,
     StateVector,
     all_pauli_strings,
+    correlator_table,
     diamond_mutual_information,
     estimate_correlators,
     mi_curve_from_counts,
@@ -31,14 +34,12 @@ from qdarwin import (
     star_mutual_information,
     star_parameters,
 )
-from qdarwin.estimator import STAR_CORRELATORS
+from qdarwin.estimator import STAR_CORRELATORS, _reconstruction_replicas, clip_to_two_branch_model
 from qdarwin import measurement
 from qdarwin.measurement import (
     _BOOTSTRAP_STREAM,
     _correlator_plan,
     _estimate_batch,
-    _reconstruction_replicas,
-    clip_to_two_branch_model,
 )
 from qdarwin.qcore import DensityMatrix, _projected_density, _water_fill
 
@@ -316,6 +317,91 @@ class TestPointEstimateIsReplicaZero:
                 for s in plan_measurements("full_tomography").settings]
         with pytest.raises(ValueError, match=r"eigenvalue -0\.933, beyond the projection tolerance 0\.25"):
             mi_curve_from_counts(data, 1, "reconstruction", bootstrap_resamples=2)
+
+
+def tomography_table(name: str, shots: int, seed: int):
+    cfg = RunConfig(shots_per_setting=shots, seed=seed)
+    data = [sample_setting(named_state(name), s, cfg) for s in plan_measurements("full_tomography").settings]
+    return estimate_correlators(data, all_pauli_strings(4))
+
+
+def oracle_diamond_curve(table, system: int):
+    """(mean, min, max) per fragment size, H_S, and whether the inversion needed
+    projection, through explicit Pauli matrices, the loop projection and
+    brute-force partial traces."""
+    rho = linear_inversion({s.labels: table.value(s) for s in table.strings()})
+    unphysical = np.linalg.eigvalsh(rho).min() < -1e-9
+    if unphysical:
+        rho = projected(rho)
+    env = [q for q in (1, 2, 3, 4) if q != system]
+    points = []
+    for d in (1, 2, 3):
+        values = [brute_mutual_information_dm(rho, system, f, 4) for f in itertools.combinations(env, d)]
+        points.append((np.mean(values), min(values), max(values)))
+    return points, brute_entropy(brute_partial_trace(rho, [system], 4)), unphysical
+
+
+class TestDiamondMutualInformation:
+    """diamond_mutual_information is row 0 of the reconstruction kernel, which
+    makes TestPointEstimateIsReplicaZero compare that kernel with itself; the
+    same tables are checked here against the brute-force oracle."""
+
+    @pytest.mark.parametrize("shots", [30, 300, 100_000])
+    @pytest.mark.parametrize("name", ["diamond-canonical", "hyperentangled-xi"])
+    def test_matches_oracle_on_every_system(self, name, shots):
+        unphysical = 0
+        for seed in (1, 2, 3):
+            table = tomography_table(name, shots, seed)
+            for system in (1, 2, 3, 4):
+                curve = diamond_mutual_information(table, system)
+                points, system_entropy, needs_projection = oracle_diamond_curve(table, system)
+                got = [(p.mean_mi, p.min_mi, p.max_mi) for p in curve.points]
+                np.testing.assert_allclose(got, points, rtol=0, atol=TOL)
+                assert curve.system_entropy == pytest.approx(system_entropy, rel=0, abs=TOL)
+            unphysical += needs_projection
+        if shots == 30:
+            assert unphysical == 3  # every 30-shot table is projected before its entropies
+
+    def test_one_decomposition_per_table(self, monkeypatch):
+        from qdarwin import estimator
+
+        calls = []
+
+        def refused(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"estimator.{name} was called")
+            return call
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("reconstruct_density", "project_to_physical", "mi_curve"):
+            monkeypatch.setattr(estimator, name, refused(name))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        tables = [correlator_table(named_state("diamond-canonical"), all_pauli_strings(4)),
+                  tomography_table("diamond-canonical", 30, 1)]
+        for table in tables:
+            calls.clear()
+            diamond_mutual_information(table, 2)
+            # one eigh of the inversion; one eigvalsh per entropy batch (H_S, then H_F and H_SF per size)
+            assert calls.count("eigh") == 1
+            assert calls.count("eigvalsh") == 7
+
+    @pytest.mark.parametrize("system", [0, 5])
+    def test_system_out_of_range_before_any_decomposition(self, monkeypatch, system):
+        table = correlator_table(named_state("diamond-canonical"), all_pauli_strings(4))
+
+        def decomposed(*args, **kwargs):
+            raise AssertionError("decomposed before the system index was checked")
+
+        monkeypatch.setattr(np.linalg, "eigh", decomposed)
+        monkeypatch.setattr(np.linalg, "eigvalsh", decomposed)
+        with pytest.raises(ValueError, match=f"^system index {system} out of range$"):
+            diamond_mutual_information(table, system)
 
 
 def star_counts(shots: int, seed: int):

@@ -6,12 +6,14 @@ exactly the names the package's ``__init__`` imports."""
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import qdarwin
 
 PACKAGE = Path(qdarwin.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+NOQA = re.compile(r"# noqa: F401\s+\(([^:)]*):")  # "# noqa: F401  (a, b: why)" lists a and b
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -63,3 +65,18 @@ def test_all_lists_exactly_the_init_imports():
     imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert qdarwin.__all__ == imported
     assert len(set(imported)) == len(imported)
+
+
+def test_noqa_comments_list_exactly_the_unloaded_imports():
+    for path in MODULES:
+        source = path.read_text()
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        loaded = _loaded(tree)
+        commented = {number for number, line in enumerate(lines, 1) if NOQA.search(line)}
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert commented <= {node.lineno for node in imports}, f"{path.name}: a noqa comment off an import line"
+        for node in imports:
+            listed = NOQA.search(lines[node.lineno - 1])
+            names = set(listed.group(1).split(", ")) if listed else set()
+            assert names == _imported(node) - loaded, f"{path.name}:{node.lineno}"

@@ -22,10 +22,9 @@ from qdarwin import (
     sample_setting,
     star_parameters,
 )
-from qdarwin.estimator import StarParameters
+from qdarwin.estimator import StarParameters, clip_to_two_branch_model
 from qdarwin.measurement import (
     _measurement_probabilities,
-    clip_to_two_branch_model,
     counts_from_json,
     counts_to_json,
 )
