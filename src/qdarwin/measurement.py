@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
@@ -145,43 +144,70 @@ def counts_from_json(text: str) -> list[OutcomeCounts]:
     return [OutcomeCounts.from_json_dict(item) for item in json.loads(text)]
 
 
-def _setting_code(setting: PauliString) -> int:
+def _setting_rng(seed: int, labels: str) -> np.random.Generator:
     code = 0
-    for letter in setting.labels:
+    for letter in labels:
         code = code * 4 + "IXYZ".index(letter)
-    return code
+    return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, _SAMPLE_STREAM, code]))
 
 
-def _setting_rng(seed: int, setting: PauliString) -> np.random.Generator:
-    entropy = [seed & _SEED_MASK, _SAMPLE_STREAM, _setting_code(setting)]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+def _plan_probabilities(state, labels) -> np.ndarray:
+    """Born probabilities (S, 2^n) of every setting in labels, each qubit read in
+    the eigenbasis of its Pauli letter (bit 0 <-> eigenvalue +1).
+
+    Qubit by qubit, the distinct setting prefixes form a stack, and those that
+    add the same letter are rotated together, so each rotation runs once per
+    prefix.  A ket takes U on its qubit's axis as one 2 x 2 by 2 x 2^(n-1)
+    product per prefix, the product of a setting rotated alone, so no bit
+    depends on the other settings.  A density matrix needs only diag(U rho
+    U^dag): its row and column axes of the qubit are contracted together with
+    u[a, i] conj(u[a, j]), which halves the tensor.
+    """
+    n = state.n_qubits
+    ket = isinstance(state, StateVector)
+    stack, rows = (state.amplitudes if ket else state.entries)[None], {"": 0}
+    for q in range(n):
+        heads = {}  # prefix of length q + 1 -> its row in the next stack
+        for label in labels:
+            heads.setdefault(label[: q + 1], len(heads))
+        nxt = np.empty((len(heads), stack[0].size // (1 if ket else 2)), complex)
+        for letter in "XYZ":
+            group = [p for p in heads if p[-1] == letter]
+            if not group:
+                continue
+            part = stack[[rows[p[:-1]] for p in group]]
+            if ket and letter in _ROTATIONS:
+                shape = (len(group),) + (2,) * n
+                part = np.moveaxis(part.reshape(shape), q + 1, 1).reshape(len(group), 2, -1)
+                part = np.moveaxis((_ROTATIONS[letter] @ part).reshape(shape), 1, q + 1)
+            elif not ket:
+                u = _ROTATIONS.get(letter, PAULI_MATRICES["I"])
+                rest = 2 ** (n - q - 1)
+                weights = u[:, :, None] * u.conj()[:, None, :]
+                part = np.einsum("aij,dirjc->darc", weights, part.reshape(len(group) * 2**q, 2, rest, 2, rest))
+            nxt[[heads[p] for p in group]] = part.reshape(len(group), -1)
+        stack, rows = nxt, heads
+    probs = np.clip(np.abs(stack) ** 2 if ket else np.real(stack), 0.0, None)
+    return (probs / probs.sum(axis=1, keepdims=True))[[rows[label] for label in labels]]
 
 
 def _measurement_probabilities(state, setting: PauliString) -> np.ndarray:
-    """Born probabilities of the 2^n outcomes, each qubit read in the
-    eigenbasis of its Pauli letter (bit 0 <-> eigenvalue +1).
+    """Born probabilities of one setting's 2^n outcomes: one row of _plan_probabilities."""
+    return _plan_probabilities(state, [setting.labels])[0]
 
-    A ket takes each rotation U on its qubit's axis.  A density matrix needs
-    only diag(U rho U^dag): qubit by qubit, its row and column axes are
-    contracted together with u[a, i] conj(u[a, j]), which halves the tensor.
-    """
-    n = state.n_qubits
-    if isinstance(state, StateVector):
-        tensor = state.amplitudes.reshape((2,) * n)
-        for q, letter in enumerate(setting.labels):
-            if letter in _ROTATIONS:
-                tensor = np.moveaxis(np.tensordot(_ROTATIONS[letter], tensor, axes=(1, q)), 0, q)
-        probs = np.abs(tensor.reshape(-1)) ** 2
-    else:
-        tensor = state.entries
-        for q, letter in enumerate(setting.labels):
-            u = _ROTATIONS.get(letter, PAULI_MATRICES["I"])
-            rest = 2 ** (n - q - 1)
-            weights = u[:, :, None] * u.conj()[:, None, :]
-            tensor = np.einsum("aij,dirjc->darc", weights, tensor.reshape(2**q, 2, rest, 2, rest))
-        probs = np.real(tensor.reshape(-1))
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+
+def _sample_counts(state, labels, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Count vectors (S, 2^n) and shot totals (S,) of the full-weight settings in
+    labels, each drawn from its own (cfg.seed, setting) stream as if alone."""
+    probs = _plan_probabilities(state, labels)
+    counts, shots = np.empty(probs.shape), np.empty(len(labels), dtype=int)
+    for i, label in enumerate(labels):
+        rng = _setting_rng(cfg.seed, label)
+        shots[i] = cfg.shots_per_setting
+        if cfg.poisson_shots:
+            shots[i] = max(int(rng.poisson(cfg.shots_per_setting)), 1)
+        counts[i] = rng.multinomial(shots[i], probs[i])
+    return counts, shots
 
 
 def sample_setting(state, setting, cfg: RunConfig) -> OutcomeCounts:
@@ -197,13 +223,8 @@ def sample_setting(state, setting, cfg: RunConfig) -> OutcomeCounts:
         )
     if len(setting) != state.n_qubits:
         raise ValueError(f"setting length {len(setting)} != {state.n_qubits} qubits")
-    rng = _setting_rng(cfg.seed, setting)
-    probs = _measurement_probabilities(state, setting)
-    shots = cfg.shots_per_setting
-    if cfg.poisson_shots:
-        shots = max(int(rng.poisson(cfg.shots_per_setting)), 1)
-    vector = rng.multinomial(shots, probs)
-    return OutcomeCounts.from_vector(setting, vector)
+    counts, _ = _sample_counts(state, [setting.labels], cfg)
+    return OutcomeCounts.from_vector(setting, counts[0])
 
 
 @lru_cache(maxsize=64)
@@ -236,12 +257,11 @@ def _correlator_plan(setting_labels: tuple[str, ...], wanted_labels: tuple[str, 
     return parity, tuple(groups)
 
 
-def _observed_correlators(data: list, wanted: list):
-    """The correlator plan of data for the wanted strings, data's (S, 2^n) count vectors
-    and (S,) shot totals, and the (1, W) correlators and one-sigma errors they give."""
-    plan = _correlator_plan(tuple(oc.setting.labels for oc in data), tuple(w.labels for w in wanted))
-    counts, shots = np.stack([oc.count_vector() for oc in data]), np.array([oc.shots for oc in data])
-    return (plan, counts, shots, *_estimate_batch(counts[None], shots, plan))
+def _observed_counts(data: list, wanted_labels: tuple):
+    """The correlator plan of data for the wanted strings, data's (S, 2^n) count
+    vectors and its (S,) shot totals."""
+    plan = _correlator_plan(tuple(oc.setting.labels for oc in data), wanted_labels)
+    return plan, np.stack([oc.count_vector() for oc in data]), np.array([oc.shots for oc in data])
 
 
 def _estimate_batch(counts: np.ndarray, shots: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +302,8 @@ def estimate_correlators(data, wanted) -> CorrelatorTable:
     several covering settings combine by inverse-variance weighting.
     """
     wanted = [as_pauli(w) for w in wanted]
-    *_, values, sigmas = _observed_correlators(list(data), wanted)
+    plan, counts, shots = _observed_counts(list(data), tuple(w.labels for w in wanted))
+    values, sigmas = _estimate_batch(counts[None], shots, plan)
     return CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0]))))
 
 
@@ -296,6 +317,15 @@ def _check_estimate(system: int, pipeline: str) -> None:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     if not 1 <= system <= 4:
         raise ValueError(f"system index {system} out of range")
+
+
+@lru_cache(maxsize=None)
+def _pipeline_tables(pipeline: str):
+    """The label tables a pipeline reads, built once: its plan's setting labels,
+    its wanted correlators and their labels."""
+    wanted = STAR_CORRELATORS if pipeline == "closed_form" else tuple(all_pauli_strings(4))
+    settings = tuple(s.labels for s in plan_measurements(PLAN_TARGETS[pipeline]).settings)
+    return settings, wanted, tuple(w.labels for w in wanted)
 
 
 def mi_curve_from_counts(
@@ -320,9 +350,17 @@ def mi_curve_from_counts(
     """
     _check_estimate(system, pipeline)
     _check_resamples(bootstrap_resamples)
-    data = list(data)
-    wanted = STAR_CORRELATORS if pipeline == "closed_form" else all_pauli_strings(4)
-    plan, counts, shots, values, sigmas = _observed_correlators(data, wanted)
+    observed = _observed_counts(list(data), _pipeline_tables(pipeline)[2])
+    return _curve_from_counts(*observed, system, pipeline, bootstrap_resamples, seed)
+
+
+def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstrap_resamples: int, seed: int):
+    """mi_curve_from_counts on the arrays it reads: the correlator plan of the
+    data, its (S, 2^n) count vectors and its (S,) shot totals."""
+    from concurrent.futures import ThreadPoolExecutor  # loaded by estimates only, not by import qdarwin
+
+    wanted = _pipeline_tables(pipeline)[1]
+    values, sigmas = _estimate_batch(counts[None], shots, plan)
     probabilities = counts / counts.sum(axis=1, keepdims=True)
     boot_rng = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, _BOOTSTRAP_STREAM]))
     per_block = max(1, _BOOTSTRAP_ENTRIES // counts.size)
@@ -379,13 +417,14 @@ def estimate_mi_curve(state, system: int, cfg: RunConfig, pipeline: str) -> MICu
 
     closed_form runs the star (P, C) extraction from 17 settings;
     reconstruction runs linear inversion plus physical projection from the 81
-    tomography settings.
+    tomography settings.  Every setting is sampled as sample_setting would
+    sample it, and the counts go to mi_curve_from_counts's core as arrays.
     """
     if state.n_qubits != 4:
         raise ValueError("the estimation pipeline is defined for 4-qubit states")
     _check_estimate(system, pipeline)
-    plan = plan_measurements(PLAN_TARGETS[pipeline])
-    data = [sample_setting(state, s, cfg) for s in plan.settings]
-    return mi_curve_from_counts(
-        data, system, pipeline, bootstrap_resamples=cfg.bootstrap_resamples, seed=cfg.seed
+    settings, _, wanted_labels = _pipeline_tables(pipeline)
+    plan = _correlator_plan(settings, wanted_labels)
+    return _curve_from_counts(
+        plan, *_sample_counts(state, settings, cfg), system, pipeline, cfg.bootstrap_resamples, cfg.seed
     )

@@ -323,8 +323,9 @@ class TestEstimateCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("sample_setting was called")
 
-        monkeypatch.setattr("qdarwin.cli.sample_setting", refuse)
-        monkeypatch.setattr("qdarwin.measurement.sample_setting", refuse)
+        for binding in ("sample_setting", "_sample_counts"):
+            monkeypatch.setattr(f"qdarwin.cli.{binding}", refuse)
+            monkeypatch.setattr(f"qdarwin.measurement.{binding}", refuse)
         code = run(["estimate", "--named", "diamond-canonical", "--pipeline", pipeline, "--system", system,
                     "--save-counts", str(tmp_path / "counts.json"), "--out", str(tmp_path / "x.csv")])
         assert code == 1

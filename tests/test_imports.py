@@ -6,7 +6,10 @@ exactly the names the package's ``__init__`` imports."""
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import qdarwin
@@ -80,3 +83,11 @@ def test_noqa_comments_list_exactly_the_unloaded_imports():
             listed = NOQA.search(lines[node.lineno - 1])
             names = set(listed.group(1).split(", ")) if listed else set()
             assert names == _imported(node) - loaded, f"{path.name}:{node.lineno}"
+
+
+def test_import_loads_no_executor():
+    # only an estimate's bootstrap runs the draw-ahead worker, so only it imports concurrent.futures
+    code = "import sys, qdarwin; print(sorted(m for m in ('concurrent.futures', 'logging', 'queue') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

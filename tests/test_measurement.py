@@ -9,6 +9,7 @@ from oracle_utils import measurement_probabilities_kron, random_density_array, r
 from qdarwin import (
     DensityMatrix,
     OutcomeCounts,
+    PauliString,
     RunConfig,
     StateVector,
     all_pauli_strings,
@@ -25,6 +26,7 @@ from qdarwin import (
 from qdarwin.estimator import StarParameters, clip_to_two_branch_model
 from qdarwin.measurement import (
     _measurement_probabilities,
+    _plan_probabilities,
     counts_from_json,
     counts_to_json,
 )
@@ -130,6 +132,67 @@ class TestSampleSetting:
         assert a == b
         assert abs(a.shots - 4500) < 5 * math.sqrt(4500)
         assert sum(a.counts.values()) == a.shots
+
+
+def _noisy(name: str, p: float) -> DensityMatrix:
+    """A named state mixed with weight p of white noise."""
+    psi = named_state(name).amplitudes
+    return DensityMatrix((1 - p) * np.outer(psi, psi.conj()) + p * np.eye(16) / 16)
+
+
+class TestWholePlanSampling:
+    """Every setting of a plan is rotated in one prefix-shared pass and drawn
+    from its own stream, exactly as when it is sampled alone."""
+
+    @pytest.mark.parametrize("target", ["star", "full_tomography"])
+    @pytest.mark.parametrize("rank", [None, 1, 3], ids=["ket", "rank-1 density", "rank-3 density"])
+    def test_plan_probabilities_match_kronecker_rotation(self, rng, rank, target):
+        labels = [s.labels for s in plan_measurements(target).settings]
+        for _ in range(3):
+            if rank is None:
+                psi = random_pure_array(4, rng)
+                state, rho = as_state(psi), np.outer(psi, psi.conj())
+            else:
+                rho = random_density_array(4, rng, rank=rank)
+                state = as_density(rho)
+            rows = _plan_probabilities(state, labels)
+            assert rows.shape == (len(labels), 16)
+            for row, label in zip(rows, labels):
+                np.testing.assert_allclose(row, measurement_probabilities_kron(rho, label), rtol=0, atol=1e-12)
+            # shared prefixes change no bit: each row is the setting rotated alone
+            np.testing.assert_array_equal(rows, [_measurement_probabilities(state, PauliString(l)) for l in labels])
+
+    def test_any_setting_list_in_any_order(self, rng):
+        # random orders interleave the prefixes, and every setting appears twice
+        for n in (1, 2, 3, 5):
+            psi = random_pure_array(n, rng)
+            for state in (as_state(psi), as_density(np.outer(psi, psi.conj()))):
+                labels = ["".join(rng.choice(list("XYZ"), n)) for _ in range(12)] * 2
+                rows = _plan_probabilities(state, labels)
+                np.testing.assert_array_equal(rows, [_measurement_probabilities(state, PauliString(l)) for l in labels])
+
+    @pytest.mark.parametrize("poisson", [False, True], ids=["fixed shots", "poisson shots"])
+    @pytest.mark.parametrize(
+        "pipeline,state",
+        [
+            ("closed_form", lambda: named_state("star-experimental")),
+            ("closed_form", lambda: _noisy("star-experimental", 0.002)),
+            ("reconstruction", lambda: named_state("diamond-canonical")),
+            ("reconstruction", lambda: _noisy("diamond-canonical", 0.05)),
+        ],
+        ids=["closed_form-ket", "closed_form-density", "reconstruction-ket", "reconstruction-density"],
+    )
+    def test_estimate_equals_per_setting_samples(self, pipeline, state, poisson):
+        state = state()
+        plan = plan_measurements("star" if pipeline == "closed_form" else "full_tomography")
+        for seed, system in ((3, 1), (8, 2)):
+            cfg = RunConfig(shots_per_setting=2000, seed=seed, bootstrap_resamples=40, poisson_shots=poisson)
+            got = estimate_mi_curve(state, system, cfg, pipeline)
+            data = [sample_setting(state, s, cfg) for s in plan.settings]
+            want = mi_curve_from_counts(data, system, pipeline, bootstrap_resamples=40, seed=seed)
+            assert got.points == want.points
+            assert got.system_entropy == want.system_entropy
+            assert got._diagnostics == want._diagnostics
 
 
 class TestEstimateCorrelators:
@@ -383,6 +446,7 @@ class TestArgumentsCheckedBeforeSampling:
             raise AssertionError("sample_setting was called")
 
         monkeypatch.setattr("qdarwin.measurement.sample_setting", refuse)
+        monkeypatch.setattr("qdarwin.measurement._sample_counts", refuse)
 
     @pytest.mark.parametrize("pipeline", ["closed_form", "reconstruction"])
     @pytest.mark.parametrize("system", [0, 5, 7])
