@@ -129,7 +129,7 @@ def _cmd_state(args) -> int:
     state = build_graph_state(spec)
     dump = {
         "n_qubits": state.n_qubits,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+        "amplitudes": state.amplitudes.view(float).reshape(-1, 2).tolist(),
     }
     manifest = _manifest(args, "family n_env phi theta graph_file")
     _write_with_manifest(Path(args.out), json.dumps(dump, indent=2) + "\n", manifest)

@@ -16,7 +16,6 @@ import numpy as np
 from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this binding)
     Gate,
     StateVector,
-    _apply_phases,
     _check_qubit_budget,
     _seal,
     apply_circuit,
@@ -89,13 +88,30 @@ def diamond_spec(n_env: int, phi: float, theta: float) -> GraphSpec:
 
 
 def build_graph_state(spec: GraphSpec) -> StateVector:
-    """Apply the controlled-phase network to |+>^n; edge order is irrelevant
-    since all the gates are diagonal and commute.  The phases go into one
-    buffer, which is validated once."""
-    _check_qubit_budget(spec.n_qubits)
-    tensor = np.full((2,) * spec.n_qubits, 1.0 / sqrt(2**spec.n_qubits), dtype=complex)
-    _apply_phases(tensor, spec.edges)
-    return StateVector(_seal(tensor.reshape(-1)))
+    """|+>^n under the controlled-phase network, grown from qubit n up to 1:
+    with qubits m+1..n in amps[:2^(n-m)], qubit m's |1> half is that block
+    times the product of [1, e^{i phase}] over m's edges to later qubits, as
+    two factors of at most 2^ceil((n-m)/2) entries beside the one 2^n buffer."""
+    n = spec.n_qubits
+    _check_qubit_budget(n)
+    later = [{} for _ in range(n + 1)]  # later[j][k] = e^{i phase} of edge (j, k), j < k
+    for j, k, phase in spec.edges:
+        later[min(j, k)][max(j, k)] = np.exp(1j * phase)
+    amps = np.empty(2**n, dtype=complex)
+    amps[0] = 1.0 / sqrt(2**n)
+    for m in range(n, 0, -1):
+        size = 2 ** (n - m)
+        factors = [np.ones(1, dtype=complex), np.ones(1, dtype=complex)]
+        for q in range(m + 1, max(later[m], default=m) + 1):
+            lower = q > m + (n - m + 1) // 2
+            factors[lower] = np.multiply.outer(factors[lower], [1, later[m].get(q, 1)]).ravel()
+        hi, lo = factors
+        shape = (hi.size, lo.size, size // (hi.size * lo.size))
+        new = amps[size : 2 * size].reshape(shape)
+        np.multiply(amps[:size].reshape(shape), hi[:, None, None], out=new)
+        if lo.size > 1:
+            new *= lo[:, None]
+    return StateVector(_seal(amps))
 
 
 def evolve_ising(n_qubits: int, couplings: dict, time: float) -> StateVector:

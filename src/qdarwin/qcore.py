@@ -295,21 +295,10 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         tensor = np.moveaxis(np.tensordot(mat, tensor, axes=(1, axis)), 0, axis)
     elif gate.kind == "swap":
         tensor = np.swapaxes(tensor, gate.targets[0] - 1, gate.targets[1] - 1)
-    else:  # controlled_phase
+    else:  # controlled_phase: multiply the |1>_j |1>_k slice of a copy
         tensor = tensor.copy()
-        _apply_phases(tensor, [(*gate.targets, gate.phase)])
+        tensor[tuple(1 if q in gate.targets else slice(None) for q in range(1, n + 1))] *= np.exp(1j * gate.phase)
     return StateVector(_seal(tensor.reshape(-1)))
-
-
-def _apply_phases(tensor: np.ndarray, edges) -> None:
-    """In place, edge by edge: multiply the |1>_j |1>_k slice of a (2,)*n
-    amplitude tensor by exp(i phase) for each (j, k, phase), 1-based labels.
-    This diagonal is the controlled-phase network of a graph state."""
-    for j, k, phase in edges:
-        idx = [slice(None)] * tensor.ndim
-        idx[j - 1] = 1
-        idx[k - 1] = 1
-        tensor[tuple(idx)] *= np.exp(1j * phase)
 
 
 def apply_circuit(state: StateVector, gates) -> StateVector:

@@ -123,6 +123,15 @@ class TestStateCommand:
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
         np.testing.assert_allclose(amps, build_graph_state(spec).amplitudes, atol=1e-12)
 
+    def test_amplitudes_written_as_per_amplitude_floats(self, tmp_path):
+        # one tolist() call writes the same bytes as a float pair per amplitude
+        out = tmp_path / "diamond.json"
+        assert run(["state", "--family", "diamond", "--n-env", "9", "--phi", "pi/2", "--theta", "pi/3",
+                    "--out", str(out)]) == 0
+        state = build_graph_state(diamond_spec(9, pi / 2, pi / 3))
+        dump = {"n_qubits": 10, "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes]}
+        assert out.read_text() == json.dumps(dump, indent=2) + "\n"
+
     def test_family_flags(self, tmp_path):
         out = tmp_path / "star.json"
         code = run(["state", "--family", "star", "--n-env", "3", "--phi", "pi", "--out", str(out)])

@@ -112,8 +112,9 @@ class TestBuildGraphState:
 
 
 class TestPhaseKernel:
-    """Graph states, Ising evolution and controlled-phase circuits all run
-    one diagonal-phase kernel; each is checked against per-index phases."""
+    """Graph states and Ising evolution share the qubit-wise doubling, and a
+    controlled-phase gate multiplies the |11> slice of the state it is given;
+    each is checked against per-index phases."""
 
     @staticmethod
     def random_graph(seed):
@@ -147,6 +148,64 @@ class TestPhaseKernel:
         gates = [Gate.controlled_phase(p, j, k) for j, k, p in edges]
         state = apply_circuit(StateVector.plus_state(n), gates)
         np.testing.assert_allclose(state.amplitudes, graph_state_amplitudes(n, edges), rtol=0, atol=1e-12)
+
+
+class TestQubitDoubling:
+    """The qubit-by-qubit build against per-index phases, on the shapes that
+    set its factor spans: wide graphs, hubs, gaps, reversed and extreme edges."""
+
+    @staticmethod
+    def check(n, edges):
+        expected = graph_state_amplitudes(n, edges)
+        state = build_graph_state(GraphSpec(n, 1, tuple(edges)))
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+        evolved = evolve_ising(n, {(j, k): -p for j, k, p in edges}, 1.0)
+        np.testing.assert_allclose(evolved.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(7, 14))
+    def test_random_weighted_graphs(self, n):
+        rng = np.random.default_rng(n)
+        pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+        self.check(n, [(j, k, float(rng.uniform(-4, 4))) for j, k in pairs if rng.random() < 0.3])
+
+    def test_hub_with_many_later_neighbours(self):
+        # qubit 2 reaches all ten later qubits, qubit 1 only the last one
+        edges = [(2, k, 0.3 * k) for k in range(3, 13)] + [(1, 12, 1.9), (5, 6, -0.8)]
+        self.check(12, edges)
+
+    def test_isolated_qubits(self):
+        # qubits 1, 4, 6 and 9 have no edges, and 2's neighbour sits past a gap
+        self.check(9, [(2, 5, 0.7), (3, 7, -1.3), (7, 8, 2.2)])
+        self.check(8, [])
+
+    def test_reversed_edges(self):
+        edges = [(j, k, 0.2 + 0.1 * j * k) for j in range(1, 9) for k in range(j + 1, 9) if (j + k) % 3]
+        reversed_edges = [(k, j, p) for j, k, p in edges]
+        self.check(8, reversed_edges)
+        np.testing.assert_array_equal(
+            build_graph_state(GraphSpec(8, 1, tuple(reversed_edges))).amplitudes,
+            build_graph_state(GraphSpec(8, 1, tuple(edges))).amplitudes,
+        )
+
+    def test_zero_and_large_phases(self):
+        self.check(8, [(1, 2, 0.0), (1, 5, 0.0), (2, 3, 7.5), (3, 8, -20.0), (4, 6, 2 * pi), (6, 7, 13 * pi / 3)])
+
+    def test_over_cap_raises_before_allocating(self, monkeypatch):
+        # 2^30 amplitudes would take 16 GB
+        import tracemalloc
+
+        monkeypatch.delenv("QDARWIN_MAX_QUBITS", raising=False)
+        spec = star_spec(29, pi / 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                build_graph_state(spec)
+            with pytest.raises(ValueError, match="cap"):
+                evolve_ising(30, {(1, 30): 1.0}, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestEvolveIsing:
