@@ -191,11 +191,6 @@ def _plan_probabilities(state, labels) -> np.ndarray:
     return (probs / probs.sum(axis=1, keepdims=True))[[rows[label] for label in labels]]
 
 
-def _measurement_probabilities(state, setting: PauliString) -> np.ndarray:
-    """Born probabilities of one setting's 2^n outcomes: one row of _plan_probabilities."""
-    return _plan_probabilities(state, [setting.labels])[0]
-
-
 def _sample_counts(state, labels, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Count vectors (S, 2^n) and shot totals (S,) of the full-weight settings in
     labels, each drawn from its own (cfg.seed, setting) stream as if alone."""
@@ -355,46 +350,39 @@ def mi_curve_from_counts(
 
 
 def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstrap_resamples: int, seed: int):
-    """mi_curve_from_counts on the arrays it reads: the correlator plan of the
-    data, its (S, 2^n) count vectors and its (S,) shot totals."""
-    from concurrent.futures import ThreadPoolExecutor  # loaded by estimates only, not by import qdarwin
-
+    """mi_curve_from_counts on the arrays it reads: the data's correlator plan, its
+    (S, 2^n) count vectors and (S,) shot totals.  A refused run draws no replica."""
     wanted = _pipeline_tables(pipeline)[1]
     values, sigmas = _estimate_batch(counts[None], shots, plan)
+    if pipeline == "closed_form":
+        params = star_parameters(CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0])))))
+        if params.sigma_p == 0.0 and abs(params.c) >= 3.0 * params.sigma_c:
+            raise ValueError(
+                f"the counts pin no error on P: every ZZZZ shot gave one outcome, so P = {params.p:.3g} with "
+                f"sigma_P = 0, yet |C| = {abs(params.c):.3g} (sigma_C = {params.sigma_c:.3g}) needs both "
+                "branches; take more shots per setting"
+            )
+        if not params.consistent:
+            raise ValueError(
+                "the closed-form model check failed: the two measured branch populations "
+                f"give |P + Q - 1| = {params.deviation:.3g} with sigma_P = {params.sigma_p:.3g}, "
+                "so the data are outside the two-branch model (use the reconstruction pipeline)"
+            )
+        kernel = _closed_form_replicas
+    else:
+        kernel = partial(_reconstruction_replicas, system=system)
+    point = kernel(values)
+    if pipeline == "reconstruction":
+        _check_negativity(point[2][0])
     probabilities = counts / counts.sum(axis=1, keepdims=True)
     boot_rng = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, _BOOTSTRAP_STREAM]))
     per_block = max(1, _BOOTSTRAP_ENTRIES // counts.size)
-    sizes = [min(per_block, bootstrap_resamples - start) for start in range(0, bootstrap_resamples, per_block)]
-    # replica-major, setting-minor: one multinomial per (replica, setting), however blocked
-    draw = lambda size: boot_rng.multinomial(shots, probabilities, size=(size, len(shots))).astype(float)
     blocks = []
-    with ThreadPoolExecutor(1) as worker:  # joined when the block exits, however it exits
-        pending = worker.submit(draw, sizes[0])  # block 0 is drawn while the point estimate runs
-        if pipeline == "closed_form":
-            params = star_parameters(CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0])))))
-            if params.sigma_p == 0.0 and abs(params.c) >= 3.0 * params.sigma_c:
-                raise ValueError(
-                    f"the counts pin no error on P: every ZZZZ shot gave one outcome, so P = {params.p:.3g} with "
-                    f"sigma_P = 0, yet |C| = {abs(params.c):.3g} (sigma_C = {params.sigma_c:.3g}) needs both "
-                    "branches; take more shots per setting"
-                )
-            if not params.consistent:
-                raise ValueError(
-                    "the closed-form model check failed: the two measured branch populations "
-                    f"give |P + Q - 1| = {params.deviation:.3g} with sigma_P = {params.sigma_p:.3g}, "
-                    "so the data are outside the two-branch model (use the reconstruction pipeline)"
-                )
-            kernel = _closed_form_replicas
-        else:
-            kernel = partial(_reconstruction_replicas, system=system)
-        point = kernel(values)
-        if pipeline == "reconstruction":
-            _check_negativity(point[2][0])
-        for size in sizes[1:] + [None]:
-            block = pending.result()  # a failed draw raises here, with its own type
-            if size is not None:
-                pending = worker.submit(draw, size)  # the next block is drawn while this one is analysed
-            blocks.append(kernel(_estimate_batch(block, shots, plan)[0]))
+    for start in range(0, bootstrap_resamples, per_block):
+        size = min(per_block, bootstrap_resamples - start)
+        # replica-major, setting-minor: one multinomial per (replica, setting), however blocked
+        block = boot_rng.multinomial(shots, probabilities, size=(size, len(shots))).astype(float)
+        blocks.append(kernel(_estimate_batch(block, shots, plan)[0]))
     spread = np.std(np.concatenate([c for (c, _, _), _, _ in blocks]), axis=0, ddof=1)
     flags = np.concatenate([f for _, _, f in blocks])
     if pipeline == "closed_form":

@@ -442,14 +442,43 @@ class TestLowShotClosedForm:
         assert curve.mean_values() == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize(
+    "name,pipeline,target,match",
+    [
+        ("star-experimental", "closed_form", "star", "the counts pin no error on P"),
+        ("diamond-canonical", "reconstruction", "full_tomography", r"eigenvalue -1\.177"),
+    ],
+)
+def test_a_refused_run_draws_nothing(monkeypatch, name, pipeline, target, match):
+    # one shot per setting: sigma_P = 0 for the closed form, a negative point estimate for the reconstruction
+    cfg = RunConfig(shots_per_setting=1, seed=1)
+    data = [sample_setting(named_state(name), s, cfg) for s in plan_measurements(target).settings]
+    draws, real = [], np.random.default_rng
+
+    class Counting:
+        def __init__(self, *args):
+            self.rng = real(*args)
+
+        def multinomial(self, *args, **kwargs):
+            draws.append(kwargs["size"])
+            return self.rng.multinomial(*args, **kwargs)
+
+    monkeypatch.setattr(measurement.np.random, "default_rng", Counting)
+    with pytest.raises(ValueError, match=match):
+        mi_curve_from_counts(data, 1, pipeline, bootstrap_resamples=100, seed=1)
+    assert draws == []
+
+
 class _FailingRng:
     def multinomial(self, *args, **kwargs):
         raise RuntimeError("multinomial stub failed")
 
 
 class TestDrawWorker:
-    """The next bootstrap block is drawn on one worker thread per call; it
-    must be joined before the call returns or raises, whatever happened."""
+    """Bootstrap blocks are drawn in the calling thread, one just before its
+    kernel runs: a failed draw raises in the caller with its own type, no
+    thread outlives a call, and concurrent callers get the results of one
+    call at a time."""
 
     @pytest.fixture
     def threads(self):

@@ -86,8 +86,17 @@ def test_noqa_comments_list_exactly_the_unloaded_imports():
 
 
 def test_import_loads_no_executor():
-    # only an estimate's bootstrap runs the draw-ahead worker, so only it imports concurrent.futures
-    code = "import sys, qdarwin; print(sorted(m for m in ('concurrent.futures', 'logging', 'queue') if m in sys.modules))"
+    # bootstrap blocks are drawn in the calling thread, so neither importing the
+    # package nor running a seeded estimate on either pipeline loads a thread pool
+    code = (
+        "import sys, qdarwin\n"
+        "modules = lambda: sorted(m for m in ('concurrent.futures', 'logging', 'queue') if m in sys.modules)\n"
+        "print(modules())\n"
+        "for name, pipeline in (('star-experimental', 'closed_form'), ('diamond-canonical', 'reconstruction')):\n"
+        "    cfg = qdarwin.RunConfig(shots_per_setting=1000, seed=3, bootstrap_resamples=20)\n"
+        "    qdarwin.estimate_mi_curve(qdarwin.named_state(name), 1, cfg, pipeline)\n"
+        "print(modules())\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
                          capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[]\n[]\n"

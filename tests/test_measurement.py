@@ -9,7 +9,6 @@ from oracle_utils import measurement_probabilities_kron, random_density_array, r
 from qdarwin import (
     DensityMatrix,
     OutcomeCounts,
-    PauliString,
     RunConfig,
     StateVector,
     all_pauli_strings,
@@ -25,7 +24,6 @@ from qdarwin import (
 )
 from qdarwin.estimator import StarParameters, clip_to_two_branch_model
 from qdarwin.measurement import (
-    _measurement_probabilities,
     _plan_probabilities,
     counts_from_json,
     counts_to_json,
@@ -93,7 +91,7 @@ class TestSampleSetting:
                 state = as_density(rho)
             for setting in settings:
                 np.testing.assert_allclose(
-                    _measurement_probabilities(state, setting),
+                    _plan_probabilities(state, [setting.labels])[0],
                     measurement_probabilities_kron(rho, setting.labels),
                     rtol=0,
                     atol=1e-12,
@@ -160,7 +158,7 @@ class TestWholePlanSampling:
             for row, label in zip(rows, labels):
                 np.testing.assert_allclose(row, measurement_probabilities_kron(rho, label), rtol=0, atol=1e-12)
             # shared prefixes change no bit: each row is the setting rotated alone
-            np.testing.assert_array_equal(rows, [_measurement_probabilities(state, PauliString(l)) for l in labels])
+            np.testing.assert_array_equal(rows, [_plan_probabilities(state, [l])[0] for l in labels])
 
     def test_any_setting_list_in_any_order(self, rng):
         # random orders interleave the prefixes, and every setting appears twice
@@ -169,7 +167,7 @@ class TestWholePlanSampling:
             for state in (as_state(psi), as_density(np.outer(psi, psi.conj()))):
                 labels = ["".join(rng.choice(list("XYZ"), n)) for _ in range(12)] * 2
                 rows = _plan_probabilities(state, labels)
-                np.testing.assert_array_equal(rows, [_measurement_probabilities(state, PauliString(l)) for l in labels])
+                np.testing.assert_array_equal(rows, [_plan_probabilities(state, [l])[0] for l in labels])
 
     @pytest.mark.parametrize("poisson", [False, True], ids=["fixed shots", "poisson shots"])
     @pytest.mark.parametrize(
