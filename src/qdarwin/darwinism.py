@@ -128,9 +128,8 @@ class MICurve:
     def __post_init__(self) -> None:
         points = tuple(self.points)
         deltas = [p.delta for p in points]
-        expected = list(range(1, self.n_env + 1))
-        if deltas not in (expected, [0] + expected):
-            raise ValueError(f"deltas {deltas} must cover 1..{self.n_env} (optionally with 0)")
+        if deltas != list(range(1, self.n_env + 1)):
+            raise ValueError(f"deltas {deltas} must be 1..{self.n_env}")
         bound = 2 * self.system_entropy + 1e-9
         for p in points:
             if not (p.min_mi <= p.mean_mi <= p.max_mi):
@@ -146,7 +145,7 @@ class MICurve:
         raise KeyError(f"no point at delta {delta}")
 
     def mean_values(self) -> list[float]:
-        return [p.mean_mi for p in self.points if p.delta > 0]
+        return [p.mean_mi for p in self.points]
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -429,15 +428,14 @@ def classify_curve(curve: MICurve, slope_tol: float) -> str:
     consecutive size steps each rise by more than slope_tol, and by more than
     2 sigma of the step where both points carry a stderr.
     """
-    points = [p for p in curve.points if p.delta > 0]
-    if len(points) < 3:
+    if len(curve.points) < 3:
         raise ValueError("classification needs at least 3 curve points")
     if curve.system_entropy > slope_tol and all(
-        abs(p.mean_mi - curve.system_entropy) <= slope_tol for p in points[:-1]
+        abs(p.mean_mi - curve.system_entropy) <= slope_tol for p in curve.points[:-1]
     ):
         return "plateau"
     rises = []
-    for a, b in zip(points, points[1:]):
+    for a, b in zip(curve.points, curve.points[1:]):
         noise = 0.0 if None in (a.stderr, b.stderr) else _STEP_SIGMAS * math.hypot(a.stderr, b.stderr)
         rises.append(b.mean_mi - a.mean_mi > max(slope_tol, noise))
     return "growing" if any(first and second for first, second in zip(rises, rises[1:])) else "other"

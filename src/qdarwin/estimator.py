@@ -88,20 +88,6 @@ class CorrelatorTable:
     def strings(self) -> list[PauliString]:
         return list(self.entries)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": [
-                {"string": str(s), "value": v, "sigma": sig}
-                for s, (v, sig) in self.entries.items()
-            ]
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CorrelatorTable":
-        return cls(
-            {item["string"]: (item["value"], item.get("sigma")) for item in data["entries"]}
-        )
-
 
 def correlator_table(state, strings) -> CorrelatorTable:
     """Exact correlators of a four-qubit state for the requested strings."""
@@ -128,13 +114,9 @@ def _table_values(table: CorrelatorTable, strings) -> np.ndarray:
 
 def reconstruct_density(table: CorrelatorTable) -> DensityMatrix:
     """Linear inversion: rho = (1/16) sum_p <p> p over all 256 Pauli strings.
-
-    The physical flag is set False when the reconstructed spectrum dips below
-    -1e-9, as happens for finite-statistics tables.
-    """
-    rho = _density_batch(_table_values(table, _pauli_stack()[0]))
-    physical = bool(np.linalg.eigvalsh(rho).min() >= -1e-9)
-    return DensityMatrix(rho, physical=physical)
+    Finite-statistics tables can give eigenvalues below zero; see
+    project_to_physical."""
+    return DensityMatrix(_density_batch(_table_values(table, _pauli_stack()[0])))
 
 
 def _density_batch(values: np.ndarray) -> np.ndarray:

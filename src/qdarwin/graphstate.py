@@ -63,11 +63,22 @@ class GraphSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GraphSpec":
-        return cls(
-            n_qubits=int(data["n_qubits"]),
-            system=int(data["system"]),
-            edges=tuple((j, k, phase) for j, k, phase in data["edges"]),
-        )
+        n_qubits, system, edges = _json_fields(data, n_qubits=int, system=int, edges=list)
+        if not all(isinstance(e, list) and len(e) == 3 and all(isinstance(x, (int, float)) for x in e) for e in edges):
+            raise ValueError(f"field 'edges' must list [j, k, phase] number triples, got {edges!r}")
+        return cls(n_qubits=n_qubits, system=system, edges=edges)
+
+
+def _json_fields(data, **kinds) -> list:
+    """The named fields of a parsed JSON object, in order; a ValueError names
+    the field that is missing or not of its type."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with fields {', '.join(kinds)}, got {type(data).__name__}")
+    for name, kind in kinds.items():
+        if not isinstance(data.get(name), kind):
+            got = repr(data[name]) if name in data else "nothing"
+            raise ValueError(f"field {name!r} must be {kind.__name__}, got {got}")
+    return [data[name] for name in kinds]
 
 
 def star_spec(n_env: int, phi: float) -> GraphSpec:

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
+from numbers import Integral
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .estimator import (  # noqa: F401  (diamond_mutual_information, star_mutual
     star_mutual_information,
     star_parameters,
 )
+from .graphstate import _json_fields
 from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this binding)
     _EIGENVALUE_FLOOR,
     HADAMARD,
@@ -72,14 +74,14 @@ class RunConfig:
     poisson_shots: bool = False
 
     def __post_init__(self) -> None:
-        if self.shots_per_setting < 1:
-            raise ValueError("shots_per_setting must be positive")
+        if not isinstance(self.shots_per_setting, Integral) or self.shots_per_setting < 1:
+            raise ValueError(f"shots_per_setting must be a positive integer, got {self.shots_per_setting!r}")
         _check_resamples(self.bootstrap_resamples)
 
 
 def _check_resamples(count: int) -> None:
-    if count < 2:
-        raise ValueError(f"bootstrap_resamples must be at least 2 for a standard error, got {count}")
+    if not isinstance(count, Integral) or count < 2:
+        raise ValueError(f"bootstrap_resamples must be an integer of at least 2 for a standard error, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -121,11 +123,10 @@ class OutcomeCounts:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OutcomeCounts":
-        return cls(
-            setting=PauliString(data["setting"]),
-            shots=int(data["shots"]),
-            counts={k: int(v) for k, v in data["counts"].items()},
-        )
+        setting, shots, counts = _json_fields(data, setting=str, shots=int, counts=dict)
+        if not all(isinstance(count, int) for count in counts.values()):
+            raise ValueError(f"field 'counts' of setting {setting} must map outcomes to integers, got {counts!r}")
+        return cls(setting=PauliString(setting), shots=shots, counts=counts)
 
     @classmethod
     def from_vector(cls, setting: PauliString, vector: np.ndarray) -> "OutcomeCounts":
@@ -141,7 +142,10 @@ def counts_to_json(data) -> str:
 
 
 def counts_from_json(text: str) -> list[OutcomeCounts]:
-    return [OutcomeCounts.from_json_dict(item) for item in json.loads(text)]
+    items = json.loads(text)
+    if not isinstance(items, list):
+        raise ValueError(f"a counts file holds a JSON list of settings, got {type(items).__name__}")
+    return [OutcomeCounts.from_json_dict(item) for item in items]
 
 
 def _setting_rng(seed: int, labels: str) -> np.random.Generator:

@@ -39,7 +39,7 @@ def max_qubits() -> int:
     raw = os.environ.get(_ENV_MAX_QUBITS)
     if raw is None:
         return DEFAULT_MAX_QUBITS
-    value = int(raw)
+    value = int(raw) if raw.strip().isdecimal() else 0
     if value < 1:
         raise ValueError(f"{_ENV_MAX_QUBITS} must be a positive integer, got {raw!r}")
     return value
@@ -116,22 +116,14 @@ class StateVector:
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian unit-trace operator on n qubits.
-
-    The `physical` flag asserts a nonnegative spectrum (within -1e-9); it is
-    trusted at construction and enforced where a spectrum is actually needed,
-    e.g. by von_neumann_entropy.  Linear-inversion reconstructions set it to
-    False when negative eigenvalues are detected.
-    """
+    """Hermitian unit-trace operator on n qubits.  Its spectrum is not
+    checked: von_neumann_entropy refuses eigenvalues below -1e-9, and
+    project_to_physical removes them."""
 
     entries: np.ndarray
-    physical: bool = True
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.entries, dtype=complex)
@@ -168,11 +160,6 @@ class PauliString:
     def __post_init__(self) -> None:
         if not self.labels or set(self.labels) - set("IXYZ"):
             raise ValueError(f"labels must be a nonempty string over IXYZ, got {self.labels!r}")
-
-    @classmethod
-    def from_indices(cls, indices) -> "PauliString":
-        """Build from the numeric convention 0=I, 1=X, 2=Y, 3=Z."""
-        return cls("".join("IXYZ"[int(i)] for i in indices))
 
     @property
     def weight(self) -> int:
@@ -348,7 +335,7 @@ def _partial_trace_batch(mats: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the given qubits, in the order they are listed."""
     keep = _validate_keep(rho.n_qubits, keep)
-    return DensityMatrix(_partial_trace_batch(rho.entries, keep), physical=rho.physical)
+    return DensityMatrix(_partial_trace_batch(rho.entries, keep))
 
 
 def reduced_density(state: StateVector, keep) -> DensityMatrix:
@@ -423,8 +410,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr[rho log2 rho] with 0 log 0 := 0.
 
     Eigenvalues in [-1e-9, 0) are clamped to 0 (round-off on rank-deficient
-    states); anything more negative raises, since the flag promised a
-    physical state.
+    states); anything more negative raises (see project_to_physical).
     """
     return float(_entropy_batch(rho.entries))
 
@@ -498,13 +484,9 @@ def fidelity(a, b) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def overlap(a: StateVector, b: StateVector) -> complex:
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def states_equal_up_to_phase(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
     """Equality modulo a global phase: | |<a|b>| - 1 | <= tol."""
-    return abs(abs(overlap(a, b)) - 1.0) <= tol
+    return bool(abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1.0) <= tol)
 
 
 def _water_fill(eigs: np.ndarray) -> np.ndarray:
@@ -541,5 +523,5 @@ def project_to_physical(rho: DensityMatrix) -> DensityMatrix:
     """
     eigs, vecs = np.linalg.eigh(rho.entries)
     if float(eigs.min()) >= 0.0:
-        return rho if rho.physical else DensityMatrix(rho.entries, physical=True)
-    return DensityMatrix(_projected_density(eigs[None], vecs[None])[0], physical=True)
+        return rho
+    return DensityMatrix(_projected_density(eigs[None], vecs[None])[0])

@@ -20,5 +20,5 @@ def as_state(array) -> StateVector:
     return StateVector(np.asarray(array, dtype=complex))
 
 
-def as_density(array, physical=True) -> DensityMatrix:
-    return DensityMatrix(np.asarray(array, dtype=complex), physical=physical)
+def as_density(array) -> DensityMatrix:
+    return DensityMatrix(np.asarray(array, dtype=complex))

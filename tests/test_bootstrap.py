@@ -148,7 +148,7 @@ class TestProjectionKernel:
         batch = _projected_density(eigs, vecs)
         for mat, out in zip(mats, batch):
             np.testing.assert_allclose(out, projected(mat), atol=TOL)
-            single = project_to_physical(DensityMatrix(mat, physical=False)).entries
+            single = project_to_physical(DensityMatrix(mat)).entries
             np.testing.assert_allclose(out, single, atol=TOL)
 
 

@@ -158,6 +158,47 @@ class TestStateCommand:
         assert run(["state", "--graph-file", str(graph_file), "--out", str(tmp_path / "x.json")]) == 1
 
 
+class TestMalformedInputFiles:
+    """A counts or graph file of the wrong shape is a validation error (exit
+    1) that names the field, not an internal error (exit 2)."""
+
+    ENTRY = {"setting": "ZZZZ", "shots": 2, "counts": {"0101": 1, "1010": 1}}
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (ENTRY, "JSON list"),
+            ([1], "fields setting, shots, counts"),
+            ([{"setting": "ZZZZ", "counts": {"0101": 1}}], "field 'shots' must be int, got nothing"),
+            ([{**ENTRY, "shots": None}], "field 'shots' must be int, got None"),
+            ([{**ENTRY, "counts": {"0101": None}}], "field 'counts'"),
+        ],
+    )
+    def test_counts_file(self, tmp_path, capsys, data, message):
+        counts, out = tmp_path / "counts.json", tmp_path / "x.csv"
+        counts.write_text(json.dumps(data))
+        code = run(["estimate", "--counts-file", str(counts), "--pipeline", "closed_form", "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"n_qubits": 2, "system": 1}, "field 'edges' must be list, got nothing"),
+            ([[1, 2, 3.0]], "fields n_qubits, system, edges"),
+            ({"n_qubits": None, "system": 1, "edges": []}, "field 'n_qubits' must be int, got None"),
+            ({"n_qubits": 2, "system": 1, "edges": [[1, 2, None]]}, "field 'edges'"),
+        ],
+    )
+    def test_graph_file(self, tmp_path, capsys, data, message):
+        graph, out = tmp_path / "graph.json", tmp_path / "x.csv"
+        graph.write_text(json.dumps(data))
+        assert run(["curve", "--graph-file", str(graph), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEstimateCommand:
     def test_estimate_writes_curve_with_stderr(self, tmp_path):
         out = tmp_path / "est.csv"

@@ -701,6 +701,12 @@ class TestCurveContainer:
         with pytest.raises(ValueError, match="deltas"):
             MICurve(points=(point,), system_entropy=1.0, n_env=2)
 
+    def test_csv_refuses_a_delta_zero_row(self):
+        curve = self._curve()
+        text = curve.to_csv().replace("\n", "\n0,0,0,0,1,\n", 1)  # a row before delta 1
+        with pytest.raises(ValueError, match="deltas"):
+            MICurve.from_csv(text, curve.system_entropy, curve.n_env)
+
     def test_rejects_disordered_band(self):
         point = MIPoint(delta=1, mean_mi=0.5, min_mi=0.9, max_mi=1.0, n_fragments=1)
         with pytest.raises(ValueError, match="min <= mean <= max"):

@@ -64,20 +64,13 @@ class TestCorrelatorTable:
             CorrelatorTable({"IIII": 0.9})
         CorrelatorTable({"IIII": (0.9, 0.2)})  # within its sigma
 
-    def test_json_round_trip(self):
-        table = CorrelatorTable({"ZIZI": (-0.98, 0.01), "XXYY": (0.5, None)})
-        back = CorrelatorTable.from_json_dict(table.to_json_dict())
-        assert back.value("ZIZI") == -0.98
-        assert back.sigma("ZIZI") == 0.01
-        assert back.sigma("XXYY") is None
-
 
 class TestReconstruction:
     def test_ghz_round_trip(self, ghz4):
         table = correlator_table(ghz4, ALL_STRINGS)
         rho = reconstruct_density(table)
         np.testing.assert_allclose(rho.entries, ghz4.density().entries, atol=1e-10)
-        assert rho.physical
+        assert np.linalg.eigvalsh(rho.entries).min() >= -1e-9
 
     def test_identity_only_table_is_maximally_mixed(self):
         table = CorrelatorTable({s: (1.0 if s.weight == 0 else 0.0) for s in ALL_STRINGS})
@@ -108,7 +101,7 @@ class TestReconstruction:
         entries["YYYY"] = 1.0
         entries["ZZZZ"] = -1.0
         rho = reconstruct_density(CorrelatorTable(entries))
-        assert not rho.physical
+        assert np.linalg.eigvalsh(rho.entries).min() < -1e-9
 
 
 class TestStarParameters:

@@ -43,6 +43,17 @@ class TestConfigAndCounts:
         with pytest.raises(ValueError, match="at least 2"):
             mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=1)
 
+    @pytest.mark.parametrize("field", ["shots_per_setting", "bootstrap_resamples"])
+    def test_config_refuses_non_integers(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be .*integer.*2.5"):
+            RunConfig(**{field: 2.5})
+        RunConfig(**{field: np.int64(3)})  # numpy integers are integers
+
+    def test_counts_reanalysis_refuses_non_integer_resamples(self):
+        data = [OutcomeCounts(setting="ZZZZ", shots=4, counts={"0101": 2, "1010": 2})]
+        with pytest.raises(ValueError, match="bootstrap_resamples must be an integer"):
+            mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=2.5)
+
     def test_counts_must_sum_to_shots(self):
         with pytest.raises(ValueError, match="sum"):
             OutcomeCounts(setting="ZZZZ", shots=10, counts={"0000": 9})
@@ -283,7 +294,7 @@ class TestEstimateCorrelators:
 
 class TestPhysicalProjection:
     def test_exposed_from_package_surface(self):
-        rho = as_density(np.diag([1.1, -0.1]), physical=False)
+        rho = as_density(np.diag([1.1, -0.1]))
         np.testing.assert_allclose(project_to_physical(rho).entries, np.diag([1.0, 0.0]), atol=1e-12)
 
     @pytest.mark.parametrize("dim,step", [(3, 0.005), (4, 0.02)])
@@ -309,7 +320,7 @@ class TestPhysicalProjection:
             size = 2 ** math.ceil(math.log2(dim))
             diag = np.zeros(size)
             diag[:dim] = raw
-            rho = as_density(np.diag(diag), physical=False)
+            rho = as_density(np.diag(diag))
             projected = np.real(np.diag(project_to_physical(rho).entries))[:dim]
             dist_grid = np.min(np.sum((grid - raw) ** 2, axis=1))
             best = grid[np.argmin(np.sum((grid - raw) ** 2, axis=1))]
@@ -320,7 +331,7 @@ class TestPhysicalProjection:
         mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         herm = (mat + mat.conj().T) / 2
         herm = herm / np.real(np.trace(herm))
-        rho = DensityMatrix(herm, physical=False)
+        rho = DensityMatrix(herm)
         out = project_to_physical(rho)
         eigs = np.linalg.eigvalsh(out.entries)
         assert eigs.min() >= -1e-12

@@ -127,6 +127,11 @@ class TestStateConstruction:
             evolve_ising(4, {(1, 2): 1.0}, 1.0)
         StateVector.plus_state(3)
 
+    def test_qubit_budget_names_a_malformed_variable(self, monkeypatch):
+        monkeypatch.setenv("QDARWIN_MAX_QUBITS", "abc")
+        with pytest.raises(ValueError, match="QDARWIN_MAX_QUBITS must be a positive integer, got 'abc'"):
+            StateVector.plus_state(2)
+
     def test_density_matrix_validation(self):
         with pytest.raises(ValueError, match="Hermitian"):
             as_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
@@ -297,7 +302,7 @@ class TestSpectraAndEntropy:
         )
 
     def test_rejects_negative_spectrum(self):
-        rho = as_density(np.diag([1.1, -0.1]), physical=False)
+        rho = as_density(np.diag([1.1, -0.1]))
         with pytest.raises(ValueError, match="-1e-9"):
             von_neumann_entropy(rho)
 
@@ -376,8 +381,7 @@ class TestPauliExpectation:
             rebuilt[perm, np.arange(2**n)] = phases
             assert (rebuilt == pauli_matrix(string.labels)).all(), string
 
-    def test_from_indices(self):
-        assert PauliString.from_indices([0, 1, 2, 3]).labels == "IXYZ"
+    def test_weight(self):
         assert PauliString("ZIZI").weight == 2
 
 
@@ -425,14 +429,14 @@ class TestProjectToPhysical:
         rho = as_density(random_density_array(2, rng))
         out = project_to_physical(rho)
         np.testing.assert_allclose(out.entries, rho.entries, atol=1e-12)
-        assert out.physical
+        assert np.linalg.eigvalsh(out.entries).min() >= -1e-9
 
     def test_single_negative_eigenvalue(self):
-        rho = as_density(np.diag([1.1, -0.1]), physical=False)
+        rho = as_density(np.diag([1.1, -0.1]))
         np.testing.assert_allclose(project_to_physical(rho).entries, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_water_filling_example(self):
-        rho = as_density(np.diag([0.7, 0.5, -0.2, 0.0]), physical=False)
+        rho = as_density(np.diag([0.7, 0.5, -0.2, 0.0]))
         np.testing.assert_allclose(
             project_to_physical(rho).entries, np.diag([0.6, 0.4, 0.0, 0.0]), atol=1e-12
         )
