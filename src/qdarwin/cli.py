@@ -32,15 +32,12 @@ from .graphstate import (
     star_ghz_check,
     star_spec,
 )
-from .measurement import (  # noqa: F401  (sample_setting: perfbench/tracer.py wraps this binding)
+from .measurement import (
     PLAN_TARGETS,
-    OutcomeCounts,
     RunConfig,
-    _check_estimate,
-    _pipeline_tables,
-    _sample_counts,
     counts_from_json,
     counts_to_json,
+    estimate_mi_curve,
     mi_curve_from_counts,
     sample_setting,
 )
@@ -162,6 +159,8 @@ def _cmd_estimate(args) -> int:
         _refuse(args, "--counts-file", "named shots poisson")
         raw = Path(args.counts_file).read_bytes()
         data = counts_from_json(raw.decode())
+        curve = mi_curve_from_counts(data, args.system, args.pipeline, bootstrap_resamples=args.bootstrap,
+                                     seed=args.seed)
     else:
         if not args.named:
             raise _UsageError("either --named or --counts-file is required")
@@ -172,10 +171,9 @@ def _cmd_estimate(args) -> int:
             bootstrap_resamples=args.bootstrap,
             poisson_shots=args.poisson,
         )
-        _check_estimate(args.system, args.pipeline)
-        settings = _pipeline_tables(args.pipeline)[0]
-        data = list(map(OutcomeCounts.from_vector, settings, _sample_counts(state, settings, cfg)[0]))
-    curve = mi_curve_from_counts(data, args.system, args.pipeline, bootstrap_resamples=args.bootstrap, seed=args.seed)
+        curve = estimate_mi_curve(state, args.system, cfg, args.pipeline)
+        if args.save_counts:
+            data = [sample_setting(state, s, cfg) for s in plan_measurements(PLAN_TARGETS[args.pipeline]).settings]
     manifest = _manifest(args, "named counts_file pipeline shots bootstrap system poisson", args.seed)
     if args.counts_file:
         manifest["counts_sha256"] = hashlib.sha256(raw).hexdigest()

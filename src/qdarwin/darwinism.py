@@ -350,8 +350,8 @@ def mi_curve(
 ) -> MICurve:
     """Mean/min/max mutual information for every fragment size 1..n_env.
 
-    `source` is a StateVector, DensityMatrix or GraphSpec (its `system` is
-    ignored; at most 64 qubits); it sets the entropy backend, see _backend.
+    `source` is a StateVector, DensityMatrix or GraphSpec (at most 64
+    qubits); it sets the entropy backend, see _backend.
     Sizes with more than max_exhaustive fragments are estimated from
     sample_size >= 2 uniformly drawn fragments (fixed seed, reported
     standard error); everything else is enumerated exhaustively.  Every size feeds

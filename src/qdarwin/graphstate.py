@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -28,20 +29,19 @@ _EQUIVALENCE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Weighted edge list over 1-based qubit labels, with a designated system."""
+    """Weighted edge list over 1-based qubit labels."""
 
     n_qubits: int
-    system: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        if not 1 <= self.system <= self.n_qubits:
-            raise ValueError(f"system index {self.system} out of range")
-        edges = tuple((int(j), int(k), float(phase)) for j, k, phase in self.edges)
+        if not isinstance(self.n_qubits, Integral) or self.n_qubits < 1:
+            raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
+        edges = tuple((j, k, float(phase)) for j, k, phase in self.edges)
         seen = set()
         for j, k, phase in edges:
+            if not (isinstance(j, Integral) and isinstance(k, Integral)):
+                raise ValueError(f"edge ({j!r}, {k!r}) endpoints must be integer qubit labels")
             if j == k:
                 raise ValueError(f"self-edge ({j}, {k}) not allowed")
             if not (1 <= j <= self.n_qubits and 1 <= k <= self.n_qubits):
@@ -52,28 +52,30 @@ class GraphSpec:
             if pair in seen:
                 raise ValueError(f"duplicate edge between qubits {j} and {k} (listed twice)")
             seen.add(pair)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple((int(j), int(k), phase) for j, k, phase in edges))
 
     def to_dict(self) -> dict:
         return {
             "n_qubits": self.n_qubits,
-            "system": self.system,
             "edges": [[j, k, phase] for j, k, phase in self.edges],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "GraphSpec":
-        n_qubits, system, edges = _json_fields(data, n_qubits=int, system=int, edges=list)
+        n_qubits, edges = _json_fields(data, n_qubits=int, edges=list)
         if not all(isinstance(e, list) and len(e) == 3 and all(isinstance(x, (int, float)) for x in e) for e in edges):
             raise ValueError(f"field 'edges' must list [j, k, phase] number triples, got {edges!r}")
-        return cls(n_qubits=n_qubits, system=system, edges=edges)
+        return cls(n_qubits=n_qubits, edges=edges)
 
 
 def _json_fields(data, **kinds) -> list:
     """The named fields of a parsed JSON object, in order; a ValueError names
-    the field that is missing or not of its type."""
+    the field that is missing, not of its type, or not asked for."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object with fields {', '.join(kinds)}, got {type(data).__name__}")
+    unexpected = sorted(data.keys() - kinds)
+    if unexpected:
+        raise ValueError(f"unexpected field {unexpected[0]!r}; expected fields {', '.join(kinds)}")
     for name, kind in kinds.items():
         if not isinstance(data.get(name), kind):
             got = repr(data[name]) if name in data else "nothing"
@@ -86,7 +88,7 @@ def star_spec(n_env: int, phi: float) -> GraphSpec:
     if n_env < 1:
         raise ValueError("star graph needs at least one environment qubit")
     edges = tuple((1, k, float(phi)) for k in range(2, n_env + 2))
-    return GraphSpec(n_qubits=n_env + 1, system=1, edges=edges)
+    return GraphSpec(n_qubits=n_env + 1, edges=edges)
 
 
 def diamond_spec(n_env: int, phi: float, theta: float) -> GraphSpec:
@@ -95,7 +97,7 @@ def diamond_spec(n_env: int, phi: float, theta: float) -> GraphSpec:
         raise ValueError("diamond graph needs at least two environment qubits")
     star = star_spec(n_env, phi).edges
     chain = tuple((j, j + 1, float(theta)) for j in range(2, n_env + 1))
-    return GraphSpec(n_qubits=n_env + 1, system=1, edges=star + chain)
+    return GraphSpec(n_qubits=n_env + 1, edges=star + chain)
 
 
 def build_graph_state(spec: GraphSpec) -> StateVector:
@@ -137,7 +139,7 @@ def evolve_ising(n_qubits: int, couplings: dict, time: float) -> StateVector:
     if not np.isfinite(time):
         raise ValueError("time must be finite")
     edges = tuple((j, k, -rate * time) for (j, k), rate in couplings.items())
-    return build_graph_state(GraphSpec(n_qubits, 1, edges))
+    return build_graph_state(GraphSpec(n_qubits, edges))
 
 
 def _superposition(*terms: tuple[complex, str]) -> StateVector:
@@ -165,33 +167,13 @@ _NAMED_KETS = {
 NAMED_FIXED_STATES = tuple(_NAMED_KETS)
 
 
-def named_state(
-    name: str,
-    *,
-    n_env: int | None = None,
-    phi: float | None = None,
-    theta: float | None = None,
-    n_qubits: int | None = None,
-) -> StateVector:
-    """Construct one of the named resource states: a parameterless name of
-    NAMED_FIXED_STATES (with "_" or "-", in any case), or star (n_env, phi),
-    diamond (n_env, phi, theta) or ghz (n_qubits)."""
+def named_state(name: str) -> StateVector:
+    """One of the fixed resource states of NAMED_FIXED_STATES, spelled with "_"
+    or "-" in any case."""
     key = name.strip().lower().replace("_", "-")
-    if key in _NAMED_KETS:
-        return _superposition(*_NAMED_KETS[key])
-    if key == "star":
-        if n_env is None or phi is None:
-            raise ValueError("star requires n_env and phi")
-        return build_graph_state(star_spec(n_env, phi))
-    if key == "diamond":
-        if n_env is None or phi is None or theta is None:
-            raise ValueError("diamond requires n_env, phi and theta")
-        return build_graph_state(diamond_spec(n_env, phi, theta))
-    if key == "ghz":
-        if n_qubits is None:
-            raise ValueError("ghz requires n_qubits")
-        return ghz_state(n_qubits)
-    raise ValueError(f"unknown named state {name!r}")
+    if key not in _NAMED_KETS:
+        raise ValueError(f"unknown named state {name!r}")
+    return _superposition(*_NAMED_KETS[key])
 
 
 @dataclass(frozen=True)

@@ -76,12 +76,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.shots_per_setting, Integral) or self.shots_per_setting < 1:
             raise ValueError(f"shots_per_setting must be a positive integer, got {self.shots_per_setting!r}")
-        _check_resamples(self.bootstrap_resamples)
+        _check_bootstrap(self.bootstrap_resamples, self.seed)
 
 
-def _check_resamples(count: int) -> None:
+def _check_bootstrap(count: int, seed: int) -> None:
     if not isinstance(count, Integral) or count < 2:
         raise ValueError(f"bootstrap_resamples must be an integer of at least 2 for a standard error, got {count!r}")
+    if not isinstance(seed, Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,7 @@ def mi_curve_from_counts(
     lowest eigenvalue.
     """
     _check_estimate(system, pipeline)
-    _check_resamples(bootstrap_resamples)
+    _check_bootstrap(bootstrap_resamples, seed)
     observed = _observed_counts(list(data), _pipeline_tables(pipeline)[2])
     return _curve_from_counts(*observed, system, pipeline, bootstrap_resamples, seed)
 

@@ -154,7 +154,7 @@ class TestStateCommand:
 
     def test_bad_graph_file_is_validation_error(self, tmp_path):
         graph_file = tmp_path / "graph.json"
-        graph_file.write_text(json.dumps({"n_qubits": 2, "system": 1, "edges": [[1, 1, 3.0]]}))
+        graph_file.write_text(json.dumps({"n_qubits": 2, "edges": [[1, 1, 3.0]]}))
         assert run(["state", "--graph-file", str(graph_file), "--out", str(tmp_path / "x.json")]) == 1
 
 
@@ -172,6 +172,7 @@ class TestMalformedInputFiles:
             ([{"setting": "ZZZZ", "counts": {"0101": 1}}], "field 'shots' must be int, got nothing"),
             ([{**ENTRY, "shots": None}], "field 'shots' must be int, got None"),
             ([{**ENTRY, "counts": {"0101": None}}], "field 'counts'"),
+            ([{**ENTRY, "note": "extra"}], "unexpected field 'note'"),
         ],
     )
     def test_counts_file(self, tmp_path, capsys, data, message):
@@ -185,10 +186,13 @@ class TestMalformedInputFiles:
     @pytest.mark.parametrize(
         "data,message",
         [
-            ({"n_qubits": 2, "system": 1}, "field 'edges' must be list, got nothing"),
-            ([[1, 2, 3.0]], "fields n_qubits, system, edges"),
-            ({"n_qubits": None, "system": 1, "edges": []}, "field 'n_qubits' must be int, got None"),
-            ({"n_qubits": 2, "system": 1, "edges": [[1, 2, None]]}, "field 'edges'"),
+            ({"n_qubits": 2}, "field 'edges' must be list, got nothing"),
+            ([[1, 2, 3.0]], "fields n_qubits, edges"),
+            ({"n_qubits": None, "edges": []}, "field 'n_qubits' must be int, got None"),
+            ({"n_qubits": 2, "edges": [[1, 2, None]]}, "field 'edges'"),
+            # the system qubit comes only from --system, never from the file
+            ({"n_qubits": 2, "system": 2, "edges": []}, "unexpected field 'system'"),
+            ({"n_qubits": 3, "edges": [[1, 2.7, 3.14]]}, "edge (1, 2.7) endpoints must be integer qubit labels"),
         ],
     )
     def test_graph_file(self, tmp_path, capsys, data, message):
@@ -373,8 +377,8 @@ class TestEstimateCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("sample_setting was called")
 
+        monkeypatch.setattr("qdarwin.cli.sample_setting", refuse)
         for binding in ("sample_setting", "_sample_counts"):
-            monkeypatch.setattr(f"qdarwin.cli.{binding}", refuse)
             monkeypatch.setattr(f"qdarwin.measurement.{binding}", refuse)
         code = run(["estimate", "--named", "diamond-canonical", "--pipeline", pipeline, "--system", system,
                     "--save-counts", str(tmp_path / "counts.json"), "--out", str(tmp_path / "x.csv")])

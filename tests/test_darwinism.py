@@ -62,7 +62,7 @@ def _exhaustive(n, system):
 def _random_graph(n, rng, phases):
     pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
     chosen = [pairs[i] for i in np.flatnonzero(rng.random(len(pairs)) < 0.5)]
-    return GraphSpec(n, 1, tuple((j, k, float(rng.choice(phases))) for j, k in chosen))
+    return GraphSpec(n, tuple((j, k, float(rng.choice(phases))) for j, k in chosen))
 
 
 def _assert_curve_matches(curve, expected, tol=1e-12):
@@ -223,10 +223,10 @@ class TestEntropyBackends:
     def test_backend_from_input(self):
         assert _backend(star_spec(3, pi)) == "stabilizer"
         for phase in (-pi, 3 * pi, 0.0, 2 * pi, -5 * pi):
-            assert _backend(GraphSpec(3, 1, ((1, 2, pi), (2, 3, phase)))) == "stabilizer"
+            assert _backend(GraphSpec(3, ((1, 2, pi), (2, 3, phase)))) == "stabilizer"
         # evolve_ising's phases -g t
         couplings = {(1, 2): pi / 0.7, (2, 3): -pi / 0.7}
-        spec = GraphSpec(3, 1, tuple((j, k, -g * 0.7) for (j, k), g in couplings.items()))
+        spec = GraphSpec(3, tuple((j, k, -g * 0.7) for (j, k), g in couplings.items()))
         assert _backend(spec) == "stabilizer"
         assert _backend(star_spec(3, pi + 1e-9)) == "weighted-graph"
         assert _backend(diamond_spec(3, pi, pi / 3)) == "weighted-graph"
@@ -325,7 +325,7 @@ class TestEntropyBackends:
 
     def test_cuts_without_cross_edges(self):
         # qubits 4 and 5 are isolated: the cuts {4}, {5}, {4, 5} and {1, 2, 3} carry no edge
-        spec = GraphSpec(5, 1, ((1, 2, pi / 3), (2, 3, 1.1), (1, 3, -0.7)))
+        spec = GraphSpec(5, ((1, 2, pi / 3), (2, 3, 1.1), (1, 3, -0.7)))
         amplitudes = build_graph_state(spec).amplitudes
         for size in range(0, 6):
             subsets = list(itertools.combinations(range(1, 6), size))
@@ -521,7 +521,7 @@ class TestMaskEnumeration:
         }
 
     def test_64_qubits_with_the_system_on_the_top_bit(self):
-        spec = GraphSpec(64, 64, tuple((q, 64, pi) for q in range(1, 64)))
+        spec = GraphSpec(64, tuple((q, 64, pi) for q in range(1, 64)))
         curve = mi_curve(spec, 64, max_exhaustive=100, sample_size=20)
         assert curve.mean_values() == [1.0] * 62 + [2.0]
         assert curve._diagnostics["fragments_exhaustive"] == 63 + 63 + 1
@@ -641,7 +641,7 @@ class TestBlockClasses:
         two_fours = [(1, 5), (1, 6), (2, 5), (2, 6), (3, 7), (3, 8), (4, 7), (4, 8)]
         edges = [(j, k, pi / 3) for j, k in eight] + [(j + 8, k + 8, pi / 3) for j, k in two_fours]
         counts = _count_matrices(monkeypatch)
-        merged = _weighted_entropies(GraphSpec(16, 1, tuple(edges)), [(1, 2, 3, 4), (9, 10, 11, 12)])
+        merged = _weighted_entropies(GraphSpec(16, tuple(edges)), [(1, 2, 3, 4), (9, 10, 11, 12)])
         assert counts == [2]
         for value, pairs in zip(merged, (eight, two_fours)):
             psi = graph_state_amplitudes(8, [(j, k, pi / 3) for j, k in pairs])

@@ -1,3 +1,4 @@
+import json
 from math import pi, sqrt
 
 import numpy as np
@@ -29,19 +30,30 @@ from qdarwin.graphstate import NAMED_FIXED_STATES
 class TestGraphSpec:
     def test_rejects_duplicate_edges(self):
         with pytest.raises(ValueError, match="duplicate"):
-            GraphSpec(3, 1, ((1, 2, pi), (2, 1, 0.5)))
+            GraphSpec(3, ((1, 2, pi), (2, 1, 0.5)))
 
     def test_rejects_self_edge(self):
         with pytest.raises(ValueError, match="self-edge"):
-            GraphSpec(3, 1, ((2, 2, pi),))
-
-    def test_rejects_bad_system(self):
-        with pytest.raises(ValueError, match="system"):
-            GraphSpec(3, 4, ())
+            GraphSpec(3, ((2, 2, pi),))
 
     def test_rejects_nonfinite_phase(self):
         with pytest.raises(ValueError, match="finite"):
-            GraphSpec(2, 1, ((1, 2, float("nan")),))
+            GraphSpec(2, ((1, 2, float("nan")),))
+
+    @pytest.mark.parametrize("n_qubits", [2.9, 3.0, "3"])
+    def test_rejects_non_integral_qubit_count(self, n_qubits):
+        with pytest.raises(ValueError, match="n_qubits must be a positive integer"):
+            GraphSpec(n_qubits, ())
+
+    @pytest.mark.parametrize("edge", [(1, 2.7, pi), (1.0, 2, pi), ("1", 2, pi)])
+    def test_rejects_non_integral_endpoints(self, edge):
+        with pytest.raises(ValueError, match="integer qubit labels"):
+            GraphSpec(3, (edge,))
+
+    def test_numpy_integer_labels_are_stored_as_ints(self):
+        spec = GraphSpec(3, ((np.int64(1), np.int32(3), pi),))
+        assert [type(x) for x in spec.edges[0]] == [int, int, float]
+        assert json.loads(json.dumps(spec.to_dict())) == {"n_qubits": 3, "edges": [[1, 3, pi]]}
 
     def test_dict_round_trip(self):
         spec = diamond_spec(3, pi, 0.3)
@@ -52,7 +64,6 @@ class TestSpecFactories:
     def test_star_shape(self):
         spec = star_spec(3, pi)
         assert spec.n_qubits == 4
-        assert spec.system == 1
         assert spec.edges == ((1, 2, pi), (1, 3, pi), (1, 4, pi))
 
     def test_star_ten_qubits(self):
@@ -84,12 +95,12 @@ class TestSpecFactories:
 
 class TestBuildGraphState:
     def test_two_qubit_cluster(self):
-        state = build_graph_state(GraphSpec(2, 1, ((1, 2, pi),)))
+        state = build_graph_state(GraphSpec(2, ((1, 2, pi),)))
         expected = (ket("00") + ket("01") + ket("10") - ket("11")) / 2
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
     def test_zero_phases_give_plus_product(self):
-        state = build_graph_state(GraphSpec(3, 1, ((1, 2, 0.0), (2, 3, 0.0))))
+        state = build_graph_state(GraphSpec(3, ((1, 2, 0.0), (2, 3, 0.0))))
         np.testing.assert_allclose(state.amplitudes, np.full(8, 1 / sqrt(8)), atol=1e-12)
 
     def test_star_becomes_ghz_under_hadamards(self):
@@ -107,7 +118,7 @@ class TestBuildGraphState:
     def test_edge_order_irrelevant(self, order):
         edges = list(diamond_spec(3, 1.1, 0.7).edges)
         base = build_graph_state(diamond_spec(3, 1.1, 0.7))
-        shuffled = build_graph_state(GraphSpec(4, 1, tuple(edges[i] for i in order)))
+        shuffled = build_graph_state(GraphSpec(4, tuple(edges[i] for i in order)))
         np.testing.assert_allclose(shuffled.amplitudes, base.amplitudes, atol=1e-12)
 
 
@@ -129,7 +140,7 @@ class TestPhaseKernel:
     @given(st.integers(0, 10**6))
     def test_build_graph_state(self, seed):
         n, edges = self.random_graph(seed)
-        state = build_graph_state(GraphSpec(n, 1, tuple(edges)))
+        state = build_graph_state(GraphSpec(n, tuple(edges)))
         np.testing.assert_allclose(state.amplitudes, graph_state_amplitudes(n, edges), rtol=0, atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
@@ -157,7 +168,7 @@ class TestQubitDoubling:
     @staticmethod
     def check(n, edges):
         expected = graph_state_amplitudes(n, edges)
-        state = build_graph_state(GraphSpec(n, 1, tuple(edges)))
+        state = build_graph_state(GraphSpec(n, tuple(edges)))
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
         evolved = evolve_ising(n, {(j, k): -p for j, k, p in edges}, 1.0)
         np.testing.assert_allclose(evolved.amplitudes, expected, rtol=0, atol=1e-12)
@@ -183,8 +194,8 @@ class TestQubitDoubling:
         reversed_edges = [(k, j, p) for j, k, p in edges]
         self.check(8, reversed_edges)
         np.testing.assert_array_equal(
-            build_graph_state(GraphSpec(8, 1, tuple(reversed_edges))).amplitudes,
-            build_graph_state(GraphSpec(8, 1, tuple(edges))).amplitudes,
+            build_graph_state(GraphSpec(8, tuple(reversed_edges))).amplitudes,
+            build_graph_state(GraphSpec(8, tuple(edges))).amplitudes,
         )
 
     def test_zero_and_large_phases(self):
@@ -211,7 +222,7 @@ class TestQubitDoubling:
 class TestEvolveIsing:
     def test_single_pair_matches_cluster(self):
         evolved = evolve_ising(2, {(1, 2): pi}, 1.0)
-        cluster = build_graph_state(GraphSpec(2, 1, ((1, 2, pi),)))
+        cluster = build_graph_state(GraphSpec(2, ((1, 2, pi),)))
         assert states_equal_up_to_phase(evolved, cluster, tol=1e-10)
 
     def test_zero_time_is_plus_product(self):
@@ -233,7 +244,7 @@ class TestEvolveIsing:
         t = float(rng.uniform(0.1, 3.0))
         evolved = evolve_ising(n, couplings, t)
         edges = tuple((j, k, -g * t) for (j, k), g in couplings.items())
-        network = build_graph_state(GraphSpec(n, 1, edges))
+        network = build_graph_state(GraphSpec(n, edges))
         assert states_equal_up_to_phase(evolved, network, tol=1e-10)
 
     def test_rejects_duplicate_pair(self):
@@ -265,15 +276,11 @@ class TestNamedStates:
             atol=1e-12,
         )
 
-    def test_parameterized_families(self):
-        star = named_state("star", n_env=3, phi=pi)
-        np.testing.assert_allclose(star.amplitudes, build_graph_state(star_spec(3, pi)).amplitudes)
-        assert named_state("ghz", n_qubits=5).n_qubits == 5
-        assert named_state("GHZ4").n_qubits == 4
-
-    def test_unknown_name(self):
+    @pytest.mark.parametrize("name", ["pentagon", "star", "diamond", "ghz"])
+    def test_unknown_name(self, name):
+        # the families of any size come from build_graph_state and ghz_state
         with pytest.raises(ValueError, match="unknown"):
-            named_state("pentagon")
+            named_state(name)
 
     def test_fixed_names_and_their_spellings(self):
         assert NAMED_FIXED_STATES == (

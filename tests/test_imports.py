@@ -1,8 +1,9 @@
 """Import hygiene, read from the source with the standard library's ast.
 
 A module may import a name it never loads only when the benchmark's tracer
-(perfbench/tracer.py) wraps that binding, and ``qdarwin.__all__`` lists
-exactly the names the package's ``__init__`` imports."""
+(perfbench/tracer.py) wraps that binding, ``qdarwin.__all__`` lists
+exactly the names the package's ``__init__`` imports, and the command line
+imports no private name from the package."""
 import ast
 import importlib
 import inspect
@@ -83,6 +84,18 @@ def test_noqa_comments_list_exactly_the_unloaded_imports():
             listed = NOQA.search(lines[node.lineno - 1])
             names = set(listed.group(1).split(", ")) if listed else set()
             assert names == _imported(node) - loaded, f"{path.name}:{node.lineno}"
+
+
+def test_cli_imports_only_public_names():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    }
+    assert private == set()
 
 
 def test_import_loads_no_executor():

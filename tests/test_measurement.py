@@ -43,7 +43,7 @@ class TestConfigAndCounts:
         with pytest.raises(ValueError, match="at least 2"):
             mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=1)
 
-    @pytest.mark.parametrize("field", ["shots_per_setting", "bootstrap_resamples"])
+    @pytest.mark.parametrize("field", ["shots_per_setting", "bootstrap_resamples", "seed"])
     def test_config_refuses_non_integers(self, field):
         with pytest.raises(ValueError, match=f"{field} must be .*integer.*2.5"):
             RunConfig(**{field: 2.5})
@@ -53,6 +53,11 @@ class TestConfigAndCounts:
         data = [OutcomeCounts(setting="ZZZZ", shots=4, counts={"0101": 2, "1010": 2})]
         with pytest.raises(ValueError, match="bootstrap_resamples must be an integer"):
             mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=2.5)
+
+    def test_counts_reanalysis_refuses_a_non_integer_seed(self):
+        data = [OutcomeCounts(setting="ZZZZ", shots=4, counts={"0101": 2, "1010": 2})]
+        with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
+            mi_curve_from_counts(data, 1, "closed_form", seed=2.5)
 
     def test_counts_must_sum_to_shots(self):
         with pytest.raises(ValueError, match="sum"):
