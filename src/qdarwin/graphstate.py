@@ -35,12 +35,12 @@ class GraphSpec:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_qubits, Integral) or self.n_qubits < 1:
+        if not _is_integer(self.n_qubits) or self.n_qubits < 1:
             raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
         edges = tuple((j, k, float(phase)) for j, k, phase in self.edges)
         seen = set()
         for j, k, phase in edges:
-            if not (isinstance(j, Integral) and isinstance(k, Integral)):
+            if not (_is_integer(j) and _is_integer(k)):
                 raise ValueError(f"edge ({j!r}, {k!r}) endpoints must be integer qubit labels")
             if j == k:
                 raise ValueError(f"self-edge ({j}, {k}) not allowed")
@@ -52,6 +52,7 @@ class GraphSpec:
             if pair in seen:
                 raise ValueError(f"duplicate edge between qubits {j} and {k} (listed twice)")
             seen.add(pair)
+        object.__setattr__(self, "n_qubits", int(self.n_qubits))
         object.__setattr__(self, "edges", tuple((int(j), int(k), phase) for j, k, phase in edges))
 
     def to_dict(self) -> dict:
@@ -63,9 +64,15 @@ class GraphSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "GraphSpec":
         n_qubits, edges = _json_fields(data, n_qubits=int, edges=list)
-        if not all(isinstance(e, list) and len(e) == 3 and all(isinstance(x, (int, float)) for x in e) for e in edges):
+        numbers = (isinstance(x, float) or _is_integer(x) for e in edges for x in e)
+        if not all(isinstance(e, list) and len(e) == 3 for e in edges) or not all(numbers):
             raise ValueError(f"field 'edges' must list [j, k, phase] number triples, got {edges!r}")
         return cls(n_qubits=n_qubits, edges=edges)
+
+
+def _is_integer(value) -> bool:
+    """An integer, numpy's included, that is not a bool: JSON true must not read as 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _json_fields(data, **kinds) -> list:
@@ -77,7 +84,8 @@ def _json_fields(data, **kinds) -> list:
     if unexpected:
         raise ValueError(f"unexpected field {unexpected[0]!r}; expected fields {', '.join(kinds)}")
     for name, kind in kinds.items():
-        if not isinstance(data.get(name), kind):
+        value = data.get(name)
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             got = repr(data[name]) if name in data else "nothing"
             raise ValueError(f"field {name!r} must be {kind.__name__}, got {got}")
     return [data[name] for name in kinds]

@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from numbers import Integral
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .estimator import (  # noqa: F401  (diamond_mutual_information, star_mutual
     star_mutual_information,
     star_parameters,
 )
-from .graphstate import _json_fields
+from .graphstate import _is_integer, _json_fields
 from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this binding)
     _EIGENVALUE_FLOOR,
     HADAMARD,
@@ -74,15 +73,15 @@ class RunConfig:
     poisson_shots: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.shots_per_setting, Integral) or self.shots_per_setting < 1:
+        if not _is_integer(self.shots_per_setting) or self.shots_per_setting < 1:
             raise ValueError(f"shots_per_setting must be a positive integer, got {self.shots_per_setting!r}")
         _check_bootstrap(self.bootstrap_resamples, self.seed)
 
 
 def _check_bootstrap(count: int, seed: int) -> None:
-    if not isinstance(count, Integral) or count < 2:
+    if not _is_integer(count) or count < 2:
         raise ValueError(f"bootstrap_resamples must be an integer of at least 2 for a standard error, got {count!r}")
-    if not isinstance(seed, Integral):
+    if not _is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
@@ -98,8 +97,8 @@ class OutcomeCounts:
         setting = as_pauli(self.setting)
         if setting.weight != len(setting):
             raise ValueError(f"setting {setting} contains identity symbols")
-        if self.shots < 1:
-            raise ValueError(f"setting {setting} has {self.shots} shots; every setting needs at least 1")
+        if not _is_integer(self.shots) or self.shots < 1:
+            raise ValueError(f"setting {setting} has {self.shots!r} shots; every setting needs a positive integer")
         n = len(setting)
         total = 0
         for key, count in self.counts.items():
@@ -126,7 +125,7 @@ class OutcomeCounts:
     @classmethod
     def from_json_dict(cls, data: dict) -> "OutcomeCounts":
         setting, shots, counts = _json_fields(data, setting=str, shots=int, counts=dict)
-        if not all(isinstance(count, int) for count in counts.values()):
+        if not all(_is_integer(count) for count in counts.values()):
             raise ValueError(f"field 'counts' of setting {setting} must map outcomes to integers, got {counts!r}")
         return cls(setting=PauliString(setting), shots=shots, counts=counts)
 
@@ -232,10 +231,12 @@ def sample_setting(state, setting, cfg: RunConfig) -> OutcomeCounts:
 def _correlator_plan(setting_labels: tuple[str, ...], wanted_labels: tuple[str, ...]):
     """Label-only part of correlator estimation, shared by every replica: the
     2^n x 2^n parity (Walsh-Hadamard) matrix, which turns a count vector into
-    the outcome parity of every qubit subset, and the wanted strings grouped
-    by their number of covering settings.  Per group: the strings' indices,
-    and per string its parity's flat index in a settings x subsets grid and
-    its covering settings, in data order."""
+    the outcome parity of every qubit subset, the wanted strings grouped by
+    their number of covering settings, and the (S, 2^n) outcome classes rep.
+    Per group: the strings' indices, and per string its parity's flat index
+    in a settings x subsets grid and its covering settings, in data order.
+    rep[s, x] is the smallest outcome whose parity equals x's on every subset
+    read from setting s: an X/Y setting of the star plan has two classes."""
     n = len(wanted_labels[0])
     if any(len(label) != n for label in wanted_labels + setting_labels):
         raise ValueError("all wanted strings and settings must have equal length")
@@ -253,9 +254,15 @@ def _correlator_plan(setting_labels: tuple[str, ...], wanted_labels: tuple[str, 
         covering = np.nonzero(covers[rows])[1].reshape(len(rows), size)
         groups.append((rows, covering * 2**n + subsets[rows, None], covering))
     parity = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n)
-    for array in (parity, *(a for group in groups for a in group)):
+    read = np.zeros((len(settings), 2**n), dtype=bool)
+    for _, flat, _ in groups:
+        read.flat[flat] = True
+    # splits[s, z]: some subset read from s has odd parity on z, so x and x ^ z differ
+    splits = read @ (parity < 0)
+    rep = np.argmin(splits[:, np.arange(2**n)[:, None] ^ np.arange(2**n)], axis=-1)
+    for array in (parity, rep, *(a for group in groups for a in group)):
         array.flags.writeable = False
-    return parity, tuple(groups)
+    return parity, tuple(groups), rep
 
 
 def _observed_counts(data: list, wanted_labels: tuple):
@@ -273,7 +280,7 @@ def _estimate_batch(counts: np.ndarray, shots: np.ndarray, plan) -> tuple[np.nda
     they combine by inverse-variance weighting, except that settings with
     sigma = 0 (all outcomes of one parity) are exact and are averaged alone.
     """
-    parity, groups = plan
+    parity, groups, _ = plan
     parities = ((counts @ parity) / shots[:, None]).reshape(len(counts), -1)
     value = np.empty((len(counts), sum(len(rows) for rows, _, _ in groups)))
     sigma = np.empty_like(value)
@@ -380,7 +387,11 @@ def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstra
     point = kernel(values)
     if pipeline == "reconstruction":
         _check_negativity(point[2][0])
-    probabilities = counts / counts.sum(axis=1, keepdims=True)
+    # resample only the outcome classes the estimator reads, each at its representative;
+    # a class summed to 1 + 1 ulp would fail multinomial's pvals > 1 check
+    probabilities = np.zeros(counts.shape)
+    np.add.at(probabilities, (np.arange(len(counts))[:, None], plan[2]), counts / counts.sum(axis=1, keepdims=True))
+    probabilities = np.minimum(probabilities, 1.0)
     boot_rng = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, _BOOTSTRAP_STREAM]))
     per_block = max(1, _BOOTSTRAP_ENTRIES // counts.size)
     blocks = []

@@ -122,6 +122,54 @@ def random_unphysical_spectra(rng, rows, dim):
     return np.sort(raw, axis=1)
 
 
+def collapse_onto(counts: np.ndarray, rep: np.ndarray) -> np.ndarray:
+    """(B, S, 2^n) counts with every outcome's count moved to its class representative."""
+    out = np.zeros_like(counts)
+    for s, row in enumerate(rep):
+        for x, r in enumerate(row):
+            out[:, s, r] += counts[:, s, x]
+    return out
+
+
+class TestOutcomeClasses:
+    """A bootstrap replica draws only the outcome classes its estimate reads;
+    counts summed onto the class representatives must give the same numbers."""
+
+    @pytest.mark.parametrize("extra", [(), ("ZZXY", "XZYZ", "XXXX", "YZZZ", "ZZZZ")], ids=["star", "extra covers"])
+    def test_collapsed_counts_estimate_the_same(self, rng, extra):
+        labels = tuple(s.labels for s in plan_measurements("star").settings) + extra
+        plan = _correlator_plan(labels, STAR_LABELS)
+        shots = rng.integers(20, 400, size=len(labels))
+        counts = np.stack(
+            [rng.multinomial(n, rng.dirichlet(np.full(16, 0.5))) for _ in range(5) for n in shots]
+        ).reshape(5, len(labels), 16).astype(float)
+        collapsed = collapse_onto(counts, plan[2])
+        assert (np.count_nonzero(collapsed, axis=-1) < np.count_nonzero(counts, axis=-1)).any()
+        values, sigmas = _estimate_batch(counts, shots, plan)
+        collapsed_values, collapsed_sigmas = _estimate_batch(collapsed, shots, plan)
+        assert (collapsed_values == values).all() and (collapsed_sigmas == sigmas).all()
+
+    def test_star_classes_follow_the_labels(self):
+        labels = tuple(s.labels for s in plan_measurements("star").settings)
+        rep = _correlator_plan(labels, STAR_LABELS)[2]
+        assert rep.tolist() == [star_outcome_classes(label) for label in labels]
+        # an added ZZXY setting is read on ZIII, IZII and ZZII: four classes by its first two bits
+        rep = _correlator_plan(labels + ("ZZXY",), STAR_LABELS)[2]
+        assert rep[-1].tolist() == [x & 0b1100 for x in range(16)]
+
+    def test_a_class_summing_past_one_is_drawn(self):
+        # 1/13 + 6/13 + 3/13 + 3/13 rounds to 1 + 1 ulp, which multinomial refuses as pvals > 1
+        even = OutcomeCounts(setting="XXXX", shots=13, counts={"0000": 1, "0011": 6, "0101": 3, "0110": 3})
+        data = [even if oc.setting.labels == "XXXX" else oc for oc in star_counts(300, 1)]
+        curve = mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=5, seed=1)
+        assert all(np.isfinite(p.stderr) for p in curve.points)
+
+    def test_every_tomography_outcome_is_its_own_class(self):
+        labels = tuple(s.labels for s in plan_measurements("full_tomography").settings)
+        rep = _correlator_plan(labels, ALL_LABELS)[2]
+        assert (rep == np.arange(16)).all()
+
+
 class TestProjectionKernel:
     def test_water_fill_matches_loop_and_one_pass_form(self, rng):
         eigs = random_unphysical_spectra(rng, 60, 16)
@@ -173,11 +221,35 @@ def oracle_curve(values: dict, pipeline: str) -> list[float]:
     ]
 
 
+def star_outcome_classes(label: str) -> list[int]:
+    """Each outcome's class representative in a star-plan setting, from its
+    letters alone: an X/Y setting is read only on the parity of all four
+    outcomes (and on IIII), so its classes are even (0) and odd (1); ZZZZ is
+    read on every subset, so each outcome is its own class."""
+    if label == "ZZZZ":
+        return list(range(16))
+    assert set(label) <= {"X", "Y"}
+    return [bin(x).count("1") % 2 for x in range(16)]
+
+
+def class_probabilities(p: np.ndarray, classes: list[int]) -> np.ndarray:
+    """The probability of each class placed at its representative, summed one
+    outcome at a time in outcome order."""
+    out = np.zeros(len(p))
+    for x, c in enumerate(classes):
+        out[c] += p[x]
+    return np.minimum(out, 1.0)
+
+
 def oracle_bootstrap(data, pipeline: str, replicas: int, seed: int) -> np.ndarray:
+    """Replica curves drawn one setting at a time: every outcome of a tomography
+    setting, the outcome classes of a star-plan setting."""
     labels = [oc.setting.labels for oc in data]
     shots = [oc.shots for oc in data]
     probabilities = [oc.count_vector() / oc.shots for oc in data]
     wanted = STAR_LABELS if pipeline == "closed_form" else ALL_LABELS
+    if pipeline == "closed_form":
+        probabilities = [class_probabilities(p, star_outcome_classes(label)) for p, label in zip(probabilities, labels)]
     rng = np.random.default_rng(np.random.SeedSequence([seed, _BOOTSTRAP_STREAM]))
     curves = []
     for _ in range(replicas):

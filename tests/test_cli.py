@@ -173,6 +173,8 @@ class TestMalformedInputFiles:
             ([{**ENTRY, "shots": None}], "field 'shots' must be int, got None"),
             ([{**ENTRY, "counts": {"0101": None}}], "field 'counts'"),
             ([{**ENTRY, "note": "extra"}], "unexpected field 'note'"),
+            ([{**ENTRY, "shots": True}], "field 'shots' must be int, got True"),
+            ([{**ENTRY, "counts": {"0101": True, "1010": 1}}], "field 'counts'"),
         ],
     )
     def test_counts_file(self, tmp_path, capsys, data, message):
@@ -193,6 +195,9 @@ class TestMalformedInputFiles:
             # the system qubit comes only from --system, never from the file
             ({"n_qubits": 2, "system": 2, "edges": []}, "unexpected field 'system'"),
             ({"n_qubits": 3, "edges": [[1, 2.7, 3.14]]}, "edge (1, 2.7) endpoints must be integer qubit labels"),
+            ({"n_qubits": True, "edges": []}, "field 'n_qubits' must be int, got True"),
+            ({"n_qubits": 3, "edges": [[True, 2, 1.0]]}, "field 'edges'"),
+            ({"n_qubits": 3, "edges": [[1, 2, True]]}, "field 'edges'"),
         ],
     )
     def test_graph_file(self, tmp_path, capsys, data, message):

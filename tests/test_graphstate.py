@@ -40,12 +40,13 @@ class TestGraphSpec:
         with pytest.raises(ValueError, match="finite"):
             GraphSpec(2, ((1, 2, float("nan")),))
 
-    @pytest.mark.parametrize("n_qubits", [2.9, 3.0, "3"])
+    # bool is an int subclass: True must not read as 1
+    @pytest.mark.parametrize("n_qubits", [2.9, 3.0, "3", True])
     def test_rejects_non_integral_qubit_count(self, n_qubits):
         with pytest.raises(ValueError, match="n_qubits must be a positive integer"):
             GraphSpec(n_qubits, ())
 
-    @pytest.mark.parametrize("edge", [(1, 2.7, pi), (1.0, 2, pi), ("1", 2, pi)])
+    @pytest.mark.parametrize("edge", [(1, 2.7, pi), (1.0, 2, pi), ("1", 2, pi), (True, 2, pi)])
     def test_rejects_non_integral_endpoints(self, edge):
         with pytest.raises(ValueError, match="integer qubit labels"):
             GraphSpec(3, (edge,))
@@ -58,6 +59,11 @@ class TestGraphSpec:
     def test_dict_round_trip(self):
         spec = diamond_spec(3, pi, 0.3)
         assert GraphSpec.from_dict(spec.to_dict()) == spec
+
+    def test_numpy_qubit_count_is_stored_as_an_int(self):
+        spec = GraphSpec(np.int64(2), ((1, 2, 1.0),))
+        assert type(spec.n_qubits) is int
+        assert GraphSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 class TestSpecFactories:

@@ -43,10 +43,12 @@ class TestConfigAndCounts:
         with pytest.raises(ValueError, match="at least 2"):
             mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=1)
 
+    # bool is an int subclass: True must not read as 1
+    @pytest.mark.parametrize("value", [2.5, True])
     @pytest.mark.parametrize("field", ["shots_per_setting", "bootstrap_resamples", "seed"])
-    def test_config_refuses_non_integers(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be .*integer.*2.5"):
-            RunConfig(**{field: 2.5})
+    def test_config_refuses_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*integer.*{value}"):
+            RunConfig(**{field: value})
         RunConfig(**{field: np.int64(3)})  # numpy integers are integers
 
     def test_counts_reanalysis_refuses_non_integer_resamples(self):
@@ -63,7 +65,7 @@ class TestConfigAndCounts:
         with pytest.raises(ValueError, match="sum"):
             OutcomeCounts(setting="ZZZZ", shots=10, counts={"0000": 9})
 
-    @pytest.mark.parametrize("shots", [0, -3])
+    @pytest.mark.parametrize("shots", [0, -3, True])
     def test_counts_reject_settings_without_shots(self, shots):
         with pytest.raises(ValueError, match=rf"setting XXYZ has {shots} shots"):
             OutcomeCounts(setting="XXYZ", shots=shots, counts={})
