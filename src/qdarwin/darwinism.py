@@ -266,14 +266,15 @@ def _graph_entropies(spec: GraphSpec, subsets) -> np.ndarray:
     return rank
 
 
-def _weighted_entropies(spec: GraphSpec, subsets) -> np.ndarray:
+def _weighted_entropies(spec: GraphSpec, subsets, solved=None) -> np.ndarray:
     """Entropies in bits of the reductions of any graph state to B subsets
     (label tuples or masks), from the edges across each cut (Hein et al.,
     quant-ph/0602096): with W the phases between the coupled qubits (those
     with a cross edge), rows on the side with fewer of them (s), the
     reduction is D R D^dag, D diagonal, R[x, x'] = 2^-s prod_j cos((c_j(x) -
     c_j(x')) / 2), c(x) = x^T W; s = 0 leaves it pure.  Blocks W equal up
-    to the order of their rows and columns share one R (see _canonical)."""
+    to the order of their rows and columns share one R (see _canonical), and
+    `solved` (shape and canonical bytes -> entropy) carries them across calls."""
     phases = _graph_tables(spec)[0]
     inside = _bits(_masks(subsets), spec.n_qubits)
     cut = (inside[:, :, None] != inside[:, None, :]) & (phases != 0)  # each cut's cross edges
@@ -282,16 +283,19 @@ def _weighted_entropies(spec: GraphSpec, subsets) -> np.ndarray:
     row_side = inside == ((coupled & inside).sum(axis=1) <= (coupled & ~inside).sum(axis=1))[:, None]
     order = np.argsort(np.where(coupled, ~row_side, 2), axis=1, kind="stable")  # coupled rows, then columns
     side, ends = (coupled & row_side).sum(axis=1), coupled.sum(axis=1)
-    out = np.zeros(len(inside))
+    out, solved = np.zeros(len(inside)), {} if solved is None else solved
     for s in set(side.tolist()) - {0}:
         pick = np.flatnonzero(side == s)
         r, c = order[pick, :s, None], order[pick, None, s : ends[pick].max()]  # uncoupled columns are 0
         w = _canonical(np.where(cut[pick[:, None, None], r, c], phases[r, c], 0.0).view(np.uint64))
         distinct, inverse = np.unique(w.reshape(len(w), -1).view(f"V{w[0].nbytes}"), return_inverse=True)
-        distinct = distinct.view(float).reshape(-1, *w.shape[1:])
-        step = max(1, 2**18 // (8 * 4**s))  # stacks of R of about 256 KB
-        parts = [_coupling_entropies(distinct[i : i + step]) for i in range(0, len(distinct), step)]
-        out[pick] = np.concatenate(parts)[inverse.reshape(-1)]
+        keys = [(w.shape[1:], v.tobytes()) for v in distinct]  # equal bytes of other shapes are other blocks
+        new = [i for i, key in enumerate(keys) if key not in solved]
+        blocks = distinct[new].view(float).reshape(-1, *w.shape[1:])
+        step = max(1, 2**18 // (8 * 4**s))  # stacks of R's top rows of about 128 KB
+        for i in range(0, len(blocks), step):
+            solved.update(zip([keys[j] for j in new[i : i + step]], _coupling_entropies(blocks[i : i + step])))
+        out[pick] = np.array([solved[key] for key in keys])[inverse.reshape(-1)]
     return out
 
 
@@ -317,14 +321,18 @@ def _canonical(bits: np.ndarray) -> np.ndarray:
 
 def _coupling_entropies(w: np.ndarray) -> np.ndarray:
     """Entropies in bits of R (see _weighted_entropies) of a (B, s, t) stack of
-    blocks W, from cos and sin tables of the half angles c(x) / 2."""
-    s = w.shape[1]
+    blocks W, from cos and sin tables of the half angles c(x) / 2.  Flipping
+    every bit, ~x = 2^s - 1 - x, sends c(x) to sum_i W_i - c(x), and cos is
+    even, so R[~x, ~y] = R[x, y]: R's spectrum is that of the two halves
+    R[x, y] +- R[x, ~y] over x, y < 2^(s-1), and only those rows are built."""
+    s, h = w.shape[1], 2 ** (w.shape[1] - 1)
     half = np.swapaxes(w, 1, 2) @ ((np.arange(2**s) >> np.arange(s)[:, None]) & 1) / 2  # (B, t, 2^s)
     pairs = np.stack([np.cos(half), np.sin(half)], axis=-1)  # (B, t, 2^s, 2)
-    mats = np.full((len(w), 2**s, 2**s), 2.0**-s)
+    rows = np.full((len(w), h, 2**s), 2.0**-s)
     for j in range(w.shape[2]):  # cos(u - v) = cos u cos v + sin u sin v
-        mats *= pairs[:, j] @ np.swapaxes(pairs[:, j], 1, 2)
-    return _entropy_batch(mats)
+        rows *= pairs[:, j, :h] @ np.swapaxes(pairs[:, j], 1, 2)
+    flipped = rows[:, :, : h - 1 : -1]  # R[x, ~y] for y < h
+    return _entropy_batch(np.stack([rows[:, :, :h] + flipped, rows[:, :, :h] - flipped], axis=1)).sum(axis=1)
 
 
 def _by_size(kernel, n: int, system: int, masks: np.ndarray) -> np.ndarray:
@@ -366,9 +374,10 @@ def mi_curve(
     if isinstance(source, GraphSpec):
         if n > 64:
             raise ValueError(f"{backend} curves hold qubit sets in 64-bit masks: {n} qubits exceed the limit of 64")
+        kernel = functools.partial(_graph_entropies, source)
         if backend == "weighted-graph":
-            _check_qubit_budget(n)  # R is up to 2^(n/2) square
-        kernel = functools.partial(_graph_entropies if backend == "stabilizer" else _weighted_entropies, source)
+            _check_qubit_budget(n)  # R's halves are up to 2^(n/2 - 1) square
+            kernel = functools.partial(_weighted_entropies, source, solved={})  # classes solved once per curve
     else:
         dense = (_pure_entropies, source.amplitudes) if backend == "dense-pure" else (_mixed_entropies, source.entries)
         kernel = functools.partial(_by_size, functools.partial(*dense), n, system)

@@ -104,13 +104,16 @@ class OutcomeCounts:
         for key, count in self.counts.items():
             if len(key) != n or set(key) - {"0", "1"}:
                 raise ValueError(f"outcome key {key!r} is not a {n}-bit string")
-            if int(count) < 0:
+            if not _is_integer(count):
+                raise ValueError(f"field 'counts' of setting {setting} must map outcomes to integers, got {key!r}: {count!r}")
+            if count < 0:
                 raise ValueError(f"negative count for outcome {key!r}")
-            total += int(count)
+            total += count
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, expected shots = {self.shots}")
         object.__setattr__(self, "setting", setting)
-        object.__setattr__(self, "counts", dict(self.counts))
+        object.__setattr__(self, "shots", int(self.shots))  # numpy integers are not JSON
+        object.__setattr__(self, "counts", {key: int(count) for key, count in self.counts.items()})
 
     def count_vector(self) -> np.ndarray:
         n = len(self.setting)
@@ -125,8 +128,6 @@ class OutcomeCounts:
     @classmethod
     def from_json_dict(cls, data: dict) -> "OutcomeCounts":
         setting, shots, counts = _json_fields(data, setting=str, shots=int, counts=dict)
-        if not all(_is_integer(count) for count in counts.values()):
-            raise ValueError(f"field 'counts' of setting {setting} must map outcomes to integers, got {counts!r}")
         return cls(setting=PauliString(setting), shots=shots, counts=counts)
 
     @classmethod

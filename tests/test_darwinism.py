@@ -310,8 +310,9 @@ class TestEntropyBackends:
         monkeypatch.setattr(darwinism, "_entropy_batch", spy)
         mi_curve(star_spec(8, pi / 3), 1)
         # one chunk holds H_S and sizes 1..8, and R runs over the hub, the
-        # smaller coupled side: one block per size, H_S's being size 8's
-        assert shapes == [(8, 2, 2)]
+        # smaller coupled side: one block per size, H_S's being size 8's,
+        # each solved as the two 1 x 1 halves of its 2 x 2 R
+        assert shapes == [(8, 2, 1, 1)]
 
     def test_every_size_sampled_from_spec_ket_and_density(self):
         spec = diamond_spec(5, pi / 2, pi / 3)
@@ -572,6 +573,17 @@ def _raw_entropies(blocks):
     return out
 
 
+def _full_r_entropies(w):
+    """Entropies of the whole 2^s x 2^s R of each block in a (B, s, t) stack,
+    R[x, y] = 2^-s prod_j cos(c_j(x) / 2 - c_j(y) / 2), with no flip split."""
+    s = w.shape[1]
+    half = np.swapaxes(w, 1, 2) @ ((np.arange(2**s) >> np.arange(s)[:, None]) & 1) / 2  # (B, t, 2^s)
+    mats = np.full((len(w), 2**s, 2**s), 2.0**-s)
+    for j in range(w.shape[2]):
+        mats *= np.cos(half[:, j, :, None] - half[:, j, None, :])
+    return _entropy_batch(mats)
+
+
 def _count_matrices(monkeypatch):
     """The number of matrices each later _entropy_batch call receives."""
     counts = []
@@ -660,10 +672,35 @@ class TestBlockClasses:
         shuffled = w[:, rng.permutation(4)][:, :, rng.permutation(6)]
         assert np.array_equal(_canonical(shuffled.view(np.uint64)), out)
 
-    @pytest.mark.parametrize("n_env, solved", [(10, 158), (12, 358)])
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_flip_split_matches_the_whole_r(self, rng, s):
+        # t < s, t = s and t > s, some columns all zero; s = 1 splits R into 1 x 1 halves
+        for t in sorted({max(s - 1, 0), s, s + 3}):
+            w = rng.choice([0.0, pi / 3, -pi / 3, 2 * pi / 3, pi, 1.1, -0.7], size=(20, s, t))
+            w[:, :, rng.random(t) < 0.3] = 0.0
+            assert _coupling_entropies(w) == pytest.approx(_full_r_entropies(w), abs=1e-12)
+
+    def test_class_table_keeps_shapes_apart(self):
+        # a hub with four leaves and a complete bipartite 2 x 2 graph: blocks
+        # of shapes (1, 4) and (2, 2), both four times pi/3, so their bytes
+        # are equal (rows are the smaller side, so no block has more rows
+        # than columns)
+        star = GraphSpec(5, tuple((1, k, pi / 3) for k in range(2, 6)))
+        square = GraphSpec(4, tuple((j, k, pi / 3) for j in (1, 2) for k in (3, 4)))
+        solved, expected = {}, []
+        for spec, cut in ((star, (1,)), (square, (1, 2))):
+            expected.append(brute_pure_entropy(graph_state_amplitudes(spec.n_qubits, spec.edges), cut, spec.n_qubits))
+            assert _weighted_entropies(spec, [cut], solved)[0] == pytest.approx(expected[-1], abs=1e-12)
+        assert [shape for shape, _ in solved] == [(1, 4), (2, 2)]
+        assert len({key for _, key in solved}) == 1
+        assert abs(expected[0] - expected[1]) > 0.05  # a shared entry would show
+
+    @pytest.mark.parametrize("n_env, solved", [(10, 158), (12, 358), (14, 941)])
     def test_diamond_curve_matrix_count(self, monkeypatch, n_env, solved):
-        # byte-distinct blocks, 683 and 2392, fall into these classes up to
-        # row and column order
+        # byte-distinct blocks, 683 at n_env 10 and 2392 at 12, fall into
+        # these classes up to row and column order; n_env 14 runs over four
+        # chunks of masks, and a class met in an earlier chunk is not solved
+        # again (1146 matrices when each chunk kept its own classes)
         counts = _count_matrices(monkeypatch)
         mi_curve(diamond_spec(n_env, pi, pi / 3), 1)
         assert sum(counts) == solved

@@ -70,6 +70,17 @@ class TestConfigAndCounts:
         with pytest.raises(ValueError, match=rf"setting XXYZ has {shots} shots"):
             OutcomeCounts(setting="XXYZ", shots=shots, counts={})
 
+    @pytest.mark.parametrize("counts", [{"0000": 2.7, "1111": 1}, {"0000": True, "1111": 2}])
+    def test_counts_reject_non_integer_counts(self, counts):
+        with pytest.raises(ValueError, match="field 'counts' of setting ZZZZ must map outcomes to integers"):
+            OutcomeCounts(setting="ZZZZ", shots=3, counts=counts)
+
+    def test_counts_accept_numpy_integers(self):
+        oc = OutcomeCounts(setting="ZZZZ", shots=np.int64(3), counts={"0000": np.int64(3)})
+        assert oc.count_vector()[0] == 3
+        # stored as Python ints, so the counts file can be written
+        assert counts_from_json(counts_to_json([oc])) == [oc]
+
     def test_counts_reject_identity_setting(self):
         with pytest.raises(ValueError, match="identity"):
             OutcomeCounts(setting="ZIZZ", shots=1, counts={"0000": 1})
