@@ -29,6 +29,8 @@ from .qcore import (  # noqa: F401  (project_to_physical: perfbench/tracer.py wr
     DensityMatrix,
     PauliString,
     _projected_density,
+    _spectrum_entropies,
+    _water_fill,
     all_pauli_strings,
     as_pauli,
     pauli_expectation,
@@ -96,12 +98,28 @@ def correlator_table(state, strings) -> CorrelatorTable:
     return CorrelatorTable({as_pauli(s): pauli_expectation(state, s) for s in strings})
 
 
+_pauli_strings = lru_cache(maxsize=1)(partial(all_pauli_strings, 4))
+
+
 @lru_cache(maxsize=1)
-def _pauli_stack() -> tuple[list[PauliString], np.ndarray]:
-    strings = all_pauli_strings(4)
-    stack = np.stack([s.matrix() for s in strings])
-    stack.flags.writeable = False
-    return strings, stack
+def _inversion_tables():
+    """Linear inversion as 16-point Walsh-Hadamard transforms.  A string with
+    X-part x and Z-part z (Y sets both bits, qubit 1 is the top bit) has one
+    entry per row r, <r|p|r ^ x> = (-i)^|x & z| (-1)^(z.r), so
+    rho[r, r ^ x] = sum_z (-1)^(z.r) <p(x, z)> (-i)^|x & z| / 16.  Returns
+    the string index and the factor (-i)^|x & z| / 16 of each (z, x), the
+    signs (-1)^(g.q) for the top three bits g of z and q of r, and the flat
+    (r, x) of each rho[r, s]."""
+    bits = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
+    z, x = bits[:, None, :], bits[None, :, :]
+    order = ((x + z + 2 * z * (1 - x)) @ 4 ** np.arange(3, -1, -1)).ravel()  # letters I, X, Y, Z are 0..3
+    phases = np.array([1, -1j, -1, 1j])[(x & z).sum(axis=-1) % 4, None] / 16
+    signs = (-1.0) ** (bits[:8, 1:] @ bits[:8, 1:].T)[:, :, None, None]
+    rows = np.arange(16)[:, None]
+    tables = order, phases, signs, (rows * 16 + (rows ^ rows.T)).ravel()
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _table_values(table: CorrelatorTable, strings) -> np.ndarray:
@@ -116,17 +134,21 @@ def reconstruct_density(table: CorrelatorTable) -> DensityMatrix:
     """Linear inversion: rho = (1/16) sum_p <p> p over all 256 Pauli strings.
     Finite-statistics tables can give eigenvalues below zero; see
     project_to_physical."""
-    return DensityMatrix(_density_batch(_table_values(table, _pauli_stack()[0])))
+    return DensityMatrix(_density_batch(_table_values(table, _pauli_strings())))
 
 
 def _density_batch(values: np.ndarray) -> np.ndarray:
     """Linear inversion of (..., 256) correlator vectors, ordered as
-    all_pauli_strings(4): Hermitian, unit-trace (..., 16, 16) matrices."""
-    _, stack = _pauli_stack()
-    # a vector-matrix product per row, as for a single table: one
-    # (B, 256) x (256, 256) product adds in another order (last-bit changes)
-    rho = (values[..., None, :] @ stack.reshape(256, 256)).reshape(values.shape[:-1] + (16, 16))
-    rho = rho / 16.0
+    all_pauli_strings(4): Hermitian, unit-trace (..., 16, 16) matrices, from
+    one Walsh-Hadamard transform per X-part (see _inversion_tables)."""
+    order, phases, signs, gather = _inversion_tables()
+    coeffs = (np.take(values.reshape(-1, 256).T, order, axis=0).reshape(16, 16, -1) * phases).reshape(16, -1)
+    # the sums over z add as the dense 256 x 256 product they replace did on OpenBLAS, so seeded
+    # values keep their bits: each pair z, z ^ 1 first, then the eight pair sums in z order; and
+    # a contiguous rho's trace adds in the same order in any batch
+    pairs = np.stack([coeffs[0::2] + coeffs[1::2], coeffs[0::2] - coeffs[1::2]], axis=1)
+    entries = np.take(sum(signs * pairs[:, None]).reshape(256, -1), gather, axis=0)
+    rho = np.ascontiguousarray(entries.T).reshape(values.shape[:-1] + (16, 16))
     rho = (rho + np.conj(np.swapaxes(rho, -1, -2))) / 2
     return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None]
 
@@ -393,14 +415,17 @@ def _reconstruction_replicas(values: np.ndarray, system: int):
     """
     rho = _density_batch(values)
     eigs, vecs = np.linalg.eigh(rho)
-    lowest = eigs[:, 0]
+    lowest = eigs[:, 0].copy()  # a view would see the water-filling below
     unphysical = lowest < _EIGENVALUE_FLOOR
+    eigs[unphysical] = _water_fill(eigs[unphysical])
     rho[unphysical] = _projected_density(eigs[unphysical], vecs[unphysical])
     env = [q for q in range(1, 5) if q != system]
     h = partial(_mixed_entropies, rho)
     h_s = h([(system,)])  # once for every size; S u F lists the system first, as in mutual_information
     sizes = [list(itertools.combinations(env, d)) for d in (1, 2, 3)]
-    groups = [_nonnegative(h_s + h(fragments) - h([(system,) + f for f in fragments])) for fragments in sizes]
+    # at size 3, S u F is the whole state, whose spectrum eigs already holds
+    joint = [h([(system,) + f for f in fragments]) for fragments in sizes[:2]] + [_spectrum_entropies(eigs)[:, None]]
+    groups = [_nonnegative(h_s + h(fragments) - h_sf) for fragments, h_sf in zip(sizes, joint)]
     mean, lo, hi = (np.stack([f(group, axis=1) for group in groups], axis=1) for f in (np.mean, np.min, np.max))
     # as in mi_curve: round-off must not put a mean outside [min, max]
     return (np.clip(mean, lo, hi), lo, hi), h_s[:, 0], lowest
@@ -422,6 +447,6 @@ def diamond_mutual_information(
     statistics produced (mildly) negative eigenvalues, then the fragment entropies."""
     if not 1 <= system <= 4:
         raise ValueError(f"system index {system} out of range")
-    replicas = _reconstruction_replicas(_table_values(table, _pauli_stack()[0])[None], system)
+    replicas = _reconstruction_replicas(_table_values(table, _pauli_strings())[None], system)
     _check_negativity(float(replicas[2][0]), negativity_tol)
     return _point_curve(replicas)

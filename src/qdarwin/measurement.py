@@ -354,8 +354,8 @@ def mi_curve_from_counts(
     least 2).  The closed form raises when the point estimate fails its
     model check or its counts pin no error on P.  The curve's _diagnostics
     holds what the run did: the closed form's model margin and clipped
-    replicas, or how many replicas the reconstruction projected and their
-    lowest eigenvalue.
+    replicas, or how many replicas the reconstruction projected, their
+    lowest eigenvalue and the bootstrap bias, mean(replicas) - point.
     """
     _check_estimate(system, pipeline)
     _check_bootstrap(bootstrap_resamples, seed)
@@ -401,7 +401,8 @@ def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstra
         # replica-major, setting-minor: one multinomial per (replica, setting), however blocked
         block = boot_rng.multinomial(shots, probabilities, size=(size, len(shots))).astype(float)
         blocks.append(kernel(_estimate_batch(block, shots, plan)[0]))
-    spread = np.std(np.concatenate([c for (c, _, _), _, _ in blocks]), axis=0, ddof=1)
+    replicas = np.concatenate([c for (c, _, _), _, _ in blocks])
+    spread = np.std(replicas, axis=0, ddof=1)
     flags = np.concatenate([f for _, _, f in blocks])
     if pipeline == "closed_form":
         diagnostics = {
@@ -410,10 +411,13 @@ def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstra
             "model_sigma_p": float(f"{params.sigma_p:.12g}"),
         }
     else:
+        bias = replicas.mean(axis=0) - point[0][0][0]  # Efron and Tibshirani's bootstrap bias estimate
         diagnostics = {
             "replicas_projected": int(np.sum(flags < _EIGENVALUE_FLOOR)),
             "replicas_beyond_tolerance": int(np.sum(flags < -_NEGATIVITY_TOL)),
             "worst_replica_eigenvalue": float(f"{flags.min():.12g}"),
+            "bootstrap_bias": [float(f"{b:.12g}") for b in bias],
+            "bias_exceeds_stderr": bool(np.any(np.abs(bias) > spread)),
         }
     return _point_curve(point, spread.tolist(), diagnostics)
 

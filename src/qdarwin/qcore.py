@@ -166,12 +166,6 @@ class PauliString:
         """Number of non-identity letters."""
         return sum(1 for c in self.labels if c != "I")
 
-    def matrix(self) -> np.ndarray:
-        out = np.array([[1.0 + 0j]])
-        for c in self.labels:
-            out = np.kron(out, PAULI_MATRICES[c])
-        return out
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -386,24 +380,28 @@ def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
 def _entropy_batch(mats: np.ndarray) -> np.ndarray:
     """von Neumann entropies in bits of a (..., d, d) stack of Hermitian
     matrices; eigenvalues in [-1e-9, 0) count as 0, lower ones raise."""
-    eigs = np.linalg.eigvalsh(mats)
+    return _spectrum_entropies(np.linalg.eigvalsh(mats))
+
+
+def _spectrum_entropies(eigs: np.ndarray) -> np.ndarray:
+    """_entropy_batch of the matrices with these (..., d) ascending spectra."""
     if float(eigs.min()) < _EIGENVALUE_FLOOR:
         raise ValueError(
             f"eigenvalue {float(eigs.min()):.3e} below -1e-9; use project_to_physical first"
         )
-    eigs = np.clip(eigs, 0.0, None).reshape(-1, eigs.shape[-1])
-    kept = eigs > _LOG_CUTOFF
-    safe = np.where(kept, eigs, 1.0)
+    flat = np.clip(eigs, 0.0, None).reshape(-1, eigs.shape[-1])
+    kept = flat > _LOG_CUTOFF
+    safe = np.where(kept, flat, 1.0)
     terms = safe * np.log2(safe)
-    # eigvalsh sorts ascending, so the kept eigenvalues are a suffix of each
-    # row; each suffix is summed as a contiguous row, so a spectrum gives the
-    # same bits alone as in any batch
+    # spectra ascend (eigvalsh and eigh sort them; water-filling keeps the order), so the kept
+    # eigenvalues are a suffix of each row; each suffix is summed as a contiguous row, so a
+    # spectrum gives the same bits alone as in any batch
     n_kept = kept.sum(axis=-1)
-    totals = np.zeros(len(eigs))
+    totals = np.zeros(len(flat))
     for m in set(n_kept.tolist()) - {0}:
         rows = n_kept == m
         totals[rows] = np.ascontiguousarray(terms[rows, eigs.shape[-1] - m :]).sum(axis=-1)
-    return (np.maximum(-totals, 0.0) + 0.0).reshape(mats.shape[:-2])
+    return (np.maximum(-totals, 0.0) + 0.0).reshape(eigs.shape[:-1])
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

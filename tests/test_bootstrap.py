@@ -26,6 +26,8 @@ from qdarwin import (
     correlator_table,
     diamond_mutual_information,
     estimate_correlators,
+    estimate_mi_curve,
+    mi_curve,
     mi_curve_from_counts,
     named_state,
     plan_measurements,
@@ -34,7 +36,7 @@ from qdarwin import (
     star_mutual_information,
     star_parameters,
 )
-from qdarwin.estimator import STAR_CORRELATORS, _reconstruction_replicas, clip_to_two_branch_model
+from qdarwin.estimator import STAR_CORRELATORS, _density_batch, _reconstruction_replicas, clip_to_two_branch_model
 from qdarwin import measurement
 from qdarwin.measurement import (
     _BOOTSTRAP_STREAM,
@@ -200,6 +202,50 @@ class TestProjectionKernel:
             np.testing.assert_allclose(out, single, atol=TOL)
 
 
+def table_correlators(rho: np.ndarray) -> np.ndarray:
+    """Tr(rho p) of every string, in ALL_LABELS order, through explicit Pauli matrices."""
+    return np.array([np.real(np.trace(rho @ pauli_matrix(label))) for label in ALL_LABELS])
+
+
+class TestInversionKernel:
+    def test_random_correlators_match_the_pauli_sum(self, rng):
+        # values drawn uniformly in [-1, 1] invert to unphysical matrices
+        values = rng.uniform(-1.0, 1.0, size=(8, 256))
+        values[:, 0] = 1.0
+        batch = _density_batch(values)
+        assert np.linalg.eigvalsh(batch).min() < -0.1
+        for row, out in zip(values, batch):
+            np.testing.assert_allclose(out, linear_inversion(dict(zip(ALL_LABELS, row))), rtol=0, atol=TOL)
+            assert np.array_equal(out, _density_batch(row[None])[0])  # alone, a row gives the same bits
+
+    @pytest.mark.parametrize("name", ["diamond-canonical", "star-experimental"])
+    def test_exact_tables_match_the_pauli_sum(self, name):
+        table = correlator_table(named_state(name), all_pauli_strings(4))
+        values = np.array([table.value(label) for label in ALL_LABELS])
+        oracle = linear_inversion(dict(zip(ALL_LABELS, values)))
+        np.testing.assert_allclose(_density_batch(values[None])[0], oracle, rtol=0, atol=TOL)
+
+    def test_whole_state_entropy_on_projected_and_unprojected_replicas(self, rng):
+        # full-rank random states invert to themselves; the noisy diamond
+        # tables invert to unphysical matrices, which the kernel projects
+        mixed = []
+        for _ in range(4):
+            g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+            mixed.append(table_correlators(g @ g.conj().T / np.real(np.trace(g @ g.conj().T))))
+        psi = named_state("diamond-canonical").amplitudes
+        diamond = table_correlators(np.outer(psi, psi.conj()))
+        noisy = np.clip(diamond + rng.uniform(-0.1, 0.1, size=(4, 256)), -1.0, 1.0)
+        noisy[:, 0] = 1.0
+        values = np.vstack([mixed, noisy])
+        (curves, _, _), h_s, lowest = _reconstruction_replicas(values, 1)
+        assert (lowest[:4] > 0).all() and (lowest[4:] < -1e-9).all()
+        for row, curve, system_entropy in zip(values, curves, h_s):
+            rho = projected(linear_inversion(dict(zip(ALL_LABELS, row))))
+            # at size 3 the fragment is the whole environment and S u F the whole state
+            h_env = brute_entropy(brute_partial_trace(rho, [2, 3, 4], 4))
+            assert system_entropy + h_env - curve[2] == pytest.approx(brute_entropy(rho), rel=0, abs=TOL)
+
+
 def oracle_curve(values: dict, pipeline: str) -> list[float]:
     """One replica's curve from loop-estimated correlators, through explicit
     Pauli matrices, the loop projection and brute-force partial traces."""
@@ -314,6 +360,44 @@ class TestLowShotBootstrap:
         diagnostics = mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=30, seed=4)._diagnostics
         # Re C = 1/2 is read exactly, so noise in Im C pushes |C| past its bound
         assert diagnostics == {"replicas_clipped": 30, "model_deviation": 0.0, "model_sigma_p": 0.00395014042472}
+
+
+class TestCoverageOfTheExactCurve:
+    """Projection onto the physical set biases the reconstruction point
+    estimate, and the bootstrap spread does not show that bias (Schwemmer et
+    al., PRL 114, 080403 (2015)); the reported bootstrap bias does."""
+
+    @pytest.mark.parametrize("shots", [300, 10_000])
+    def test_closed_form_lies_within_three_stderr(self, shots):
+        exact = [p.mean_mi for p in mi_curve(named_state("star-experimental"), 1).points]
+        for seed in (1, 2, 3):
+            cfg = RunConfig(shots_per_setting=shots, seed=seed, bootstrap_resamples=100)
+            curve = estimate_mi_curve(named_state("star-experimental"), 1, cfg, "closed_form")
+            for point, value in zip(curve.points, exact):
+                assert abs(point.mean_mi - value) <= 3 * point.stderr
+
+    @pytest.mark.parametrize("shots", [300, 10_000])
+    def test_reconstruction_reports_its_bias(self, shots):
+        exact = [p.mean_mi for p in mi_curve(named_state("diamond-canonical"), 1).points]
+        for seed in (1, 2, 3):
+            cfg = RunConfig(shots_per_setting=shots, seed=seed, bootstrap_resamples=100)
+            curve = estimate_mi_curve(named_state("diamond-canonical"), 1, cfg, "reconstruction")
+            bias = curve._diagnostics["bootstrap_bias"]
+            for point, value, b in zip(curve.points, exact, bias):
+                assert np.sign(b) == np.sign(point.mean_mi - value) != 0
+            assert curve._diagnostics["bias_exceeds_stderr"]
+            assert any(abs(b) > p.stderr for b, p in zip(bias, curve.points))
+
+    def test_flag_clear_when_the_bias_is_inside_the_spread(self):
+        # a full-rank state at 1e6 shots: no replica is projected, and the
+        # plug-in entropies' bias falls below the spread
+        psi = named_state("diamond-canonical").amplitudes
+        rho = DensityMatrix(0.5 * np.outer(psi, psi.conj()) + 0.5 * np.eye(16) / 16)
+        for seed in (1, 2):
+            cfg = RunConfig(shots_per_setting=10**6, seed=seed, bootstrap_resamples=100)
+            diagnostics = estimate_mi_curve(rho, 1, cfg, "reconstruction")._diagnostics
+            assert diagnostics["replicas_projected"] == 0
+            assert not diagnostics["bias_exceeds_stderr"]
 
 
 class TestBlockSizeIndependence:
@@ -459,9 +543,10 @@ class TestDiamondMutualInformation:
         for table in tables:
             calls.clear()
             diamond_mutual_information(table, 2)
-            # one eigh of the inversion; one eigvalsh per entropy batch (H_S, then H_F and H_SF per size)
+            # one eigh of the inversion, whose spectrum gives the whole state's entropy;
+            # one eigvalsh per other entropy batch (H_S, H_F per size, H_SF at sizes 1 and 2)
             assert calls.count("eigh") == 1
-            assert calls.count("eigvalsh") == 7
+            assert calls.count("eigvalsh") == 6
 
     @pytest.mark.parametrize("system", [0, 5])
     def test_system_out_of_range_before_any_decomposition(self, monkeypatch, system):

@@ -344,7 +344,8 @@ class TestEstimateCommand:
         assert manifest == (tmp_path / "b.csv.manifest.json").read_bytes()
         diagnostics = json.loads(manifest)["diagnostics"]
         assert set(diagnostics) == {
-            "replicas_projected", "replicas_beyond_tolerance", "worst_replica_eigenvalue"
+            "replicas_projected", "replicas_beyond_tolerance", "worst_replica_eigenvalue",
+            "bootstrap_bias", "bias_exceeds_stderr",
         }
         assert diagnostics["replicas_projected"] == 10
         assert diagnostics["worst_replica_eigenvalue"] < 0

@@ -57,37 +57,41 @@ GOLDEN = {
         [
             (0.2823769630418696, 0.0010896205349639754, 0.8440554777026199, 0.0051224264203654675),
             (1.5007433958033793, 0.9265009173171643, 1.7923712341573377, 0.016660193203124375),
-            (1.952783675822808, 1.952783675822808, 1.952783675822808, 0.014781973708131698),
+            (1.9527836758228079, 1.9527836758228079, 1.9527836758228079, 0.014781973708131668),
         ],
         0.9995712623471431,
-        {'replicas_projected': 20, 'replicas_beyond_tolerance': 0, 'worst_replica_eigenvalue': -0.108280524376},
+        {'replicas_projected': 20, 'replicas_beyond_tolerance': 0, 'worst_replica_eigenvalue': -0.108280524376,
+         'bootstrap_bias': [-0.0114842224744, -0.0567223975698, -0.0246498874971], 'bias_exceeds_stderr': True},
     ),
     ('reconstruction', 1, 100000): (
         [
             (0.32820758301011543, 2.734562815964736e-06, 0.9846170470194913, 0.0006788585902941819),
             (1.6506844169690318, 0.9923361673724704, 1.9802542705548636, 0.0013308885672620242),
-            (1.9942905397117496, 1.9942905397117496, 1.9942905397117496, 0.0011855662018753308),
+            (1.9942905397117496, 1.9942905397117496, 1.9942905397117496, 0.0011855662018753193),
         ],
         0.9999995027505454,
-        {'replicas_projected': 20, 'replicas_beyond_tolerance': 0, 'worst_replica_eigenvalue': -0.00583943043725},
+        {'replicas_projected': 20, 'replicas_beyond_tolerance': 0, 'worst_replica_eigenvalue': -0.00583943043725,
+         'bootstrap_bias': [-0.00145622619423, -0.00520715396191, -0.00112771570627], 'bias_exceeds_stderr': True},
     ),
     ('reconstruction', 2, 300): (
         [
             (0.2868168877214378, 0.0008928856914303118, 0.8582940953138423, 0.005055766441119072),
             (1.5062031192304204, 0.9274255978296744, 1.8025324427682785, 0.014504236695468613),
-            (1.9509437420472466, 1.9509437420472466, 1.9509437420472466, 0.016469231474641105),
+            (1.9509437420472469, 1.9509437420472469, 1.9509437420472469, 0.01646923147464085),
         ],
         0.9995557849223875,
-        {'replicas_projected': 20, 'replicas_beyond_tolerance': 0, 'worst_replica_eigenvalue': -0.114224504801},
+        {'replicas_projected': 20, 'replicas_beyond_tolerance': 0, 'worst_replica_eigenvalue': -0.114224504801,
+         'bootstrap_bias': [-0.0111950998235, -0.056567225937, -0.0263663996827], 'bias_exceeds_stderr': True},
     ),
     ('reconstruction', 2, 100000): (
         [
             (0.3299352285913304, 3.4848335270787345e-06, 0.9897978363646782, 0.000888156357789343),
             (1.653469291419882, 0.9945538805266518, 1.9836471979469592, 0.001415495528824564),
-            (1.9957560182127945, 1.9957560182127945, 1.9957560182127945, 0.0015382035859622582),
+            (1.9957560182127927, 1.9957560182127927, 1.9957560182127927, 0.0015382035859624519),
         ],
         0.999998167667128,
-        {'replicas_projected': 20, 'replicas_beyond_tolerance': 0, 'worst_replica_eigenvalue': -0.00555375936127},
+        {'replicas_projected': 20, 'replicas_beyond_tolerance': 0, 'worst_replica_eigenvalue': -0.00555375936127,
+         'bootstrap_bias': [-0.00187444859517, -0.00624230652555, -0.00190618968077], 'bias_exceeds_stderr': True},
     ),
 }
 

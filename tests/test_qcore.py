@@ -369,7 +369,7 @@ class TestPauliExpectation:
         rho = as_density(random_density_array(n, rng))
         rebuilt = np.zeros_like(rho.entries)
         for string in all_pauli_strings(n):
-            rebuilt = rebuilt + pauli_expectation(rho, string) * string.matrix()
+            rebuilt = rebuilt + pauli_expectation(rho, string) * pauli_matrix(string.labels)
         np.testing.assert_allclose(rebuilt / 2**n, rho.entries, atol=1e-8)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
