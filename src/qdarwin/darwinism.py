@@ -8,14 +8,13 @@ signals redundant (objective) records, a growing one signals their absence.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graphstate import GraphSpec
+from .graphstate import GraphSpec, _check_system, _is_integer
 from .qcore import (  # noqa: F401  (partial_trace, subsystem_entropy, von_neumann_entropy: perfbench/tracer.py wraps these bindings)
     StateVector,
     _check_qubit_budget,
@@ -46,11 +45,12 @@ class Fragment:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        bad = [q for q in self.members if not (_is_integer(q) and q >= 1)]
+        if bad:
+            raise ValueError(f"fragment label {bad[0]!r} is not a 1-based integer qubit label")
         members = tuple(int(q) for q in self.members)
         if len(set(members)) != len(members):
             raise ValueError(f"fragment has repeated qubits: {members}")
-        if any(q < 1 for q in members):
-            raise ValueError(f"qubit labels are 1-based, got {members}")
         object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:
@@ -60,17 +60,6 @@ class Fragment:
         return iter(self.members)
 
 
-def enumerate_fragments(n_env: int, delta: int) -> list[Fragment]:
-    """All C(n_env, delta) fragments of environment qubits 2..n_env+1
-    (system at qubit 1), in lexicographic order."""
-    if n_env < 1:
-        raise ValueError("n_env must be >= 1")
-    if not 0 <= delta <= n_env:
-        raise ValueError(f"delta {delta} out of range for {n_env} environment qubits")
-    labels = range(2, n_env + 2)
-    return [Fragment(combo) for combo in itertools.combinations(labels, delta)]
-
-
 def mutual_information(state, system: int, fragment) -> float:
     """I = H_S + H_F - H_SF in bits, clamped to >= 0.
 
@@ -78,8 +67,7 @@ def mutual_information(state, system: int, fragment) -> float:
     inputs go through explicit partial traces.
     """
     n = state.n_qubits
-    if not 1 <= system <= n:
-        raise ValueError(f"system index {system} out of range")
+    _check_system(system, n)
     members = Fragment(tuple(fragment)).members
     if system in members:
         raise ValueError(f"fragment {members} contains the system qubit {system}")
@@ -159,7 +147,7 @@ class MICurve:
 
     @classmethod
     def from_csv(cls, text: str, system_entropy: float, n_env: int) -> "MICurve":
-        lines = [ln for ln in text.strip().splitlines() if ln]
+        lines = [ln for ln in text.strip().splitlines() if ln] or [""]
         if lines[0] != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {lines[0]!r}")
         points = []
@@ -366,8 +354,7 @@ def mi_curve(
     one stream of qubit masks that the backend reads _CHUNK at a time.
     """
     n = source.n_qubits
-    if not 1 <= system <= n:
-        raise ValueError(f"system index {system} out of range")
+    _check_system(system, n)
     if sample_size < 2:
         raise ValueError(f"sample_size must be at least 2 for a standard error, got {sample_size}")
     backend = _backend(source)

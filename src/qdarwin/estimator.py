@@ -23,6 +23,7 @@ import numpy as np
 
 from .darwinism import MICurve, MIPoint, _mixed_entropies, _nonnegative
 from .darwinism import mi_curve  # noqa: F401  (mi_curve: perfbench/tracer.py wraps this binding)
+from .graphstate import _check_system
 from .qcore import (  # noqa: F401  (project_to_physical: perfbench/tracer.py wraps this binding)
     _EIGENVALUE_FLOOR,
     PAULI_MATRICES,
@@ -254,37 +255,29 @@ def _xlogx(x) -> np.ndarray:
     return np.where(small, 0.0, (safe * np.log2(safe)).real)
 
 
-def branch_eigenvalues(params: StarParameters, *, uncorrected: bool = False) -> tuple[float, float]:
-    """f+/f- of the coherence block [[P, C], [C*, 1-P]].
-
-    The default form (1 +- sqrt(4|C|^2 + (1-2P)^2))/2 sums to one and equals
-    the block eigenvalues.  `uncorrected` swaps in the circulating
-    (2P-1 +- sqrt(...))/2 variant, whose values do not sum to one and can go
-    negative; it is kept only so the two can be compared.
-    """
-    f_plus, f_minus = _branch_eigenvalues(params.p, params.c, uncorrected)
+def branch_eigenvalues(params: StarParameters) -> tuple[float, float]:
+    """f+/f- = (1 +- sqrt(4|C|^2 + (1-2P)^2))/2, the eigenvalues of the
+    coherence block [[P, C], [C*, 1-P]]; they sum to one."""
+    f_plus, f_minus = _branch_eigenvalues(params.p, params.c)
     return float(f_plus), float(f_minus)
 
 
-def _branch_eigenvalues(p, c, uncorrected: bool):
+def _branch_eigenvalues(p, c):
     # hypot and float_power round exactly as Python's abs and ** on scalars
     spread = np.sqrt(4.0 * np.float_power(_magnitude(c), 2) + np.float_power(1.0 - 2.0 * p, 2))
-    centre = 2.0 * p - 1.0 if uncorrected else 1.0
-    return (centre + spread) / 2.0, (centre - spread) / 2.0
+    return (1.0 + spread) / 2.0, (1.0 - spread) / 2.0
 
 
-def star_mutual_information(params: StarParameters, delta: int, *, uncorrected: bool = False) -> float:
+def star_mutual_information(params: StarParameters, delta: int) -> float:
     """Closed-form system-fragment mutual information of the two-branch state.
 
     Fragment sizes 1 and 2 depend on P alone; size 3 also feels the coherence
     through the branch eigenvalues f+/f-.  Every size raises when those
-    eigenvalues leave [0, 1], since (P, C) is then outside the model.  With
-    `uncorrected` the inconsistent eigenvalue variant is used, taking real
-    parts of x log2 x for its negative arguments.
+    eigenvalues leave [0, 1], since (P, C) is then outside the model.
     """
     if delta not in (1, 2, 3):
         raise ValueError(f"delta must be 1, 2 or 3, got {delta}")
-    values, in_model = _two_branch_mi(params.p, params.c, uncorrected=uncorrected)
+    values, in_model = _two_branch_mi(params.p, params.c)
     if not in_model:
         raise ValueError(
             f"branch eigenvalues {branch_eigenvalues(params)} outside [0, 1]: the "
@@ -299,15 +292,14 @@ def _magnitude(c) -> np.ndarray:
     return np.hypot(c.real, c.imag)
 
 
-def _two_branch_mi(p, c, *, uncorrected: bool = False):
+def _two_branch_mi(p, c):
     """Closed-form mutual information of two-branch models, elementwise in
     (P, C): fragment sizes 1, 2, 3 along a new last axis, and whether the
-    branch eigenvalues lie in [0, 1] (always True for `uncorrected`)."""
+    branch eigenvalues lie in [0, 1]."""
     binary = -_xlogx(p) - _xlogx(1.0 - p) + 0.0  # + 0.0: no -0.0 at P in {0, 1}
-    f_plus, f_minus = _branch_eigenvalues(p, c, uncorrected)
-    in_model = uncorrected | ((f_minus >= -_F_WINDOW) & (f_plus <= 1.0 + _F_WINDOW))
-    if not uncorrected:
-        f_plus, f_minus = np.clip(f_plus, 0.0, 1.0), np.clip(f_minus, 0.0, 1.0)
+    f_plus, f_minus = _branch_eigenvalues(p, c)
+    in_model = (f_minus >= -_F_WINDOW) & (f_plus <= 1.0 + _F_WINDOW)
+    f_plus, f_minus = np.clip(f_plus, 0.0, 1.0), np.clip(f_minus, 0.0, 1.0)
     full = _xlogx(f_plus) + _xlogx(f_minus) + 2.0 * binary + 0.0
     return np.stack([binary, binary, full], axis=-1), in_model
 
@@ -445,8 +437,7 @@ def diamond_mutual_information(
     """Mutual-information curve from a full 256-string correlator table, run as the one replica of
     the reconstruction kernel: linear inversion, projection to the physical set when finite
     statistics produced (mildly) negative eigenvalues, then the fragment entropies."""
-    if not 1 <= system <= 4:
-        raise ValueError(f"system index {system} out of range")
+    _check_system(system, 4)
     replicas = _reconstruction_replicas(_table_values(table, _pauli_strings())[None], system)
     _check_negativity(float(replicas[2][0]), negativity_tol)
     return _point_curve(replicas)

@@ -31,7 +31,7 @@ from .estimator import (  # noqa: F401  (diamond_mutual_information, star_mutual
     star_mutual_information,
     star_parameters,
 )
-from .graphstate import _is_integer, _json_fields
+from .graphstate import _check_system, _is_integer, _json_fields
 from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this binding)
     _EIGENVALUE_FLOOR,
     HADAMARD,
@@ -321,11 +321,10 @@ PLAN_TARGETS = {"closed_form": "star", "reconstruction": "full_tomography"}
 
 
 def _check_estimate(system: int, pipeline: str) -> None:
-    """Refuse an unknown pipeline or a system outside 1..4, before any sampling."""
+    """Refuse an unknown pipeline or a system that is not an integer in 1..4, before any sampling."""
     if pipeline not in PLAN_TARGETS:
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    if not 1 <= system <= 4:
-        raise ValueError(f"system index {system} out of range")
+    _check_system(system, 4)
 
 
 @lru_cache(maxsize=None)

@@ -185,14 +185,7 @@ def all_pauli_strings(n_qubits: int):
     return [PauliString("".join(t)) for t in itertools.product("IXYZ", repeat=n_qubits)]
 
 
-_GATE_ARITY = {
-    "hadamard": 1,
-    "pauli_x": 1,
-    "pauli_z": 1,
-    "single_qubit": 1,
-    "swap": 2,
-    "controlled_phase": 2,
-}
+_GATE_ARITY = {"hadamard": 1, "pauli_x": 1, "pauli_z": 1, "swap": 2}
 _FIXED_1Q = {
     "hadamard": HADAMARD,
     "pauli_x": PAULI_MATRICES["X"],
@@ -202,13 +195,11 @@ _FIXED_1Q = {
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A unitary to apply: fixed single-qubit gates, Swap, a controlled phase,
-    or an arbitrary 2x2 unitary."""
+    """A local Clifford to apply: Hadamard, X or Z on one qubit, or Swap of
+    two, which only relabels them.  No gate entangles."""
 
     kind: str
     targets: tuple[int, ...]
-    phase: float = 0.0
-    matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _GATE_ARITY:
@@ -220,17 +211,6 @@ class Gate:
             raise ValueError(f"duplicate gate targets {targets}")
         if any(t < 1 for t in targets):
             raise ValueError(f"qubit labels are 1-based, got {targets}")
-        if not np.isfinite(self.phase):
-            raise ValueError("gate phase must be finite")
-        if self.kind == "single_qubit":
-            mat = np.asarray(self.matrix, dtype=complex)
-            if mat.shape != (2, 2):
-                raise ValueError(f"single-qubit matrix must be 2x2, got {mat.shape}")
-            if np.max(np.abs(mat.conj().T @ mat - np.eye(2))) > _HERMITIAN_TOL:
-                raise ValueError("single-qubit matrix is not unitary within 1e-10")
-            object.__setattr__(self, "matrix", _freeze(mat))
-        elif self.matrix is not None:
-            raise ValueError(f"{self.kind} does not take an explicit matrix")
         object.__setattr__(self, "targets", targets)
 
     @classmethod
@@ -249,36 +229,19 @@ class Gate:
     def swap(cls, qubit_a: int, qubit_b: int) -> "Gate":
         return cls("swap", (qubit_a, qubit_b))
 
-    @classmethod
-    def controlled_phase(cls, phase: float, qubit_a: int, qubit_b: int) -> "Gate":
-        return cls("controlled_phase", (qubit_a, qubit_b), phase=phase)
-
-    @classmethod
-    def single_qubit(cls, matrix: np.ndarray, qubit: int) -> "Gate":
-        return cls("single_qubit", (qubit,), matrix=matrix)
-
-    def is_entangling(self) -> bool:
-        """True for gates that can create entanglement (controlled phase with
-        nonzero phase); Swap only relabels qubits."""
-        return self.kind == "controlled_phase" and self.phase % (2 * np.pi) != 0.0
-
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply a unitary gate; the output norm is preserved within 1e-10."""
+    """Apply a gate; the output norm is preserved within 1e-10."""
     n = state.n_qubits
     for t in gate.targets:
         if t > n:
             raise ValueError(f"gate target {t} out of range for {n} qubits")
     tensor = state.amplitudes.reshape([2] * n)
-    if gate.kind in _FIXED_1Q or gate.kind == "single_qubit":
-        mat = _FIXED_1Q.get(gate.kind, gate.matrix)
-        axis = gate.targets[0] - 1
-        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=(1, axis)), 0, axis)
-    elif gate.kind == "swap":
+    if gate.kind == "swap":
         tensor = np.swapaxes(tensor, gate.targets[0] - 1, gate.targets[1] - 1)
-    else:  # controlled_phase: multiply the |1>_j |1>_k slice of a copy
-        tensor = tensor.copy()
-        tensor[tuple(1 if q in gate.targets else slice(None) for q in range(1, n + 1))] *= np.exp(1j * gate.phase)
+    else:
+        axis = gate.targets[0] - 1
+        tensor = np.moveaxis(np.tensordot(_FIXED_1Q[gate.kind], tensor, axes=(1, axis)), 0, axis)
     return StateVector(_seal(tensor.reshape(-1)))
 
 
@@ -286,12 +249,6 @@ def apply_circuit(state: StateVector, gates) -> StateVector:
     for gate in gates:
         state = apply_gate(state, gate)
     return state
-
-
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product with a's qubits first (most significant)."""
-    _check_qubit_budget(a.n_qubits + b.n_qubits)
-    return StateVector(_seal(np.kron(a.amplitudes, b.amplitudes)))
 
 
 def _split_axes(n: int, keep: tuple[int, ...]) -> list[int]:
@@ -332,15 +289,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(_partial_trace_batch(rho.entries, keep))
 
 
-def reduced_density(state: StateVector, keep) -> DensityMatrix:
-    """Reduced density matrix of a pure state (no 2^n x 2^n intermediate)."""
-    n = state.n_qubits
-    keep = _validate_keep(n, keep)
-    axes = _split_axes(n, keep)
-    mat = state.amplitudes.reshape([2] * n).transpose(axes).reshape(2 ** len(keep), -1)
-    return DensityMatrix(mat @ mat.conj().T)
-
-
 def _pure_entropies(amplitudes: np.ndarray, subsets) -> np.ndarray:
     """Entropies in bits of a pure state's reductions to B subsets of k qubit
     labels each, from the Gram matrix of the smaller side of each cut, in
@@ -367,14 +315,6 @@ def subsystem_entropy(state: StateVector, subset) -> float:
     smaller side of the cut (never forms the global density matrix)."""
     subset = _validate_keep(state.n_qubits, subset)
     return float(_pure_entropies(state.amplitudes, [subset])[0])
-
-
-def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
-    """Real eigenvalues in descending order; their sum equals the trace."""
-    eigs = np.linalg.eigvalsh(rho.entries)[::-1]
-    if abs(float(np.sum(eigs)) - float(np.real(np.trace(rho.entries)))) > 1e-9:
-        raise ValueError("eigenvalue sum deviates from the trace beyond 1e-9")
-    return eigs
 
 
 def _entropy_batch(mats: np.ndarray) -> np.ndarray:
@@ -458,33 +398,22 @@ def pauli_expectation(state, pauli) -> float:
 
 
 def fidelity(a, b) -> float:
-    """Fidelity between states given as StateVector or DensityMatrix.
-
-    Pure inputs use the overlap forms; two mixed inputs fall back to the
-    square-root formula (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
-    """
+    """Fidelity between two states given as StateVector or DensityMatrix, at
+    least one of them pure: |<a|b>|^2, or <psi|rho|psi> for a mixed one."""
+    if not (isinstance(a, StateVector) or isinstance(b, StateVector)):
+        raise ValueError("fidelity needs at least one pure state (StateVector), got two density matrices")
     dim_a = a.amplitudes.size if isinstance(a, StateVector) else a.entries.shape[0]
     dim_b = b.amplitudes.size if isinstance(b, StateVector) else b.entries.shape[0]
     if dim_a != dim_b:
         raise ValueError(f"dimension mismatch: {dim_a} vs {dim_b}")
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         value = float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-    elif isinstance(a, StateVector) or isinstance(b, StateVector):
+    else:
         psi, rho = (a.amplitudes, b.entries) if isinstance(a, StateVector) else (b.amplitudes, a.entries)
         value = float(np.real(psi.conj() @ rho @ psi))
-    else:
-        eigs, vecs = np.linalg.eigh(a.entries)
-        sqrt_a = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
-        inner = np.linalg.eigvalsh(sqrt_a @ b.entries @ sqrt_a)
-        value = float(np.sum(np.sqrt(np.clip(inner, 0.0, None))) ** 2)
     if value < -1e-9 or value > 1.0 + 1e-9:
         raise ValueError(f"fidelity {value!r} outside [0, 1] beyond tolerance")
     return float(min(max(value, 0.0), 1.0))
-
-
-def states_equal_up_to_phase(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
-    """Equality modulo a global phase: | |<a|b>| - 1 | <= tol."""
-    return bool(abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1.0) <= tol)
 
 
 def _water_fill(eigs: np.ndarray) -> np.ndarray:

@@ -156,10 +156,9 @@ def random_density_array(n: int, rng: np.random.Generator, rank: int = 3) -> np.
     return rho
 
 
-def random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
-    mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(mat)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def states_equal_up_to_phase(a, b, tol: float = 1e-10) -> bool:
+    """Equality of two StateVectors modulo a global phase: | |<a|b>| - 1 | <= tol."""
+    return bool(abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1.0) <= tol)
 
 
 def two_branch_rho(p: float, c: complex) -> np.ndarray:

@@ -17,6 +17,7 @@ from oracle_utils import (
     pauli_matrix,
     random_density_array,
     random_pure_array,
+    states_equal_up_to_phase,
     two_branch_rho,
 )
 from qdarwin import (
@@ -42,7 +43,6 @@ from qdarwin import (
     star_mutual_information,
     star_parameters,
     star_spec,
-    states_equal_up_to_phase,
     subsystem_entropy,
     von_neumann_entropy,
 )

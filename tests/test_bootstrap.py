@@ -548,7 +548,7 @@ class TestDiamondMutualInformation:
             assert calls.count("eigh") == 1
             assert calls.count("eigvalsh") == 6
 
-    @pytest.mark.parametrize("system", [0, 5])
+    @pytest.mark.parametrize("system", [0, 5, 2.5, True])
     def test_system_out_of_range_before_any_decomposition(self, monkeypatch, system):
         table = correlator_table(named_state("diamond-canonical"), all_pauli_strings(4))
 

@@ -25,7 +25,6 @@ from qdarwin import (
     build_graph_state,
     classify_curve,
     diamond_spec,
-    enumerate_fragments,
     evolve_ising,
     mi_curve,
     mutual_information,
@@ -73,28 +72,15 @@ def _assert_curve_matches(curve, expected, tol=1e-12):
         assert point.max_mi == pytest.approx(hi, abs=tol)
 
 
-class TestEnumerateFragments:
-    def test_singletons(self):
-        frags = enumerate_fragments(3, 1)
-        assert [f.members for f in frags] == [(2,), (3,), (4,)]
-
-    def test_full_environment(self):
-        assert [f.members for f in enumerate_fragments(3, 3)] == [(2, 3, 4)]
-
-    def test_binomial_count(self):
-        assert len(enumerate_fragments(9, 4)) == 126
-
-    def test_lexicographic_order(self):
-        frags = [f.members for f in enumerate_fragments(4, 2)]
-        assert frags == sorted(frags)
-
-    def test_delta_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            enumerate_fragments(3, 4)
-
+class TestFragment:
     def test_fragment_validation(self):
         with pytest.raises(ValueError, match="repeated"):
             Fragment((2, 2))
+        # labels are refused, not coerced: int(3.7) would read as qubit 3
+        for label in (3.7, 3.0, True, "3", 0, -1):
+            with pytest.raises(ValueError, match=f"fragment label {label!r} is not a 1-based integer"):
+                Fragment((2, label))
+        assert Fragment((np.int64(3), 2)).members == (3, 2)
 
 
 class TestMutualInformation:
@@ -126,6 +112,12 @@ class TestMutualInformation:
     def test_fragment_with_system_rejected(self, ghz4):
         with pytest.raises(ValueError, match="system"):
             mutual_information(ghz4, 1, (1, 2))
+
+    @pytest.mark.parametrize("system", [2.5, 2.0, True, 0, 5])
+    def test_system_must_be_an_integer_in_range(self, system):
+        # 2.5 once gave the system-2 value
+        with pytest.raises(ValueError, match=f"^system index {system} out of range$"):
+            mutual_information(named_state("diamond-canonical"), system, [3])
 
     def test_empty_fragment_is_zero(self, ghz4):
         assert mutual_information(ghz4, 1, ()) == 0.0
@@ -201,6 +193,13 @@ class TestMICurve:
             h_s = curve.system_entropy
             for point in curve.points:
                 assert point.max_mi <= 2 * min(h_s, point.delta) + 1e-9
+
+    @pytest.mark.parametrize("system", [1.5, 1.0, True, 0, 7])
+    @pytest.mark.parametrize("source", ["graph", "state"])
+    def test_system_must_be_an_integer_in_range(self, source, system):
+        spec = star_spec(5, pi)
+        with pytest.raises(ValueError, match=f"^system index {system} out of range$"):
+            mi_curve(spec if source == "graph" else build_graph_state(spec), system)
 
     def test_sample_size_below_two_rejected(self):
         # one draw has no standard error (ddof=1 would give NaN), none has no mean
@@ -743,6 +742,11 @@ class TestCurveContainer:
         text = curve.to_csv().replace("\n", "\n0,0,0,0,1,\n", 1)  # a row before delta 1
         with pytest.raises(ValueError, match="deltas"):
             MICurve.from_csv(text, curve.system_entropy, curve.n_env)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "delta,mean_mi,min_mi,max_mi\n1,1,1,1,3\n"])
+    def test_csv_refuses_a_missing_or_wrong_header(self, text):
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            MICurve.from_csv(text, 1.0, 1)
 
     def test_rejects_disordered_band(self):
         point = MIPoint(delta=1, mean_mi=0.5, min_mi=0.9, max_mi=1.0, n_fragments=1)

@@ -224,27 +224,17 @@ class TestClosedFormMutualInformation:
             with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
                 star_mutual_information(StarParameters(p=p, c=c), delta)
 
-    def test_uncorrected_keeps_out_of_model_values(self):
-        binary = -1.1 * np.log2(1.1) + 0.1 * np.log2(0.1)  # -x log x - Re[(1-x) log(1-x)]
-        values = [star_mutual_information(StarParameters(p=1.1, c=0.0), d, uncorrected=True) for d in (1, 2)]
-        assert values == pytest.approx([binary, binary], abs=1e-12)
-        assert values[0] < 0
-
-    def test_uncorrected_variant(self):
-        # the legacy form coincides at the symmetric ideal point ...
-        ideal = StarParameters(p=0.5, c=0.5)
-        assert star_mutual_information(ideal, 3, uncorrected=True) == pytest.approx(2.0, abs=1e-9)
-        f_plus, f_minus = branch_eigenvalues(ideal, uncorrected=True)
-        assert (f_plus, f_minus) == pytest.approx((0.5, -0.5), abs=1e-12)
-        # ... but is inconsistent elsewhere: eigenvalues no longer sum to one
+    def test_skewed_point_matches_dense_oracle(self):
         skew = StarParameters(p=0.3, c=0.25)
-        f_plus, f_minus = branch_eigenvalues(skew, uncorrected=True)
-        assert f_plus + f_minus == pytest.approx(2 * 0.3 - 1.0, abs=1e-12)
-        legacy = star_mutual_information(skew, 3, uncorrected=True)
-        corrected = star_mutual_information(skew, 3)
         exact = brute_mutual_information_dm(two_branch_rho(0.3, 0.25), 1, (2, 3, 4), 4)
-        assert corrected == pytest.approx(exact, abs=1e-9)
-        assert abs(legacy - exact) > 0.1
+        assert star_mutual_information(skew, 3) == pytest.approx(exact, abs=1e-9)
+
+    def test_slightly_negative_p_inside_the_window(self):
+        # P = -5e-10 is within the 1e-9 window; x log2 x of a negative x takes
+        # the real part of the complex logarithm, x log2 |x|, not a NaN
+        values = [star_mutual_information(StarParameters(p=-5e-10, c=0.0), d) for d in (1, 2)]
+        binary = 5e-10 * np.log2(5e-10) - (1 + 5e-10) * np.log2(1 + 5e-10)
+        assert values == pytest.approx([binary, binary], rel=1e-12)
 
 
 class TestMeasurementPlan:

@@ -2,8 +2,9 @@
 
 A module may import a name it never loads only when the benchmark's tracer
 (perfbench/tracer.py) wraps that binding, ``qdarwin.__all__`` lists
-exactly the names the package's ``__init__`` imports, and the command line
-imports no private name from the package."""
+exactly the names the package's ``__init__`` imports, each of them is used
+outside the tests, and the command line imports no private name from the
+package."""
 import ast
 import importlib
 import inspect
@@ -69,6 +70,19 @@ def test_all_lists_exactly_the_init_imports():
     imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert qdarwin.__all__ == imported
     assert len(set(imported)) == len(imported)
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # loaded in a module of the package other than __init__ (a definition is
+    # not a load), or named in the README or the benchmark
+    used = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        used |= _loaded(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    root = PACKAGE.parent.parent
+    text = "\n".join(p.read_text() for p in [root / "README.md", *sorted((root / "perfbench").glob("*.py"))])
+    unused = [name for name in qdarwin.__all__ if name not in used and not re.search(rf"\b{name}\b", text)]
+    assert unused == []
 
 
 def test_noqa_comments_list_exactly_the_unloaded_imports():

@@ -447,7 +447,7 @@ class TestEstimateMICurve:
     def test_rejects_system_out_of_range(self, pipeline, target):
         cfg = RunConfig(shots_per_setting=200, seed=2)
         data = [sample_setting(named_state("star-experimental"), s, cfg) for s in plan_measurements(target).settings]
-        for system in (0, -2, 5, 7):
+        for system in (0, -2, 5, 7, 2.5, 1.0, True):
             with pytest.raises(ValueError, match=f"system index {system} out of range"):
                 mi_curve_from_counts(data, system, pipeline, bootstrap_resamples=2)
 
@@ -464,8 +464,8 @@ class TestEstimateMICurve:
 
 
 class TestArgumentsCheckedBeforeSampling:
-    """An out-of-range system or an unknown pipeline is refused before a
-    single setting is sampled."""
+    """A system that is not an integer in 1..4 or an unknown pipeline is
+    refused before a single setting is sampled."""
 
     @pytest.fixture(autouse=True)
     def no_sampling(self, monkeypatch):
@@ -476,7 +476,7 @@ class TestArgumentsCheckedBeforeSampling:
         monkeypatch.setattr("qdarwin.measurement._sample_counts", refuse)
 
     @pytest.mark.parametrize("pipeline", ["closed_form", "reconstruction"])
-    @pytest.mark.parametrize("system", [0, 5, 7])
+    @pytest.mark.parametrize("system", [0, 5, 7, 2.5, 1.0, True])
     def test_system_out_of_range(self, pipeline, system):
         with pytest.raises(ValueError, match=f"system index {system} out of range"):
             estimate_mi_curve(named_state("diamond-canonical"), system, RunConfig(seed=0), pipeline)

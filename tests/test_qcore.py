@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from conftest import as_density, as_state
 from oracle_utils import (
     brute_partial_trace,
-    eig2x2,
     ket,
     pauli_matrix,
     random_density_array,
     random_pure_array,
-    random_unitary_2x2,
+    states_equal_up_to_phase,
 )
 from qdarwin import (
     DensityMatrix,
@@ -25,16 +24,12 @@ from qdarwin import (
     build_graph_state,
     evolve_ising,
     fidelity,
-    hermitian_eigenvalues,
     named_state,
     partial_trace,
     pauli_expectation,
     project_to_physical,
-    reduced_density,
     star_spec,
-    states_equal_up_to_phase,
     subsystem_entropy,
-    tensor_product,
     von_neumann_entropy,
 )
 from qdarwin.qcore import _pauli_action
@@ -74,14 +69,12 @@ class TestStateConstruction:
             StateVector(list(source)),
             StateVector.plus_state(3),
             StateVector.computational_basis("011"),
-            tensor_product(StateVector.plus_state(1), StateVector.plus_state(2)),
             build_graph_state(star_spec(2, pi / 3)),
             evolve_ising(3, {(1, 2): 0.4}, 1.0),
             named_state("diamond-canonical"),
         ]
         base = StateVector(source)
-        for gate in (Gate.hadamard(1), Gate.hadamard(3), Gate.single_qubit(random_unitary_2x2(rng), 2),
-                     Gate.swap(1, 3), Gate.controlled_phase(0.7, 1, 2)):
+        for gate in (Gate.hadamard(1), Gate.hadamard(3), Gate.pauli_x(2), Gate.pauli_z(2), Gate.swap(1, 3)):
             states.append(apply_gate(base, gate))
         for state in states:
             array = state.amplitudes
@@ -106,7 +99,7 @@ class TestStateConstruction:
 
         spec = star_spec(16, pi / 3)  # 2 MB, so numpy's fixed-size ufunc buffers hardly count
         state = build_graph_state(spec)
-        gate = Gate.controlled_phase(0.3, 2, 3)
+        gate = Gate.swap(2, 3)
         for make in (lambda: build_graph_state(spec), lambda: apply_gate(state, gate)):
             tracemalloc.start()
             try:
@@ -140,15 +133,6 @@ class TestStateConstruction:
 
 
 class TestApplyGate:
-    def test_cphase_pi_flips_11(self):
-        state = apply_gate(StateVector.computational_basis("11"), Gate.controlled_phase(pi, 1, 2))
-        np.testing.assert_allclose(state.amplitudes, -ket("11"), atol=1e-12)
-
-    def test_cphase_zero_is_identity(self, rng):
-        psi = as_state(random_pure_array(3, rng))
-        out = apply_gate(psi, Gate.controlled_phase(0.0, 1, 3))
-        np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-12)
-
     def test_hadamard_makes_plus(self):
         out = apply_gate(StateVector.computational_basis("0"), Gate.hadamard(1))
         np.testing.assert_allclose(out.amplitudes, np.array([1, 1]) / sqrt(2), atol=1e-12)
@@ -165,10 +149,6 @@ class TestApplyGate:
         with pytest.raises(ValueError, match="duplicate"):
             Gate.swap(2, 2)
 
-    def test_non_unitary_matrix_rejected(self):
-        with pytest.raises(ValueError, match="unitary"):
-            Gate.single_qubit(np.array([[1, 0], [0, 2.0]]), 1)
-
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 10**6))
     def test_unitarity(self, n, seed):
@@ -179,35 +159,12 @@ class TestApplyGate:
             Gate.hadamard(q),
             Gate.pauli_x(q),
             Gate.pauli_z(q),
-            Gate.single_qubit(random_unitary_2x2(rng), q),
         ]
         if n >= 2:
-            other = q % n + 1
-            gates += [Gate.swap(q, other), Gate.controlled_phase(rng.uniform(-pi, pi), q, other)]
+            gates.append(Gate.swap(q, q % n + 1))
         for gate in gates:
             out = apply_gate(psi, gate)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
-
-
-class TestTensorProduct:
-    def test_basis_kets(self):
-        out = tensor_product(
-            StateVector.computational_basis("0"), StateVector.computational_basis("1")
-        )
-        np.testing.assert_allclose(out.amplitudes, ket("01"), atol=1e-12)
-
-    def test_plus_plus_uniform(self):
-        out = tensor_product(StateVector.plus_state(1), StateVector.plus_state(1))
-        np.testing.assert_allclose(out.amplitudes, np.full(4, 0.5), atol=1e-12)
-
-    def test_preserves_norm(self, rng):
-        out = tensor_product(as_state(random_pure_array(2, rng)), as_state(random_pure_array(3, rng)))
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
-
-    def test_size_cap(self, monkeypatch):
-        monkeypatch.setenv("QDARWIN_MAX_QUBITS", "4")
-        with pytest.raises(ValueError, match="cap"):
-            tensor_product(StateVector.plus_state(3), StateVector.plus_state(2))
 
 
 class TestPartialTrace:
@@ -252,15 +209,6 @@ class TestPartialTrace:
         two = partial_trace(partial_trace(rho, (1, 3, 4)), (1, 2))
         np.testing.assert_allclose(one.entries, two.entries, atol=1e-10)
 
-    def test_reduced_density_matches(self, rng):
-        psi = as_state(random_pure_array(4, rng))
-        for keep in [(1,), (2, 4), (3, 1, 2)]:
-            np.testing.assert_allclose(
-                reduced_density(psi, keep).entries,
-                partial_trace(psi.density(), keep).entries,
-                atol=1e-10,
-            )
-
     def test_errors(self, rng):
         rho = as_density(random_density_array(2, rng))
         with pytest.raises(ValueError, match="nonempty"):
@@ -270,26 +218,6 @@ class TestPartialTrace:
 
 
 class TestSpectraAndEntropy:
-    def test_maximally_mixed_eigenvalues(self):
-        eigs = hermitian_eigenvalues(DensityMatrix.maximally_mixed(1))
-        np.testing.assert_allclose(eigs, [0.5, 0.5], atol=1e-12)
-
-    def test_pure_projector_eigenvalues(self, rng):
-        rho = as_state(random_pure_array(2, rng)).density()
-        eigs = hermitian_eigenvalues(rho)
-        np.testing.assert_allclose(eigs, [1, 0, 0, 0], atol=1e-10)
-
-    def test_two_branch_block_eigenvalues(self):
-        block = as_density(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        np.testing.assert_allclose(hermitian_eigenvalues(block), [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(hermitian_eigenvalues(block), eig2x2(0.5, 0.5), atol=1e-12)
-
-    def test_descending_order_and_trace(self, rng):
-        rho = as_density(random_density_array(3, rng))
-        eigs = hermitian_eigenvalues(rho)
-        assert np.all(np.diff(eigs) <= 1e-15)
-        assert abs(eigs.sum() - 1.0) < 1e-9
-
     def test_pure_state_entropy_zero(self, rng):
         assert von_neumann_entropy(as_state(random_pure_array(3, rng)).density()) == pytest.approx(
             0.0, abs=1e-9
@@ -395,7 +323,7 @@ class TestFidelity:
         a = StateVector.computational_basis("0")
         b = StateVector.computational_basis("1")
         assert fidelity(a, b) == 0.0
-        assert fidelity(a.density(), b.density()) == pytest.approx(0.0, abs=1e-12)
+        assert fidelity(a.density(), b) == 0.0
 
     def test_depolarized_ghz(self, ghz4):
         mixed = as_density(0.9 * ghz4.density().entries + 0.1 * np.eye(16) / 16)
@@ -403,10 +331,12 @@ class TestFidelity:
         assert fidelity(ghz4, mixed) == pytest.approx(expected, abs=1e-12)
         assert expected == 0.90625
 
-    def test_mixed_mixed_agrees_with_pure_route(self, rng):
+    def test_refuses_two_density_matrices(self, rng):
+        # the square-root form for two mixed states is not implemented
         psi = as_state(random_pure_array(2, rng))
         rho = as_density(random_density_array(2, rng))
-        assert fidelity(psi.density(), rho) == pytest.approx(fidelity(psi, rho), abs=1e-8)
+        with pytest.raises(ValueError, match="at least one pure state"):
+            fidelity(psi.density(), rho)
 
     def test_dimension_mismatch(self, ghz4):
         with pytest.raises(ValueError, match="mismatch"):
