@@ -9,6 +9,7 @@ it byte for byte (pin --timestamp for fully identical manifests).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -203,6 +204,7 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache  # built on run's first call, then reused: parsing leaves it as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="qdarwin", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qdarwin {__version__}")
@@ -257,9 +259,8 @@ def build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     """Parse and execute; 0 on success, 1 on validation errors, 2 on bugs."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (_UsageError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,10 @@ signals redundant (objective) records, a growing one signals their absence.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,8 +35,6 @@ _STEP_SIGMAS = 2.0  # classify_curve: a step between points with stderr must bea
 _CHUNK = 4096  # qubit masks per entropy-kernel call, across fragment sizes
 
 CSV_HEADER = "delta,mean_mi,min_mi,max_mi,n_fragments,stderr"
-_BINOMIALS = np.array([[math.comb(c, i) for c in range(65)] for i in range(65)], dtype=np.int64)  # C(c, i) at [i, c]
-_BINOMIALS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,11 @@ def mutual_information(state, system: int, fragment) -> float:
 
 
 def _nonnegative(values: np.ndarray) -> np.ndarray:
-    """Mutual-information values clamped to >= 0 (and -0.0 to 0.0); a value
+    """Mutual-information values clamped in place to >= 0 (and -0.0 to 0.0); a value
     below -1e-9 is an error, not round-off."""
-    if values.min() < -1e-9:
+    if values.min(initial=0) < -1e-9:
         raise ValueError(f"mutual information {float(values.min())!r} violates nonnegativity")
-    return np.maximum(values, 0.0) + 0.0
+    return np.add(np.maximum(values, 0, out=values), 0, out=values)  # + 0: -0.0 becomes 0.0
 
 
 def _mixed_entropies(mats: np.ndarray, subsets) -> np.ndarray:
@@ -161,7 +160,7 @@ class MICurve:
         return {
             "system_entropy": self.system_entropy,
             "n_env": self.n_env,
-            "points": [asdict(p) for p in self.points],
+            "points": [dict(vars(p)) for p in self.points],  # the fields in order, no deep copy
         }
 
     def to_json(self) -> str:
@@ -195,22 +194,31 @@ def _bits(masks: np.ndarray, n: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1) != 0
 
 
-def _unrank(env_bits: np.ndarray, sizes, ranks: np.ndarray) -> np.ndarray:
-    """Masks of the subsets of env_bits (one bit each) of the given sizes with
-    the given ranks in itertools.combinations order.  Reversed positions
-    c = m - 1 - a put that order backwards into colex order, whose rank
-    sum_i C(c_i, i) over c_d > ... > c_1 the combinatorial number system
-    reads off greedily."""
+def _unrank(env_bits: np.ndarray, d: int, ranks: np.ndarray) -> np.ndarray:
+    """Masks of the size-d subsets of env_bits (one bit each) with the given
+    ranks in itertools.combinations order.  Reversed positions c = m - 1 - a
+    put that order backwards into colex order, whose rank sum_i C(c_i, i)
+    over c_d > ... > c_1 the combinatorial number system reads off greedily."""
     m = len(env_bits)
-    sizes = np.broadcast_to(sizes, ranks.shape)
-    rest = _BINOMIALS[sizes, m] - 1 - ranks
-    masks = np.zeros(len(ranks), dtype=np.uint64)
-    for i in range(int(sizes.max(initial=0)), 0, -1):
-        c = np.searchsorted(_BINOMIALS[i, :m], rest, side="right") - 1
-        take = sizes >= i
-        rest = np.where(take, rest - _BINOMIALS[i, c], rest)
-        masks |= np.where(take, env_bits[m - 1 - c], np.uint64(0))
+    rest, masks = math.comb(m, d) - 1 - ranks, np.zeros(len(ranks), dtype=np.uint64)
+    for i in range(d, 0, -1):
+        binomials = np.array([math.comb(c, i) for c in range(m)], dtype=np.int64)
+        c = np.searchsorted(binomials, rest, side="right") - 1
+        rest, masks = rest - binomials[c], masks | env_bits[m - 1 - c]
     return masks
+
+
+def _counted(env_bits: np.ndarray, parts):
+    """_unrank's masks of each part (d, x), the size-d subsets of env_bits XOR x,
+    from a counter: read as m-bit integers y, bit c for env_bits[m - 1 - c], they
+    come in that order as y runs down.  Subset tables of y's halves map y to masks."""
+    low, high = (functools.reduce(lambda t, bit: np.concatenate([t, t | bit]), half, np.zeros(1, np.uint64))
+                 for half in np.split(env_bits[::-1], [len(env_bits) // 2]))  # bit j of an index: half[j]
+    high_weight, low_weight = np.bitwise_count(high), np.bitwise_count(low)  # bytes: d < high wraps above any low
+    for d, x in parts:
+        counter = np.flatnonzero(np.equal.outer(d - high_weight, low_weight))[::-1]  # popcount(y) == d
+        for y in np.split(counter, range(2**16, len(counter), 2**16)):  # bounded memory
+            yield (low[y & (len(low) - 1)] | high[y // len(low)]) ^ x
 
 
 @functools.lru_cache(maxsize=1)
@@ -375,7 +383,7 @@ def mi_curve(
         d: _masks([rng.choice(env, size=d, replace=False) for _ in range(sample_size)])
         for d in sizes if math.comb(len(env), d) > max_exhaustive
     }
-    # one stream of parts (d, x), the size-d fragments F XOR x, unranked ones
+    # one stream of parts (d, x), the size-d fragments F XOR x, enumerated ones
     # first: S (the empty set XOR S), every F, then S u F or, for a pure state,
     # E \ F of the same entropy, which exhaustive sizes find in reverse order
     # among the size-(n_env - d) fragments
@@ -384,35 +392,40 @@ def mi_curve(
     every = [d for d in sizes if d not in drawn]
     ranked = [(0, 1 << (system - 1))] + [(d, 0) for d in every] + [(d, flip) for d in every if mixed]
     listed = [(d, x) for x in (0, flip) for d in drawn]
-    given = np.concatenate([drawn[d] ^ x for d, x in listed] + [np.zeros(0, dtype=np.uint64)])
     bounds = np.cumsum([0] + [math.comb(len(env), d) for d, _ in ranked] + [len(drawn[d]) for d, _ in listed])
-    part_d, part_x = np.array([d for d, _ in ranked]), np.array([x for _, x in ranked], dtype=np.uint64)
-    end = int(bounds[len(ranked)])  # of the unranked parts
-    table = np.empty(int(bounds[-1]), dtype=np.uint8 if backend == "stabilizer" else float)  # ranks fit a byte
-    for start in range(0, len(table), _CHUNK):  # chunks run across part boundaries
-        stop = min(start + _CHUNK, len(table))
-        at = np.arange(start, min(stop, end))
-        part = np.searchsorted(bounds, at, side="right") - 1
-        masks = _unrank(env_bits, part_d[part], at - bounds[part]) ^ part_x[part]
-        table[start:stop] = kernel(np.concatenate([masks, given[max(start - end, 0) : max(stop - end, 0)]]))
+    pieces = _counted(env_bits, ranked) if not drawn else (  # _unrank only for curves with sampled sizes
+        _unrank(env_bits, d, np.arange(lo, min(lo + _CHUNK, math.comb(len(env), d)))) ^ x
+        for d, x in ranked for lo in range(0, math.comb(len(env), d), _CHUNK))
+    chunks, held = [], np.zeros(0, np.uint64)  # the kernel's values by chunk, and masks not yet handed over
+    for piece in itertools.chain(pieces, (drawn[d] ^ x for d, x in listed)):  # chunks run across parts
+        held = np.concatenate([held, piece])
+        while len(held) >= _CHUNK:
+            chunks.append(kernel(held[:_CHUNK]))
+            held = held[_CHUNK:]
+    table = np.concatenate(chunks + ([kernel(held)] if len(held) else []))  # stabilizer ranks are bytes
     tables = dict(zip(ranked + listed, np.split(table, bounds[1:-1])))
-    h_s = float(table[0])
-    h_f = {0: np.zeros(1), **{d: tables[d, 0] for d in sizes}}  # by size
-    h_sf = {d: tables[d, flip] for d in sizes if (d, flip) in tables}
+    h_f = {0: np.zeros(1, table.dtype), **{d: tables[d, 0] for d in sizes}}  # by size
+    # every size's values in one array: checked and clamped at once, extremes from one reduceat each
+    starts = np.cumsum([0] + [len(h_f[d]) for d in sizes])
+    values = np.empty(int(starts[-1]), np.promote_types(table.dtype, np.int8))  # signed for ranks too
+    by_size = np.split(values, starts[1:-1])
+    for d, part in zip(sizes, by_size):
+        np.add(table[0], h_f[d], out=part)
+        part -= tables.get((d, flip), h_f[len(env) - d][::-1])
+    _nonnegative(values)
+    lows, highs = (f.reduceat(values, starts[:-1]).astype(float).tolist() for f in (np.minimum, np.maximum))
     points = []
-    for d in sizes:
-        values = _nonnegative(h_s + h_f[d] - (h_sf[d] if d in h_sf else h_f[len(env) - d][::-1]))
-        stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if d in drawn else None
-        lo, hi = float(np.min(values)), float(np.max(values))
+    for d, part, lo, hi in zip(sizes, by_size, lows, highs):
+        stderr = float(np.std(part, ddof=1) / math.sqrt(len(part))) if d in drawn else None
         # the mathematical mean lies in [min, max]; pin down summation round-off
-        points.append(MIPoint(d, min(max(float(np.mean(values)), lo), hi), lo, hi, math.comb(len(env), d), stderr))
+        points.append(MIPoint(d, min(max(float(np.mean(part)), lo), hi), lo, hi, math.comb(len(env), d), stderr))
     diagnostics = {
         "backend": backend,
         "fragments_exhaustive": sum(math.comb(len(env), d) for d in every),
         "fragments_sampled": sum(len(f) for f in drawn.values()),
         "sample_size": sample_size,
     }
-    return MICurve(points=tuple(points), system_entropy=h_s, n_env=len(env), _diagnostics=diagnostics)
+    return MICurve(points=tuple(points), system_entropy=float(table[0]), n_env=len(env), _diagnostics=diagnostics)
 
 
 def classify_curve(curve: MICurve, slope_tol: float) -> str:

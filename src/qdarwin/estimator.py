@@ -296,8 +296,9 @@ def _two_branch_mi(p, c):
     """Closed-form mutual information of two-branch models, elementwise in
     (P, C): fragment sizes 1, 2, 3 along a new last axis, and whether the
     branch eigenvalues lie in [0, 1]."""
-    binary = -_xlogx(p) - _xlogx(1.0 - p) + 0.0  # + 0.0: no -0.0 at P in {0, 1}
     f_plus, f_minus = _branch_eigenvalues(p, c)
+    p = np.clip(p, 0.0, 1.0)  # a P inside the window but outside [0, 1] must not give H(P) < 0
+    binary = -_xlogx(p) - _xlogx(1.0 - p) + 0.0  # + 0.0: no -0.0 at P in {0, 1}
     in_model = (f_minus >= -_F_WINDOW) & (f_plus <= 1.0 + _F_WINDOW)
     f_plus, f_minus = np.clip(f_plus, 0.0, 1.0), np.clip(f_minus, 0.0, 1.0)
     full = _xlogx(f_plus) + _xlogx(f_minus) + 2.0 * binary + 0.0

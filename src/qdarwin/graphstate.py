@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi, sqrt
-from numbers import Integral
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this 
     Gate,
     StateVector,
     _check_qubit_budget,
+    _is_integer,
     _seal,
     apply_circuit,
     apply_gate,
@@ -68,11 +68,6 @@ class GraphSpec:
         if not all(isinstance(e, list) and len(e) == 3 for e in edges) or not all(numbers):
             raise ValueError(f"field 'edges' must list [j, k, phase] number triples, got {edges!r}")
         return cls(n_qubits=n_qubits, edges=edges)
-
-
-def _is_integer(value) -> bool:
-    """An integer, numpy's included, that is not a bool: JSON true must not read as 1."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _check_system(system, n_qubits: int) -> None:

@@ -45,6 +45,11 @@ def max_qubits() -> int:
     return value
 
 
+def _is_integer(value) -> bool:
+    """An integer, numpy's included, that is not a bool: JSON true must not read as 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_qubit_budget(n_qubits: int) -> None:
     cap = max_qubits()
     if n_qubits > cap:
@@ -204,13 +209,13 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in _GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not all(_is_integer(t) and t >= 1 for t in self.targets):
+            raise ValueError(f"qubit labels are 1-based integers, got {self.targets}")
         targets = tuple(int(t) for t in self.targets)
         if len(targets) != _GATE_ARITY[self.kind]:
             raise ValueError(f"{self.kind} takes {_GATE_ARITY[self.kind]} target(s), got {targets}")
         if len(set(targets)) != len(targets):
             raise ValueError(f"duplicate gate targets {targets}")
-        if any(t < 1 for t in targets):
-            raise ValueError(f"qubit labels are 1-based, got {targets}")
         object.__setattr__(self, "targets", targets)
 
     @classmethod
@@ -257,15 +262,15 @@ def _split_axes(n: int, keep: tuple[int, ...]) -> list[int]:
 
 
 def _validate_keep(n: int, keep) -> tuple[int, ...]:
-    keep = tuple(int(q) for q in keep)
+    keep = tuple(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
+    for q in keep:
+        if not (_is_integer(q) and 1 <= q <= n):
+            raise ValueError(f"qubit label {q!r} out of range for {n} qubits (labels are integers 1..{n})")
     if len(set(keep)) != len(keep):
         raise ValueError(f"duplicate qubit labels in keep set {keep}")
-    for q in keep:
-        if q < 1 or q > n:
-            raise ValueError(f"qubit label {q} out of range for {n} qubits")
-    return keep
+    return tuple(int(q) for q in keep)
 
 
 def _partial_trace_batch(mats: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdarwin
 from qdarwin import (
     MICurve,
     RunConfig,
@@ -76,6 +81,21 @@ class TestCurveCommand:
         assert (tmp_path / "a.csv.manifest.json").read_bytes() == (
             tmp_path / "b.csv.manifest.json"
         ).read_bytes()
+
+    def test_second_call_after_a_usage_error_matches_a_fresh_process(self, tmp_path, capsys):
+        # run reuses one parser per process: a call that fails halfway through
+        # parsing must leave nothing behind for the next call
+        args = ["curve", "--family", "diamond", "--n-env", "5", "--phi", "pi", "--theta", "pi/3",
+                "--timestamp", "2026-01-01T00:00:00+00:00", "--out"]
+        assert run(args[:6] + ["90deg"] + args[7:] + [str(tmp_path / "bad.json")]) == 1
+        assert "invalid angle" in capsys.readouterr().err
+        assert run(args + [str(tmp_path / "here.json")]) == 0
+        src = str(Path(qdarwin.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "qdarwin.cli", *args, "fresh.json"], cwd=tmp_path, env=env, check=True)
+        for suffix in ("", ".manifest.json"):
+            here, fresh = (tmp_path / f"{name}.json{suffix}" for name in ("here", "fresh"))
+            assert here.read_bytes() == fresh.read_bytes()
 
     def test_manifest_records_backend_and_fragment_split(self, tmp_path):
         cases = [

@@ -35,6 +35,7 @@ import qdarwin.darwinism as darwinism
 from qdarwin.darwinism import (
     _backend,
     _canonical,
+    _counted,
     _coupling_entropies,
     _graph_entropies,
     _masks,
@@ -466,6 +467,16 @@ class TestMaskEnumeration:
                 assert [int(x) for x in _unrank(env_bits, d, np.arange(comb(m, d)))] == expected
                 lo = comb(m, d) // 3  # a rank range that starts inside the size
                 assert [int(x) for x in _unrank(env_bits, d, np.arange(lo, comb(m, d)))] == expected[lo:]
+
+    def test_counted_masks_equal_the_unranked_ones(self):
+        # every size of every system position, for a pure curve's parts and
+        # for a density curve's S u F parts, the fragments XOR the system bit
+        for m in range(1, 13):
+            for system in range(1, m + 2):
+                env_bits = _masks([[q] for q in range(1, m + 2) if q != system])
+                parts = [(0, 1 << (system - 1))] + [(d, x) for x in (0, 1 << (system - 1)) for d in range(1, m + 1)]
+                expected = np.concatenate([_unrank(env_bits, d, np.arange(comb(m, d))) ^ x for d, x in parts])
+                assert np.array_equal(np.concatenate(list(_counted(env_bits, parts))), expected)
 
     @pytest.mark.parametrize("chunk", [1, 5, 7, 64])
     def test_chunks_cut_across_sizes(self, monkeypatch, chunk):

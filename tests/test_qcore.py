@@ -144,6 +144,10 @@ class TestApplyGate:
     def test_out_of_range_target(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(StateVector.plus_state(2), Gate.hadamard(3))
+        for label in (2.5, 2.0, True):  # refused, not read as qubit 2 or 1
+            with pytest.raises(ValueError, match="1-based integers"):
+                Gate.hadamard(label)
+        assert Gate.swap(np.int64(1), np.int32(2)).targets == (1, 2)
 
     def test_duplicate_targets(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -215,6 +219,12 @@ class TestPartialTrace:
             partial_trace(rho, [])
         with pytest.raises(ValueError, match="out of range"):
             partial_trace(rho, [3])
+        for label in (True, 1.5):  # refused, not read as qubit 1
+            with pytest.raises(ValueError, match=f"qubit label {label!r} out of range"):
+                partial_trace(rho, [label])
+        with pytest.raises(ValueError, match="qubit label 1.7 out of range"):
+            subsystem_entropy(named_state("diamond-canonical"), (1.7,))
+        assert subsystem_entropy(named_state("diamond-canonical"), (np.int64(1),)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSpectraAndEntropy:
