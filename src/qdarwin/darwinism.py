@@ -28,7 +28,7 @@ from .qcore import (  # noqa: F401  (partial_trace, subsystem_entropy, von_neuma
 )
 
 _PI_SLACK = 1e-12  # rad: round-off of phases such as 3*pi or -g*t, nothing more
-_DEFAULT_MAX_EXHAUSTIVE = 10**6
+_DEFAULT_MAX_EXHAUSTIVE = math.comb(23, 11)  # every size of every curve of up to 24 qubits
 _DEFAULT_SAMPLE_SIZE = 1000
 _DEFAULT_SAMPLE_SEED = 1789
 _STEP_SIGMAS = 2.0  # classify_curve: a step between points with stderr must beat this many sigma
@@ -194,31 +194,28 @@ def _bits(masks: np.ndarray, n: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1) != 0
 
 
-def _unrank(env_bits: np.ndarray, d: int, ranks: np.ndarray) -> np.ndarray:
-    """Masks of the size-d subsets of env_bits (one bit each) with the given
-    ranks in itertools.combinations order.  Reversed positions c = m - 1 - a
-    put that order backwards into colex order, whose rank sum_i C(c_i, i)
-    over c_d > ... > c_1 the combinatorial number system reads off greedily."""
-    m = len(env_bits)
-    rest, masks = math.comb(m, d) - 1 - ranks, np.zeros(len(ranks), dtype=np.uint64)
-    for i in range(d, 0, -1):
-        binomials = np.array([math.comb(c, i) for c in range(m)], dtype=np.int64)
-        c = np.searchsorted(binomials, rest, side="right") - 1
-        rest, masks = rest - binomials[c], masks | env_bits[m - 1 - c]
-    return masks
-
-
-def _counted(env_bits: np.ndarray, parts):
-    """_unrank's masks of each part (d, x), the size-d subsets of env_bits XOR x,
-    from a counter: read as m-bit integers y, bit c for env_bits[m - 1 - c], they
-    come in that order as y runs down.  Subset tables of y's halves map y to masks."""
-    low, high = (functools.reduce(lambda t, bit: np.concatenate([t, t | bit]), half, np.zeros(1, np.uint64))
-                 for half in np.split(env_bits[::-1], [len(env_bits) // 2]))  # bit j of an index: half[j]
-    high_weight, low_weight = np.bitwise_count(high), np.bitwise_count(low)  # bytes: d < high wraps above any low
+def _fragments(env_bits: np.ndarray, parts):
+    """Masks of each part (d, x), the size-d subsets of env_bits (one bit each)
+    XOR x, in itertools.combinations order, at most 2^16 at a time; the parts
+    start at size 0 or 1.  Those of size d that start with env_bits[a] are that
+    bit OR'd onto the last C(m - a - 1, d - 1) of size d - 1; a size that does
+    not follow the one held is the complements of the size m - d held, reversed."""
+    m, full = len(env_bits), np.bitwise_or.reduce(env_bits)
     for d, x in parts:
-        counter = np.flatnonzero(np.equal.outer(d - high_weight, low_weight))[::-1]  # popcount(y) == d
-        for y in np.split(counter, range(2**16, len(counter), 2**16)):  # bounded memory
-            yield (low[y & (len(low) - 1)] | high[y // len(low)]) ^ x
+        if d <= 1:
+            size, held = 0, np.zeros(1, np.uint64)  # the empty set
+        if d == size + 1:
+            grown, stop = np.empty(math.comb(m, d), np.uint64), 0
+            for a, bit in enumerate(env_bits[: m - d + 1]):
+                tail = math.comb(m - a - 1, d - 1)
+                np.bitwise_or(held[-tail:], bit, out=grown[stop : stop + tail])
+                stop += tail
+            held = grown
+        elif d != size:
+            held = full ^ held[::-1]
+        size = d
+        for lo in range(0, len(held), 2**16):
+            yield held[lo : lo + 2**16] ^ x
 
 
 @functools.lru_cache(maxsize=1)
@@ -365,14 +362,14 @@ def mi_curve(
     _check_system(system, n)
     if sample_size < 2:
         raise ValueError(f"sample_size must be at least 2 for a standard error, got {sample_size}")
-    backend = _backend(source)
+    backend, solved = _backend(source), {}  # solved: weighted-graph classes, once per curve
     if isinstance(source, GraphSpec):
         if n > 64:
             raise ValueError(f"{backend} curves hold qubit sets in 64-bit masks: {n} qubits exceed the limit of 64")
         kernel = functools.partial(_graph_entropies, source)
         if backend == "weighted-graph":
             _check_qubit_budget(n)  # R's halves are up to 2^(n/2 - 1) square
-            kernel = functools.partial(_weighted_entropies, source, solved={})  # classes solved once per curve
+            kernel = functools.partial(_weighted_entropies, source, solved=solved)
     else:
         dense = (_pure_entropies, source.amplitudes) if backend == "dense-pure" else (_mixed_entropies, source.entries)
         kernel = functools.partial(_by_size, functools.partial(*dense), n, system)
@@ -390,20 +387,17 @@ def mi_curve(
     mixed = backend == "dense-mixed"
     flip = 1 << (system - 1) if mixed else sum(1 << (q - 1) for q in env)
     every = [d for d in sizes if d not in drawn]
-    ranked = [(0, 1 << (system - 1))] + [(d, 0) for d in every] + [(d, flip) for d in every if mixed]
+    enumerated = [(0, 1 << (system - 1))] + [(d, 0) for d in every] + [(d, flip) for d in every if mixed]
     listed = [(d, x) for x in (0, flip) for d in drawn]
-    bounds = np.cumsum([0] + [math.comb(len(env), d) for d, _ in ranked] + [len(drawn[d]) for d, _ in listed])
-    pieces = _counted(env_bits, ranked) if not drawn else (  # _unrank only for curves with sampled sizes
-        _unrank(env_bits, d, np.arange(lo, min(lo + _CHUNK, math.comb(len(env), d)))) ^ x
-        for d, x in ranked for lo in range(0, math.comb(len(env), d), _CHUNK))
+    bounds = np.cumsum([0] + [math.comb(len(env), d) for d, _ in enumerated] + [len(drawn[d]) for d, _ in listed])
     chunks, held = [], np.zeros(0, np.uint64)  # the kernel's values by chunk, and masks not yet handed over
-    for piece in itertools.chain(pieces, (drawn[d] ^ x for d, x in listed)):  # chunks run across parts
+    for piece in itertools.chain(_fragments(env_bits, enumerated), (drawn[d] ^ x for d, x in listed)):
         held = np.concatenate([held, piece])
         while len(held) >= _CHUNK:
             chunks.append(kernel(held[:_CHUNK]))
             held = held[_CHUNK:]
     table = np.concatenate(chunks + ([kernel(held)] if len(held) else []))  # stabilizer ranks are bytes
-    tables = dict(zip(ranked + listed, np.split(table, bounds[1:-1])))
+    tables = dict(zip(enumerated + listed, np.split(table, bounds[1:-1])))
     h_f = {0: np.zeros(1, table.dtype), **{d: tables[d, 0] for d in sizes}}  # by size
     # every size's values in one array: checked and clamped at once, extremes from one reduceat each
     starts = np.cumsum([0] + [len(h_f[d]) for d in sizes])
@@ -423,7 +417,9 @@ def mi_curve(
         "backend": backend,
         "fragments_exhaustive": sum(math.comb(len(env), d) for d in every),
         "fragments_sampled": sum(len(f) for f in drawn.values()),
+        "sampled_sizes": list(drawn),  # in size order
         "sample_size": sample_size,
+        **({"eigenproblems": len(solved)} if backend == "weighted-graph" else {}),
     }
     return MICurve(points=tuple(points), system_entropy=float(table[0]), n_env=len(env), _diagnostics=diagnostics)
 

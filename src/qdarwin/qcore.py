@@ -439,10 +439,10 @@ def _water_fill(eigs: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _projected_density(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Unit-trace PSD matrices rebuilt from the eigh decomposition of a
-    (B, d, d) stack with water-filled eigenvalues."""
-    mats = (vecs * _water_fill(eigs)[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+def _projected_density(filled: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Unit-trace PSD matrices rebuilt from the eigenvectors of a (B, d, d)
+    stack and its eigenvalues, already water-filled (see _water_fill)."""
+    mats = (vecs * filled[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
     mats = (mats + np.conj(np.swapaxes(mats, -1, -2))) / 2
     return mats / np.real(np.trace(mats, axis1=-2, axis2=-1))[:, None, None]
 
@@ -456,4 +456,4 @@ def project_to_physical(rho: DensityMatrix) -> DensityMatrix:
     eigs, vecs = np.linalg.eigh(rho.entries)
     if float(eigs.min()) >= 0.0:
         return rho
-    return DensityMatrix(_projected_density(eigs[None], vecs[None])[0])
+    return DensityMatrix(_projected_density(_water_fill(eigs[None]), vecs[None])[0])

@@ -195,7 +195,7 @@ class TestProjectionKernel:
         mats = np.array(mats)
         eigs, vecs = np.linalg.eigh(mats)
         assert (eigs[:, 0] < 0).all()
-        batch = _projected_density(eigs, vecs)
+        batch = _projected_density(_water_fill(eigs), vecs)
         for mat, out in zip(mats, batch):
             np.testing.assert_allclose(out, projected(mat), atol=TOL)
             single = project_to_physical(DensityMatrix(mat)).entries

@@ -112,7 +112,9 @@ class TestCurveCommand:
                 "backend": backend,
                 "fragments_exhaustive": 2**n_env - 1,
                 "fragments_sampled": 0,
+                "sampled_sizes": [],
                 "sample_size": 1000,
+                **({"eigenproblems": 4} if backend == "weighted-graph" else {}),
             }
 
     def test_stabilizer_curve_beyond_state_cap(self, tmp_path, monkeypatch):

@@ -35,11 +35,10 @@ import qdarwin.darwinism as darwinism
 from qdarwin.darwinism import (
     _backend,
     _canonical,
-    _counted,
     _coupling_entropies,
+    _fragments,
     _graph_entropies,
     _masks,
-    _unrank,
     _weighted_entropies,
 )
 from qdarwin.qcore import _entropy_batch, _pure_entropies
@@ -457,26 +456,24 @@ class TestMaskEnumeration:
                 assert (point.min_mi, point.max_mi) == (values.min(), values.max())
                 assert point.mean_mi == pytest.approx(values.mean(), abs=1e-12)
 
-    def test_unranked_masks_follow_combinations(self):
+    def test_fragment_masks_follow_combinations(self):
+        # every system position; a pure curve's parts, then also a density
+        # curve's S u F parts (the fragments XOR the system bit); each
+        # symmetric run of sizes lo..m - lo left out, as sampled sizes are
         for m in range(0, 11):
-            system = 1 + m // 2  # a gap in the labels
-            env = [q for q in range(1, m + 2) if q != system]
-            env_bits = _masks([[q] for q in env])
-            for d in range(0, m + 1):
-                expected = [int(x) for x in _masks(itertools.combinations(env, d))] if d else [0]
-                assert [int(x) for x in _unrank(env_bits, d, np.arange(comb(m, d)))] == expected
-                lo = comb(m, d) // 3  # a rank range that starts inside the size
-                assert [int(x) for x in _unrank(env_bits, d, np.arange(lo, comb(m, d)))] == expected[lo:]
-
-    def test_counted_masks_equal_the_unranked_ones(self):
-        # every size of every system position, for a pure curve's parts and
-        # for a density curve's S u F parts, the fragments XOR the system bit
-        for m in range(1, 13):
             for system in range(1, m + 2):
-                env_bits = _masks([[q] for q in range(1, m + 2) if q != system])
-                parts = [(0, 1 << (system - 1))] + [(d, x) for x in (0, 1 << (system - 1)) for d in range(1, m + 1)]
-                expected = np.concatenate([_unrank(env_bits, d, np.arange(comb(m, d))) ^ x for d, x in parts])
-                assert np.array_equal(np.concatenate(list(_counted(env_bits, parts))), expected)
+                env = [q for q in range(1, m + 2) if q != system]
+                by_size = [[int(x) for x in _masks(itertools.combinations(env, d))] for d in range(m + 1)]
+                for lo in range(1, m // 2 + 2):
+                    kept = [d for d in range(1, m + 1) if not lo <= d <= m - lo]
+                    for flips in ((0,), (0, 1 << (system - 1))):
+                        parts = [(0, 1 << (system - 1))] + [(d, x) for x in flips for d in kept]
+                        masks = np.concatenate(list(_fragments(_masks([[q] for q in env]), parts)))
+                        assert masks.tolist() == [f ^ x for d, x in parts for f in by_size[d]]
+
+    def test_fragment_masks_come_at_most_2_16_at_a_time(self):
+        pieces = _fragments(_masks([[q] for q in range(1, 21)]), [(d, 0) for d in range(1, 11)])
+        assert [len(piece) for piece in pieces][-3:] == [2**16, 2**16, comb(20, 10) - 2**17]
 
     @pytest.mark.parametrize("chunk", [1, 5, 7, 64])
     def test_chunks_cut_across_sizes(self, monkeypatch, chunk):
@@ -528,8 +525,26 @@ class TestMaskEnumeration:
             "backend": "weighted-graph",
             "fragments_exhaustive": 13,
             "fragments_sampled": 21,
+            "sampled_sizes": [2, 3, 4],
             "sample_size": 7,
+            "eigenproblems": 22,
         }
+
+    def test_sampled_sizes_are_those_above_max_exhaustive(self):
+        spec = diamond_spec(6, pi, pi)  # C(6, d) = 6, 15, 20, 15, 6, 1
+        for max_exhaustive in (0, 1, 5, 6, 14, 15, 19, 20):
+            curve = mi_curve(spec, 1, max_exhaustive=max_exhaustive, sample_size=5)
+            sampled = [d for d in range(1, 7) if comb(6, d) > max_exhaustive]
+            assert curve._diagnostics["sampled_sizes"] == sampled
+            assert [p.delta for p in curve.points if p.stderr is not None] == sampled
+
+    def test_default_curve_of_24_qubits_is_exact(self):
+        # 1000 draws of sizes 10-13 read size 10's max_mi as 1.0 and size 13's
+        # min_mi as 1.0; the enumerated extremes are 2.0 and 0.0
+        curve = mi_curve(diamond_spec(23, pi, pi), 1)
+        assert curve._diagnostics["sampled_sizes"] == []
+        assert all(p.stderr is None for p in curve.points)
+        assert (curve.point(10).max_mi, curve.point(13).min_mi) == (2.0, 0.0)
 
     def test_64_qubits_with_the_system_on_the_top_bit(self):
         spec = GraphSpec(64, tuple((q, 64, pi) for q in range(1, 64)))
@@ -712,8 +727,8 @@ class TestBlockClasses:
         # chunks of masks, and a class met in an earlier chunk is not solved
         # again (1146 matrices when each chunk kept its own classes)
         counts = _count_matrices(monkeypatch)
-        mi_curve(diamond_spec(n_env, pi, pi / 3), 1)
-        assert sum(counts) == solved
+        curve = mi_curve(diamond_spec(n_env, pi, pi / 3), 1)
+        assert sum(counts) == curve._diagnostics["eigenproblems"] == solved
 
     def test_stabilizer_ranks_are_bytes(self):
         spec = diamond_spec(6, pi, pi)
