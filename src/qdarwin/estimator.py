@@ -193,15 +193,19 @@ STAR_CORRELATORS = _star_families()
 
 
 _STAR_INDEX = {s.labels: i for i, s in enumerate(STAR_CORRELATORS)}
+# term k of P, Q and C: its string's index in STAR_CORRELATORS (16, 3) and its coefficient (16, 3, 1)
+_STAR_TERMS = np.array([[_STAR_INDEX[labels] for labels, _ in terms] for terms in (_P_TERMS, _Q_TERMS, _C_TERMS)]).T
+_STAR_COEFFICIENTS = np.array([[coeff for _, coeff in terms] for terms in (_P_TERMS, _Q_TERMS, _C_TERMS)]).T[..., None]
 
 
 def _star_populations(values: np.ndarray):
-    """(P, Q, C) of (..., 32) correlator vectors ordered as STAR_CORRELATORS,
-    summed term by term in expansion order."""
-    return tuple(
-        sum(coeff * values[..., _STAR_INDEX[labels]] for labels, coeff in terms) / 16.0
-        for terms in (_P_TERMS, _Q_TERMS, _C_TERMS)
-    )
+    """(P, Q, C) of (..., 32) correlator vectors ordered as STAR_CORRELATORS, summed
+    term by term in expansion order from +0.0, as Python's sum adds them, along the
+    leading term axis: no batch size changes that order (a BLAS product's would)."""
+    terms = _STAR_COEFFICIENTS * values.reshape(-1, 32).T[_STAR_TERMS]
+    terms[0] += 0.0  # a -0.0 first term gives +0.0, as 0 + -0.0 does
+    p, q, c = np.add.accumulate(terms)[-1].reshape((3,) + values.shape[:-1])
+    return p.real / 16.0, q.real / 16.0, c / 16.0
 
 
 @dataclass(frozen=True)
@@ -224,10 +228,15 @@ class StarParameters:
 
 def star_parameters(table: CorrelatorTable) -> StarParameters:
     """Extract (P, C) from the 32 star correlators."""
-    p_value, q_value, c_value = _star_populations(_table_values(table, STAR_CORRELATORS))
+    return _star_parameters(_table_values(table, STAR_CORRELATORS), [table.sigma(s) for s in STAR_CORRELATORS])
 
-    sigmas_diag = [table.sigma(s) for s, _ in _P_TERMS]
-    sigmas_xy = [table.sigma(s) for s, _ in _C_TERMS]
+
+def _star_parameters(values: np.ndarray, sigmas: list) -> StarParameters:
+    """star_parameters of 32 correlators and their sigmas (or None), ordered as STAR_CORRELATORS."""
+    p_value, q_value, c_value = _star_populations(values)
+
+    sigmas_diag = [sigmas[_STAR_INDEX[s]] for s, _ in _P_TERMS]
+    sigmas_xy = [sigmas[_STAR_INDEX[s]] for s, _ in _C_TERMS]
     if all(s is not None for s in sigmas_diag + sigmas_xy):
         sigma_p = sqrt(sum(s**2 for s in sigmas_diag)) / 16.0
         sigma_c = sqrt(sum(s**2 for s in sigmas_xy)) / 16.0

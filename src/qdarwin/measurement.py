@@ -18,7 +18,7 @@ from functools import lru_cache, partial, reduce
 import numpy as np
 
 from .darwinism import MICurve
-from .estimator import (  # noqa: F401  (diamond_mutual_information, star_mutual_information: perfbench/tracer.py wraps these bindings)
+from .estimator import (  # noqa: F401  (diamond_mutual_information, star_mutual_information, star_parameters: perfbench/tracer.py wraps these bindings)
     _NEGATIVITY_TOL,
     STAR_CORRELATORS,
     CorrelatorTable,
@@ -26,6 +26,7 @@ from .estimator import (  # noqa: F401  (diamond_mutual_information, star_mutual
     _closed_form_replicas,
     _point_curve,
     _reconstruction_replicas,
+    _star_parameters,
     diamond_mutual_information,
     plan_measurements,
     star_mutual_information,
@@ -280,19 +281,25 @@ def _estimate_batch(counts: np.ndarray, shots: np.ndarray, plan) -> tuple[np.nda
     Every covering setting gives c = mean parity and sigma = sqrt((1 - c^2)/N);
     they combine by inverse-variance weighting, except that settings with
     sigma = 0 (all outcomes of one parity) are exact and are averaged alone.
+    Only the parity sums a group gathers are divided by their shots.
     """
     parity, groups, _ = plan
-    parities = ((counts @ parity) / shots[:, None]).reshape(len(counts), -1)
+    sums = (counts @ parity).reshape(len(counts), -1)  # integer parity sums, exact in any order
     value = np.empty((len(counts), sum(len(rows) for rows, _, _ in groups)))
     sigma = np.empty_like(value)
     for rows, flat, settings in groups:
         # np.take keeps each string's covering settings contiguous, so the
         # sums below add in the same order as np.sum over one string
-        values = np.take(parities, flat, axis=1)
+        values = np.take(sums, flat, axis=1) / shots[settings]
         sigmas = np.sqrt(np.maximum(1.0 - values * values, 0.0) / shots[settings])
         exact = sigmas == 0.0
+        inverse = 1.0 / np.where(exact, 1.0, sigmas * sigmas)
+        if settings.shape[1] == 1:  # one cover: the bits of the weighted mean below, without its sums
+            value[:, rows] = np.where(exact, values, inverse * values / inverse)[..., 0]
+            sigma[:, rows] = np.where(exact, 0.0, 1.0 / np.sqrt(inverse))[..., 0]
+            continue
         n_exact = exact.sum(axis=-1)
-        weights = np.where(exact, 0.0, 1.0 / np.where(exact, 1.0, sigmas * sigmas))
+        weights = np.where(exact, 0.0, inverse)
         total = np.where(n_exact > 0, 1.0, weights.sum(axis=-1))
         value[:, rows] = np.where(
             n_exact > 0,
@@ -329,11 +336,10 @@ def _check_estimate(system: int, pipeline: str) -> None:
 
 @lru_cache(maxsize=None)
 def _pipeline_tables(pipeline: str):
-    """The label tables a pipeline reads, built once: its plan's setting labels,
-    its wanted correlators and their labels."""
-    wanted = STAR_CORRELATORS if pipeline == "closed_form" else tuple(all_pauli_strings(4))
+    """The labels a pipeline reads, built once: its plan's settings and its wanted correlators."""
+    wanted = STAR_CORRELATORS if pipeline == "closed_form" else all_pauli_strings(4)
     settings = tuple(s.labels for s in plan_measurements(PLAN_TARGETS[pipeline]).settings)
-    return settings, wanted, tuple(w.labels for w in wanted)
+    return settings, tuple(w.labels for w in wanted)
 
 
 def mi_curve_from_counts(
@@ -358,17 +364,16 @@ def mi_curve_from_counts(
     """
     _check_estimate(system, pipeline)
     _check_bootstrap(bootstrap_resamples, seed)
-    observed = _observed_counts(list(data), _pipeline_tables(pipeline)[2])
+    observed = _observed_counts(list(data), _pipeline_tables(pipeline)[1])
     return _curve_from_counts(*observed, system, pipeline, bootstrap_resamples, seed)
 
 
 def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstrap_resamples: int, seed: int):
     """mi_curve_from_counts on the arrays it reads: the data's correlator plan, its
     (S, 2^n) count vectors and (S,) shot totals.  A refused run draws no replica."""
-    wanted = _pipeline_tables(pipeline)[1]
     values, sigmas = _estimate_batch(counts[None], shots, plan)
     if pipeline == "closed_form":
-        params = star_parameters(CorrelatorTable(dict(zip(wanted, zip(values[0], sigmas[0])))))
+        params = _star_parameters(values[0], sigmas[0].tolist())
         if params.sigma_p == 0.0 and abs(params.c) >= 3.0 * params.sigma_c:
             raise ValueError(
                 f"the counts pin no error on P: every ZZZZ shot gave one outcome, so P = {params.p:.3g} with "
@@ -432,7 +437,7 @@ def estimate_mi_curve(state, system: int, cfg: RunConfig, pipeline: str) -> MICu
     if state.n_qubits != 4:
         raise ValueError("the estimation pipeline is defined for 4-qubit states")
     _check_estimate(system, pipeline)
-    settings, _, wanted_labels = _pipeline_tables(pipeline)
+    settings, wanted_labels = _pipeline_tables(pipeline)
     plan = _correlator_plan(settings, wanted_labels)
     return _curve_from_counts(
         plan, *_sample_counts(state, settings, cfg), system, pipeline, cfg.bootstrap_resamples, cfg.seed

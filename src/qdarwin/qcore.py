@@ -241,13 +241,14 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     for t in gate.targets:
         if t > n:
             raise ValueError(f"gate target {t} out of range for {n} qubits")
-    tensor = state.amplitudes.reshape([2] * n)
-    if gate.kind == "swap":
-        tensor = np.swapaxes(tensor, gate.targets[0] - 1, gate.targets[1] - 1)
-    else:
-        axis = gate.targets[0] - 1
-        tensor = np.moveaxis(np.tensordot(_FIXED_1Q[gate.kind], tensor, axes=(1, axis)), 0, axis)
-    return StateVector(_seal(tensor.reshape(-1)))
+    amplitudes, out, axis = state.amplitudes, np.empty_like(state.amplitudes), gate.targets[0] - 1
+    if gate.kind == "swap":  # every branch writes the result once, into out
+        np.copyto(out.reshape([2] * n), np.swapaxes(amplitudes.reshape([2] * n), axis, gate.targets[1] - 1))
+    elif axis < n - 1:
+        np.matmul(_FIXED_1Q[gate.kind], amplitudes.reshape(2**axis, 2, -1), out=out.reshape(2**axis, 2, -1))
+    else:  # (2^(n-1), 2) x U^T: a one-column product would run another BLAS routine and round otherwise
+        np.matmul(amplitudes.reshape(-1, 2), _FIXED_1Q[gate.kind].T, out=out.reshape(-1, 2))
+    return StateVector(_seal(out))
 
 
 def apply_circuit(state: StateVector, gates) -> StateVector:

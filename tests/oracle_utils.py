@@ -223,6 +223,47 @@ def estimate_entries_loop(setting_labels, vectors, shots, wanted_labels) -> dict
     return entries
 
 
+def estimate_batch_general(counts: np.ndarray, shots: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for measurement._estimate_batch, which must match it bit for
+    bit: every parity of every setting divided by its shots, then every group
+    of strings through the general weighted mean, one-cover groups included.
+    Exact covers (sigma = 0) are averaged alone; otherwise the covers combine
+    by inverse-variance weighting, summed in each string's cover order."""
+    parity, groups, _ = plan
+    parities = ((counts @ parity) / shots[:, None]).reshape(len(counts), -1)
+    value = np.empty((len(counts), sum(len(rows) for rows, _, _ in groups)))
+    sigma = np.empty_like(value)
+    for rows, flat, settings in groups:
+        values = np.take(parities, flat, axis=1)
+        sigmas = np.sqrt(np.maximum(1.0 - values * values, 0.0) / shots[settings])
+        exact = sigmas == 0.0
+        n_exact = exact.sum(axis=-1)
+        weights = np.where(exact, 0.0, 1.0 / np.where(exact, 1.0, sigmas * sigmas))
+        total = np.where(n_exact > 0, 1.0, weights.sum(axis=-1))
+        value[:, rows] = np.where(
+            n_exact > 0,
+            np.where(exact, values, 0.0).sum(axis=-1) / np.maximum(n_exact, 1),
+            (weights * values).sum(axis=-1) / total,
+        )
+        sigma[:, rows] = np.where(n_exact > 0, 0.0, 1.0 / np.sqrt(total))
+    return value, sigma
+
+
+def star_populations_by_terms(values: np.ndarray, labels) -> tuple:
+    """Reference for estimator._star_populations: P, Q and C, the entries
+    <0101|rho|0101>, <1010|rho|1010> and <0101|rho|1010> of rho = (1/16)
+    sum_s <s> s, for (..., 32) correlator vectors whose last axis follows
+    labels.  Each is Python's sum of <r|s|c> <s> over the strings s with a
+    nonzero entry, in alphabetical (I < X < Y < Z) order, divided by 16."""
+    out = []
+    for row, col in (("0101", "0101"), ("1010", "1010"), ("0101", "1010")):
+        r, c = int(row, 2), int(col, 2)
+        entries = [(label, pauli_matrix(label)[r, c]) for label in sorted(labels)]
+        terms = [(e.real if r == c else e) * values[..., labels.index(label)] for label, e in entries if e != 0]
+        out.append(sum(terms) / 16.0)
+    return tuple(out)
+
+
 def water_fill_loop(eigs: np.ndarray) -> np.ndarray:
     """Water-filling of one unit-sum spectrum by repeated passes: zero the
     negatives, shift the positive entries uniformly back to unit sum, and

@@ -12,10 +12,12 @@ from oracle_utils import (
     brute_mutual_information_dm,
     brute_partial_trace,
     eig2x2,
+    estimate_batch_general,
     estimate_entries_loop,
     linear_inversion,
     pauli_matrix,
     projected,
+    star_populations_by_terms,
     water_fill_loop,
 )
 from qdarwin import (
@@ -36,7 +38,13 @@ from qdarwin import (
     star_mutual_information,
     star_parameters,
 )
-from qdarwin.estimator import STAR_CORRELATORS, _density_batch, _reconstruction_replicas, clip_to_two_branch_model
+from qdarwin.estimator import (
+    STAR_CORRELATORS,
+    _density_batch,
+    _reconstruction_replicas,
+    _star_populations,
+    clip_to_two_branch_model,
+)
 from qdarwin import measurement
 from qdarwin.measurement import (
     _BOOTSTRAP_STREAM,
@@ -113,6 +121,62 @@ class TestCorrelatorKernel:
         table = estimate_correlators([up, down], ["ZIII"])
         assert table.value("ZIII") == 0.0
         assert table.sigma("ZIII") == 0.0
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def count_block(labels, size, rng):
+    """(size, S, 16) bootstrap-like counts and (S,) Poisson shot totals.  In
+    row b, settings b and 3b + 1 (mod S) read one outcome only, so every
+    string they cover has sigma = 0; with several rows, the last reads one outcome everywhere."""
+    shots = np.maximum(rng.poisson(300, size=len(labels)), 1)
+    counts = rng.multinomial(shots, rng.dirichlet(np.full(16, 0.5), size=len(labels)), size=(size, len(labels)))
+    for row in range(size):
+        pinned = {row % len(labels), (3 * row + 1) % len(labels)}
+        if size > 1 and row == size - 1:
+            pinned = range(len(labels))
+        for setting in pinned:
+            counts[row, setting] = 0
+            counts[row, setting, rng.integers(16)] = shots[setting]
+    return counts.astype(float), shots
+
+
+class TestBitsOfTheReferences:
+    """The one-cover fast path of _estimate_batch and the one-array star sum
+    must keep every bit of the general weighted mean and of Python's
+    term-by-term sum, whatever the block size."""
+
+    @pytest.mark.parametrize("size", [1, 7, 119])
+    @pytest.mark.parametrize(
+        "target,wanted",
+        [("star", STAR_LABELS), ("full_tomography", STAR_LABELS), ("full_tomography", ALL_LABELS)],
+        ids=["star", "star from tomography", "tomography"],
+    )
+    def test_estimates_equal_the_general_weighted_mean(self, rng, target, wanted, size):
+        labels = tuple(s.labels for s in plan_measurements(target).settings)
+        plan = _correlator_plan(labels, wanted)
+        counts, shots = count_block(labels, size, rng)
+        got, expected = _estimate_batch(counts, shots, plan), estimate_batch_general(counts, shots, plan)
+        assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
+
+    @pytest.mark.parametrize("size", [1, 7, 119])
+    def test_star_populations_equal_the_term_by_term_sum(self, rng, size):
+        labels = tuple(s.labels for s in plan_measurements("star").settings)
+        counts, shots = count_block(labels, size, rng)
+        values = _estimate_batch(counts, shots, _correlator_plan(labels, STAR_LABELS))[0]
+        # a -0.0 first term of P, Q (IIII) and C (XXXX); with several rows, a row where every
+        # term of P is -0.0 (-0.0 under a +1 coefficient, +0.0 under a -1), so P must be +0.0
+        values[0, [STAR_LABELS.index("IIII"), STAR_LABELS.index("XXXX")]] = -0.0
+        if size > 1:
+            values[-1] = [np.copysign(0.0, -pauli_matrix(label)[5, 5].real) for label in STAR_LABELS]
+        for batch in (values, values[0]):
+            got, expected = _star_populations(batch), star_populations_by_terms(batch, STAR_LABELS)
+            assert all(same_bits(g, e) for g, e in zip(got, expected))
+        if size > 1:
+            assert not np.signbit(star_populations_by_terms(values[-1], STAR_LABELS)[0])
 
 
 def random_unphysical_spectra(rng, rows, dim):
@@ -452,6 +516,8 @@ class TestPointEstimateIsReplicaZero:
         "name,pipeline,target",
         [
             ("star-experimental", "closed_form", "star"),
+            # the tomography settings cover an I/Z string with k identities 3^k times (IIII 81 times)
+            ("star-experimental", "closed_form", "full_tomography"),
             ("diamond-canonical", "reconstruction", "full_tomography"),
             ("hyperentangled-xi", "reconstruction", "full_tomography"),
         ],

@@ -1,3 +1,4 @@
+from functools import partial
 from math import pi, sqrt
 
 import numpy as np
@@ -99,15 +100,18 @@ class TestStateConstruction:
 
         spec = star_spec(16, pi / 3)  # 2 MB, so numpy's fixed-size ufunc buffers hardly count
         state = build_graph_state(spec)
-        gate = Gate.swap(2, 3)
-        for make in (lambda: build_graph_state(spec), lambda: apply_gate(state, gate)):
+        wide = build_graph_state(star_spec(17, pi / 3))  # 18 qubits, 4 MB
+        cases = [(lambda: build_graph_state(spec), state, 1.25), (lambda: apply_gate(state, Gate.swap(2, 3)), state, 1.25)]
+        # a one-qubit gate on a middle, the first or the last qubit writes its product once
+        cases += [(partial(apply_gate, wide, Gate.hadamard(q)), wide, 1.1) for q in (9, 1, 18)]
+        for make, source, bound in cases:
             tracemalloc.start()
             try:
                 make()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 1.25 * state.amplitudes.nbytes
+            assert peak < bound * source.amplitudes.nbytes
 
     def test_qubit_budget(self, monkeypatch):
         monkeypatch.setenv("QDARWIN_MAX_QUBITS", "3")
