@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -159,12 +160,10 @@ def _cmd_estimate(args) -> int:
     if args.counts_file:
         _refuse(args, "--counts-file", "named shots poisson")
         raw = Path(args.counts_file).read_bytes()
-        data = counts_from_json(raw.decode())
-        curve = mi_curve_from_counts(data, args.system, args.pipeline, bootstrap_resamples=args.bootstrap,
-                                     seed=args.seed)
+        data = saved = counts_from_json(raw.decode())
+    elif not args.named:
+        raise _UsageError("either --named or --counts-file is required")
     else:
-        if not args.named:
-            raise _UsageError("either --named or --counts-file is required")
         state = named_state(args.named)
         cfg = RunConfig(
             shots_per_setting=args.shots if args.shots is not None else 4500,
@@ -172,14 +171,18 @@ def _cmd_estimate(args) -> int:
             bootstrap_resamples=args.bootstrap,
             poisson_shots=args.poisson,
         )
-        curve = estimate_mi_curve(state, args.system, cfg, args.pipeline)
-        if args.save_counts:
-            data = [sample_setting(state, s, cfg) for s in plan_measurements(PLAN_TARGETS[args.pipeline]).settings]
+        if args.save_counts:  # drawn once, lazily, after mi_curve_from_counts's checks; tee keeps them to save
+            plan = plan_measurements(PLAN_TARGETS[args.pipeline])
+            data, saved = itertools.tee(sample_setting(state, s, cfg) for s in plan.settings)
+        else:
+            curve = estimate_mi_curve(state, args.system, cfg, args.pipeline)
+    if args.counts_file or args.save_counts:
+        curve = mi_curve_from_counts(data, args.system, args.pipeline, bootstrap_resamples=args.bootstrap, seed=args.seed)
     manifest = _manifest(args, "named counts_file pipeline shots bootstrap system poisson", args.seed)
     if args.counts_file:
         manifest["counts_sha256"] = hashlib.sha256(raw).hexdigest()
     if args.save_counts:
-        _write_with_manifest(Path(args.save_counts), counts_to_json(data), manifest)
+        _write_with_manifest(Path(args.save_counts), counts_to_json(saved), manifest)
     _write_curve(curve, Path(args.out), manifest)
     return 0
 

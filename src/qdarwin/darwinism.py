@@ -237,22 +237,24 @@ def _graph_entropies(spec: GraphSpec, subsets) -> np.ndarray:
     pi or 0 (mod 2 pi) to B subsets A (label tuples or masks): the ranks over
     GF(2) of the adjacency blocks Gamma[A, not A] (Hein, Eisert and Briegel,
     PRA 69, 062311 (2004)).  Each qubit q on the smaller side gives one row,
-    the uint64 mask adj[q] & (other side); a (rows, B) array, padded with
-    zero rows to the widest side, is eliminated for all B blocks at once."""
-    masks, full = _masks(subsets), np.uint64(2**spec.n_qubits - 1)
+    the mask adj[q] & (other side); a (rows, B) array, padded with zero rows
+    to the widest side, is eliminated for all B blocks at once, in uint32
+    words up to 32 qubits (faster than uint64) and uint64 words above."""
+    word = np.uint32 if spec.n_qubits <= 32 else np.uint64
+    masks, full = _masks(subsets).astype(word, copy=False), word(2**spec.n_qubits - 1)
     side = np.where(2 * np.bitwise_count(masks) <= spec.n_qubits, masks, ~masks & full)  # the smaller side
     other = side ^ full
-    rows = np.empty((int(np.bitwise_count(side).max(initial=0)), len(masks)), dtype=np.uint64)
-    adjacency = _graph_tables(spec)[1]
+    rows = np.empty((int(np.bitwise_count(side).max(initial=0)), len(masks)), dtype=word)
+    adjacency = _graph_tables(spec)[1].astype(word, copy=False)
     for row in rows:
-        low = side & (~side + np.uint64(1))  # the lowest qubit of each side left
+        low = side & (~side + word(1))  # the lowest qubit of each side left
         side ^= low
         # 2^q has binary exponent q + 1 and 0 has 0, whose index -1 is no qubit
         row[:] = adjacency[np.frexp(low.astype(float))[1] - 1] & other
     rank = np.zeros(len(masks), dtype=np.uint8)  # at most 32
     for i, pivot in enumerate(rows):
         rank += pivot != 0
-        low = pivot & (~pivot + np.uint64(1))  # the pivot's lowest set bit
+        low = pivot & (~pivot + word(1))  # the pivot's lowest set bit
         # adding the pivot to every later row with that bit clears its column
         rest = rows[i + 1 :]
         rest ^= ((rest & low) != 0) * pivot

@@ -422,15 +422,15 @@ def _reconstruction_replicas(values: np.ndarray, system: int):
     eigs[unphysical] = _water_fill(eigs[unphysical])
     rho[unphysical] = _projected_density(eigs[unphysical], vecs[unphysical])
     env = [q for q in range(1, 5) if q != system]
-    h = partial(_mixed_entropies, rho)
-    h_s = h([(system,)])  # once for every size; S u F lists the system first, as in mutual_information
-    sizes = [list(itertools.combinations(env, d)) for d in (1, 2, 3)]
-    # at size 3, S u F is the whole state, whose spectrum eigs already holds
-    joint = [h([(system,) + f for f in fragments]) for fragments in sizes[:2]] + [_spectrum_entropies(eigs)[:, None]]
-    groups = [_nonnegative(h_s + h(fragments) - h_sf) for fragments, h_sf in zip(sizes, joint)]
+    f1, f2, f3 = (list(itertools.combinations(env, d)) for d in (1, 2, 3))
+    s1, s2 = ([(system,) + f for f in fragments] for fragments in (f1, f2))  # S first, as in mutual_information
+    # one eigvalsh per dimension: 2 x 2 (S, F1), 4 x 4 (F2, S u F1), 8 x 8 (F3, S u F2); eigs gives S u F3
+    h2, h4, h8 = (_mixed_entropies(rho, subsets) for subsets in ([(system,)] + f1, f2 + s1, f3 + s2))
+    pairs = [(h2[:, 1:], h4[:, 3:]), (h4[:, :3], h8[:, 1:]), (h8[:, :1], _spectrum_entropies(eigs)[:, None])]
+    groups = [_nonnegative(h2[:, :1] + h_f - h_sf) for h_f, h_sf in pairs]
     mean, lo, hi = (np.stack([f(group, axis=1) for group in groups], axis=1) for f in (np.mean, np.min, np.max))
     # as in mi_curve: round-off must not put a mean outside [min, max]
-    return (np.clip(mean, lo, hi), lo, hi), h_s[:, 0], lowest
+    return (np.clip(mean, lo, hi), lo, hi), h2[:, 0], lowest
 
 
 def _point_curve(replicas, stderr=(None, None, None), diagnostics: dict | None = None) -> MICurve:

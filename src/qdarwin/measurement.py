@@ -47,9 +47,9 @@ from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this 
 _SEED_MASK = (1 << 64) - 1
 _SAMPLE_STREAM = 0x5E77
 _BOOTSTRAP_STREAM = 0xB007
-# Count entries (replicas x settings x outcomes) per bootstrap block, those of 25
-# tomography replicas: it bounds the batched arrays whatever the replica count.
-_BOOTSTRAP_ENTRIES = 25 * 81 * 16
+# A bootstrap block holds at most 100 replicas and the count entries (replicas x settings x
+# outcomes) of 100 tomography replicas: fixed per-call costs are paid once per 100 replicas.
+_BOOTSTRAP_REPLICAS, _BOOTSTRAP_ENTRIES = 100, 100 * 81 * 16
 
 # Rotations that take each letter's eigenbasis to the computational basis
 # (Z needs none), +1 eigenvector first.
@@ -352,16 +352,16 @@ def mi_curve_from_counts(
 ) -> MICurve:
     """Run the estimation pipeline on stored outcome histograms.
 
-    The data must cover the pipeline's correlators (17 settings for
-    closed_form, the 81 tomography settings for reconstruction).  The
-    observed counts are replica zero of a seeded bootstrap: point standard
+    The data, any iterable of OutcomeCounts, is read only after the other
+    arguments pass their checks; it must cover the pipeline's correlators (17
+    settings for closed_form, the 81 tomography settings for reconstruction).
+    The observed counts are replica zero of a seeded bootstrap: point standard
     errors are standard deviations over multinomially resampled counts (at
-    least 2).  The closed form raises when the point estimate fails its
-    model check or its counts pin no error on P.  The curve's _diagnostics
-    holds what the run did: the closed form's model margin and clipped
-    replicas, or how many replicas the reconstruction projected, their
-    lowest eigenvalue and the bootstrap bias, mean(replicas) - point.
-    """
+    least 2).  The closed form raises when the point estimate fails its model
+    check or its counts pin no error on P.  The curve's _diagnostics holds what
+    the run did: the closed form's model margin and clipped replicas, or how
+    many replicas the reconstruction projected, their lowest eigenvalue and the
+    bootstrap bias, mean(replicas) - point."""
     _check_estimate(system, pipeline)
     _check_bootstrap(bootstrap_resamples, seed)
     observed = _observed_counts(list(data), _pipeline_tables(pipeline)[1])
@@ -398,7 +398,7 @@ def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstra
     np.add.at(probabilities, (np.arange(len(counts))[:, None], plan[2]), counts / counts.sum(axis=1, keepdims=True))
     probabilities = np.minimum(probabilities, 1.0)
     boot_rng = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, _BOOTSTRAP_STREAM]))
-    per_block = max(1, _BOOTSTRAP_ENTRIES // counts.size)
+    per_block = max(1, min(_BOOTSTRAP_REPLICAS, _BOOTSTRAP_ENTRIES // counts.size))
     blocks = []
     for start in range(0, bootstrap_resamples, per_block):
         size = min(per_block, bootstrap_resamples - start)

@@ -467,23 +467,33 @@ class TestCoverageOfTheExactCurve:
 class TestBlockSizeIndependence:
     """Replicas are drawn replica-major and every kernel is row-independent,
     so the curve and its diagnostics must not depend on how many replicas
-    a bootstrap block holds: one per block, the default budget, or all in one."""
+    a bootstrap block holds: one per block, the default caps, either cap
+    alone, or all in one."""
 
     @pytest.mark.parametrize(
         "name,pipeline,target,shots,replicas,flag",
         [
-            # the default budget gives blocks of 119 closed-form replicas
+            # the default caps give closed-form blocks of 100, 100 and 50 replicas
             ("star-experimental", "closed_form", "star", 2000, 250, "replicas_clipped"),
             ("star-experimental", "closed_form", "star", 3000, 250, "replicas_clipped"),
-            # and of 25 tomography replicas
-            ("diamond-canonical", "reconstruction", "full_tomography", 30, 60, "replicas_projected"),
+            # and tomography blocks of 100, 100 and 30
+            ("diamond-canonical", "reconstruction", "full_tomography", 30, 230, "replicas_projected"),
         ],
     )
     def test_budget_does_not_move_a_bit(self, monkeypatch, name, pipeline, target, shots, replicas, flag):
         cfg = RunConfig(shots_per_setting=shots, seed=1)
         data = [sample_setting(named_state(name), s, cfg) for s in plan_measurements(target).settings]
         runs = []
-        for budget in (measurement._BOOTSTRAP_ENTRIES, 1, 10**9):
+        budgets = [
+            (measurement._BOOTSTRAP_REPLICAS, measurement._BOOTSTRAP_ENTRIES),  # the defaults
+            (measurement._BOOTSTRAP_REPLICAS, 1),  # one replica per block
+            (measurement._BOOTSTRAP_REPLICAS, 10**9),  # the replica cap alone: 100 per block
+            (7, 10**9),  # a lower replica cap: 7 per block
+            (10**9, 37 * 81 * 16),  # the entry cap alone: 37 tomography or 176 closed-form replicas
+            (10**9, 10**9),  # all in one block
+        ]
+        for cap, budget in budgets:
+            monkeypatch.setattr(measurement, "_BOOTSTRAP_REPLICAS", cap)
             monkeypatch.setattr(measurement, "_BOOTSTRAP_ENTRIES", budget)
             runs.append(mi_curve_from_counts(data, 1, pipeline, bootstrap_resamples=replicas, seed=1))
         default = runs[0]
@@ -610,9 +620,9 @@ class TestDiamondMutualInformation:
             calls.clear()
             diamond_mutual_information(table, 2)
             # one eigh of the inversion, whose spectrum gives the whole state's entropy;
-            # one eigvalsh per other entropy batch (H_S, H_F per size, H_SF at sizes 1 and 2)
+            # one eigvalsh per dimension of the other 14 reductions: 2 x 2, 4 x 4 and 8 x 8
             assert calls.count("eigh") == 1
-            assert calls.count("eigvalsh") == 6
+            assert calls.count("eigvalsh") == 3
 
     @pytest.mark.parametrize("system", [0, 5, 2.5, True])
     def test_system_out_of_range_before_any_decomposition(self, monkeypatch, system):
@@ -690,6 +700,40 @@ def test_a_refused_run_draws_nothing(monkeypatch, name, pipeline, target, match)
     with pytest.raises(ValueError, match=match):
         mi_curve_from_counts(data, 1, pipeline, bootstrap_resamples=100, seed=1)
     assert draws == []
+
+
+@pytest.mark.parametrize(
+    "name,pipeline,target,shots,entries,sizes",
+    [
+        # 17 settings: the entry cap alone would allow 476 replicas, the replica cap allows 100
+        ("star-experimental", "closed_form", "star", 2000, None, [100, 100, 50]),
+        ("star-experimental", "closed_form", "full_tomography", 2000, None, [100, 100, 50]),
+        ("diamond-canonical", "reconstruction", "full_tomography", 300, None, [100, 100, 50]),
+        # a lower entry cap binds before the replica cap: 37 replicas of 81 settings
+        ("diamond-canonical", "reconstruction", "full_tomography", 300, 37 * 81 * 16, [37] * 6 + [28]),
+    ],
+)
+def test_no_block_exceeds_either_cap(monkeypatch, name, pipeline, target, shots, entries, sizes):
+    cfg = RunConfig(shots_per_setting=shots, seed=4)
+    data = [sample_setting(named_state(name), s, cfg) for s in plan_measurements(target).settings]
+    if entries is not None:
+        monkeypatch.setattr(measurement, "_BOOTSTRAP_ENTRIES", entries)
+    draws, real = [], np.random.default_rng
+
+    class Counting:
+        def __init__(self, *args):
+            self.rng = real(*args)
+
+        def multinomial(self, *args, **kwargs):
+            draws.append(kwargs["size"])
+            return self.rng.multinomial(*args, **kwargs)
+
+    monkeypatch.setattr(measurement.np.random, "default_rng", Counting)
+    mi_curve_from_counts(data, 1, pipeline, bootstrap_resamples=250, seed=4)
+    assert draws == [(size, len(data)) for size in sizes]
+    for replicas, settings in draws:
+        assert replicas <= measurement._BOOTSTRAP_REPLICAS
+        assert replicas * settings * 16 <= measurement._BOOTSTRAP_ENTRIES
 
 
 class _FailingRng:

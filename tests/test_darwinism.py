@@ -439,6 +439,18 @@ class TestMaskEnumeration:
                 assert list(_graph_entropies(spec, subsets)) == expected
                 assert list(_graph_entropies(spec, _masks(subsets))) == expected
 
+    @pytest.mark.parametrize("n", [31, 32, 33])
+    def test_ranks_at_the_word_boundary(self, rng, n):
+        # up to 32 qubits the ranks run in uint32 words; the same graph padded
+        # with isolated qubits to 64 runs in uint64 words, with the same ranks
+        spec = _random_graph(n, rng, [pi, -pi, 3 * pi])
+        masks = rng.integers(0, 2**n, size=500, dtype=np.uint64)
+        masks[:4] = [0, 2**n - 1, 1 << (n - 1), 2**n - 2]  # empty, full, the top qubit alone, all but qubit 1
+        ranks = _graph_entropies(spec, masks)
+        assert list(ranks) == list(_graph_entropies(GraphSpec(64, spec.edges), masks))
+        subsets = [tuple(q for q in range(1, n + 1) if int(m) >> (q - 1) & 1) for m in masks[:40]]
+        assert list(ranks[:40]) == [_oracle_rank(spec, s) for s in subsets]
+
     def test_stabilizer_curve_from_oracle_ranks(self, rng):
         for n in (6, 9, 12):
             spec = _random_graph(n, rng, [pi, -pi, 3 * pi, 0.0])
