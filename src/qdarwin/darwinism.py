@@ -125,12 +125,6 @@ class MICurve:
                 raise ValueError(f"point {p} outside [0, 2 * system entropy]")
         object.__setattr__(self, "points", points)
 
-    def point(self, delta: int) -> MIPoint:
-        for p in self.points:
-            if p.delta == delta:
-                return p
-        raise KeyError(f"no point at delta {delta}")
-
     def mean_values(self) -> list[float]:
         return [p.mean_mi for p in self.points]
 

@@ -88,9 +88,6 @@ class CorrelatorTable:
     def sigma(self, key) -> float | None:
         return self.entries[as_pauli(key)][1]
 
-    def strings(self) -> list[PauliString]:
-        return list(self.entries)
-
 
 def correlator_table(state, strings) -> CorrelatorTable:
     """Exact correlators of a four-qubit state for the requested strings."""

@@ -219,14 +219,17 @@ def sample_setting(state, setting, cfg: RunConfig) -> OutcomeCounts:
     """
     setting = as_pauli(setting)
     if setting.weight != len(setting):
-        raise ValueError(
-            f"setting {setting} contains identity symbols; marginalize a "
-            "full-weight setting instead"
-        )
+        raise ValueError(f"setting {setting} contains identity symbols; marginalize a full-weight setting instead")
     if len(setting) != state.n_qubits:
         raise ValueError(f"setting length {len(setting)} != {state.n_qubits} qubits")
-    counts, _ = _sample_counts(state, [setting.labels], cfg)
-    return OutcomeCounts.from_vector(setting, counts[0])
+    return next(sample_plan(state, [setting], cfg))
+
+
+def sample_plan(state, settings, cfg: RunConfig):
+    """sample_setting of each full-weight setting of the state's size, unchecked, all drawn
+    by one _sample_counts call on the first next()."""
+    counts, _ = _sample_counts(state, [s.labels for s in settings], cfg)
+    yield from map(OutcomeCounts.from_vector, settings, counts)
 
 
 @lru_cache(maxsize=64)

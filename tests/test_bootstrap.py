@@ -561,7 +561,7 @@ def oracle_diamond_curve(table, system: int):
     """(mean, min, max) per fragment size, H_S, and whether the inversion needed
     projection, through explicit Pauli matrices, the loop projection and
     brute-force partial traces."""
-    rho = linear_inversion({s.labels: table.value(s) for s in table.strings()})
+    rho = linear_inversion({s.labels: table.value(s) for s in table.entries})
     unphysical = np.linalg.eigvalsh(rho).min() < -1e-9
     if unphysical:
         rho = projected(rho)

@@ -17,11 +17,15 @@ from qdarwin import (
     counts_to_json,
     diamond_spec,
     estimate_mi_curve,
+    mi_curve_from_counts,
     named_state,
     plan_measurements,
     sample_setting,
 )
 from qdarwin.cli import parse_angle, run
+from qdarwin.measurement import PLAN_TARGETS
+
+PINNED = ["--timestamp", "2026-01-01T00:00:00+00:00"]
 
 
 class TestAngleParsing:
@@ -272,6 +276,29 @@ class TestEstimateCommand:
         ) == 0
         assert replayed.read_bytes() == direct.read_bytes()
 
+    @pytest.mark.parametrize("poisson", [False, True])
+    @pytest.mark.parametrize(
+        "name,pipeline", [("star-experimental", "closed_form"), ("diamond-canonical", "reconstruction")]
+    )
+    def test_saved_counts_equal_per_setting_draws(self, tmp_path, name, pipeline, poisson):
+        # the plan is drawn in one batch; every byte matches drawing it setting by setting
+        args = ["estimate", "--named", name, "--pipeline", pipeline, "--shots", "2000", "--seed", "4",
+                "--bootstrap", "12", *PINNED, *(["--poisson"] if poisson else [])]
+        counts, saved, direct = tmp_path / "counts.json", tmp_path / "saved.csv", tmp_path / "direct.csv"
+        assert run(args + ["--save-counts", str(counts), "--out", str(saved)]) == 0
+        assert run(args + ["--out", str(direct)]) == 0
+        cfg = RunConfig(shots_per_setting=2000, seed=4, bootstrap_resamples=12, poisson_shots=poisson)
+        settings = plan_measurements(PLAN_TARGETS[pipeline]).settings
+        oracle = [sample_setting(named_state(name), s, cfg) for s in settings]
+        assert counts.read_text() == counts_to_json(oracle)
+        curve = mi_curve_from_counts(oracle, 1, pipeline, bootstrap_resamples=12, seed=4)
+        assert saved.read_text() == curve.to_csv() == direct.read_text()
+        manifest = (tmp_path / "direct.csv.manifest.json").read_bytes()
+        assert (tmp_path / "saved.csv.manifest.json").read_bytes() == manifest
+        expected = json.loads(manifest)
+        expected.pop("diagnostics")  # the counts file's manifest has no curve diagnostics
+        assert json.loads((tmp_path / "counts.json.manifest.json").read_text()) == expected
+
     def test_counts_file_with_a_zero_shot_setting_exits_one(self, tmp_path, capsys):
         counts = tmp_path / "counts.json"
         assert run(
@@ -465,6 +492,82 @@ class TestManifests:
         manifest = (tmp_path / "a.json.manifest.json").read_bytes()
         assert manifest == (tmp_path / "b.json.manifest.json").read_bytes()
         assert json.loads(manifest)["numpy_version"] == np.__version__
+
+
+class TestInPlaceWrites:
+    """Output files are overwritten in place and cut to length, never truncated
+    first: the bytes are those of a fresh path, and the inode stays."""
+
+    CURVE = ["curve", "--family", "diamond", "--n-env", "4", "--phi", "pi", "--theta", "pi", *PINNED]
+
+    @staticmethod
+    def _fresh(tmp_path, argv, name="fresh.csv"):
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert run(argv + ["--out", str(fresh / name)]) == 0
+        return (fresh / name).read_bytes(), (fresh / f"{name}.manifest.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["state", "--family", "star", "--n-env", "3", "--phi", "pi", *PINNED], "s.json"),
+            (CURVE, "c.csv"),
+            (["curve", "--named", "ghz4", *PINNED], "c.json"),
+            (["estimate", "--named", "star-experimental", "--pipeline", "closed_form", "--shots", "500",
+              "--bootstrap", "3", *PINNED], "e.csv"),
+            (["plan", "--target", "full_tomography", *PINNED], "p.json"),
+        ],
+        ids=["state", "curve-csv", "curve-json", "estimate", "plan"],
+    )
+    @pytest.mark.parametrize("prior", [b"", b"short", b"y" * 50000, None], ids=["empty", "shorter", "longer", "rerun"])
+    def test_rerun_onto_existing_files_is_byte_identical(self, tmp_path, argv, name, prior):
+        # None: the same pinned command has already written the files once
+        out = tmp_path / name
+        if prior is None:
+            assert run(argv + ["--out", str(out)]) == 0
+        else:
+            out.write_bytes(prior)
+            Path(f"{out}.manifest.json").write_bytes(prior)
+        assert run(argv + ["--out", str(out)]) == 0
+        assert (out.read_bytes(), Path(f"{out}.manifest.json").read_bytes()) == self._fresh(tmp_path, argv, name)
+
+    def test_saved_counts_over_a_longer_file(self, tmp_path):
+        args = ["estimate", "--named", "diamond-canonical", "--pipeline", "reconstruction", "--shots", "300",
+                "--bootstrap", "3", *PINNED]
+        fresh, counts = tmp_path / "fresh.json", tmp_path / "counts.json"
+        counts.write_bytes(b"z" * 400000)
+        for target in (fresh, counts):
+            assert run(args + ["--save-counts", str(target), "--out", str(tmp_path / "e.csv")]) == 0
+        assert counts.read_bytes() == fresh.read_bytes()
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"old contents, longer than nothing" * 100)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        assert run(self.CURVE + ["--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == self._fresh(tmp_path, self.CURVE)[0]
+
+    def test_mode_and_inode_kept(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old")
+        out.chmod(0o640)
+        before = out.stat()
+        hard = tmp_path / "hard.csv"
+        os.link(out, hard)
+        assert run(self.CURVE + ["--out", str(out)]) == 0
+        after = out.stat()
+        assert (after.st_mode & 0o7777, after.st_ino) == (0o640, before.st_ino)
+        assert hard.read_bytes() == out.read_bytes() == self._fresh(tmp_path, self.CURVE)[0]
+
+    def test_directory_out_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "dir.csv"
+        out.mkdir()
+        assert run(self.CURVE + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
 
 
 class TestIgnoredFlagsRefused:

@@ -397,7 +397,7 @@ class TestEntropyBackends:
             assert len(fragments) > 4096
             h_sf = _graph_entropies(spec, [tuple(q for q in env if q not in f) for f in fragments])
             values = h_s + _graph_entropies(spec, fragments) - h_sf
-            point = curve.point(d)
+            point = curve.points[d - 1]
             assert (point.mean_mi, point.min_mi, point.max_mi) == pytest.approx(
                 (values.mean(), values.min(), values.max()), abs=1e-12
             )
@@ -464,7 +464,7 @@ class TestMaskEnumeration:
                      for f in itertools.combinations(env, d)],
                     dtype=float,
                 )
-                point = curve.point(d)
+                point = curve.points[d - 1]
                 assert (point.min_mi, point.max_mi) == (values.min(), values.max())
                 assert point.mean_mi == pytest.approx(values.mean(), abs=1e-12)
 
@@ -556,7 +556,7 @@ class TestMaskEnumeration:
         curve = mi_curve(diamond_spec(23, pi, pi), 1)
         assert curve._diagnostics["sampled_sizes"] == []
         assert all(p.stderr is None for p in curve.points)
-        assert (curve.point(10).max_mi, curve.point(13).min_mi) == (2.0, 0.0)
+        assert (curve.points[9].max_mi, curve.points[12].min_mi) == (2.0, 0.0)
 
     def test_64_qubits_with_the_system_on_the_top_bit(self):
         spec = GraphSpec(64, tuple((q, 64, pi) for q in range(1, 64)))
