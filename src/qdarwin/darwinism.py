@@ -125,9 +125,6 @@ class MICurve:
                 raise ValueError(f"point {p} outside [0, 2 * system entropy]")
         object.__setattr__(self, "points", points)
 
-    def mean_values(self) -> list[float]:
-        return [p.mean_mi for p in self.points]
-
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for p in self.points:

@@ -55,12 +55,6 @@ class GraphSpec:
         object.__setattr__(self, "n_qubits", int(self.n_qubits))
         object.__setattr__(self, "edges", tuple((int(j), int(k), phase) for j, k, phase in edges))
 
-    def to_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "edges": [[j, k, phase] for j, k, phase in self.edges],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "GraphSpec":
         n_qubits, edges = _json_fields(data, n_qubits=int, edges=list)

@@ -51,12 +51,9 @@ _BOOTSTRAP_STREAM = 0xB007
 # outcomes) of 100 tomography replicas: fixed per-call costs are paid once per 100 replicas.
 _BOOTSTRAP_REPLICAS, _BOOTSTRAP_ENTRIES = 100, 100 * 81 * 16
 
-# Rotations that take each letter's eigenbasis to the computational basis
-# (Z needs none), +1 eigenvector first.
-_ROTATIONS = {
-    "X": HADAMARD,
-    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2),
-}
+# Rotations that take each letter's eigenbasis to the computational basis,
+# +1 eigenvector first, stacked in "XYZ" order (Z needs none: the identity).
+_ROTATIONS = np.array([HADAMARD, np.array([[1, -1j], [1, 1j]]) / math.sqrt(2), PAULI_MATRICES["I"]])
 
 
 @dataclass(frozen=True)
@@ -162,13 +159,13 @@ def _plan_probabilities(state, labels) -> np.ndarray:
     """Born probabilities (S, 2^n) of every setting in labels, each qubit read in
     the eigenbasis of its Pauli letter (bit 0 <-> eigenvalue +1).
 
-    Qubit by qubit, the distinct setting prefixes form a stack, and those that
-    add the same letter are rotated together, so each rotation runs once per
-    prefix.  A ket takes U on its qubit's axis as one 2 x 2 by 2 x 2^(n-1)
-    product per prefix, the product of a setting rotated alone, so no bit
-    depends on the other settings.  A density matrix needs only diag(U rho
-    U^dag): its row and column axes of the qubit are contracted together with
-    u[a, i] conj(u[a, j]), which halves the tensor.
+    Qubit by qubit, the distinct setting prefixes form a stack, and one
+    batched product rotates every prefix by its own letter's 2 x 2, so each
+    rotation runs once per prefix.  A ket takes U on its qubit's axis as a 2 x
+    2 by 2 x 2^(n-1) product per prefix, the product of a setting rotated
+    alone, so no bit depends on the other settings.  A density matrix needs
+    only diag(U rho U^dag): its row and column axes of the qubit are
+    contracted together with u[a, i] conj(u[a, j]), which halves the tensor.
     """
     n = state.n_qubits
     ket = isinstance(state, StateVector)
@@ -177,23 +174,16 @@ def _plan_probabilities(state, labels) -> np.ndarray:
         heads = {}  # prefix of length q + 1 -> its row in the next stack
         for label in labels:
             heads.setdefault(label[: q + 1], len(heads))
-        nxt = np.empty((len(heads), stack[0].size // (1 if ket else 2)), complex)
-        for letter in "XYZ":
-            group = [p for p in heads if p[-1] == letter]
-            if not group:
-                continue
-            part = stack[[rows[p[:-1]] for p in group]]
-            if ket and letter in _ROTATIONS:
-                shape = (len(group),) + (2,) * n
-                part = np.moveaxis(part.reshape(shape), q + 1, 1).reshape(len(group), 2, -1)
-                part = np.moveaxis((_ROTATIONS[letter] @ part).reshape(shape), 1, q + 1)
-            elif not ket:
-                u = _ROTATIONS.get(letter, PAULI_MATRICES["I"])
-                rest = 2 ** (n - q - 1)
-                weights = u[:, :, None] * u.conj()[:, None, :]
-                part = np.einsum("aij,dirjc->darc", weights, part.reshape(len(group) * 2**q, 2, rest, 2, rest))
-            nxt[[heads[p] for p in group]] = part.reshape(len(group), -1)
-        stack, rows = nxt, heads
+        part, u = stack[[rows[p[:-1]] for p in heads]], _ROTATIONS[["XYZ".index(p[-1]) for p in heads]]
+        if ket:
+            shape = (len(heads),) + (2,) * n
+            part = np.moveaxis(part.reshape(shape), q + 1, 1).reshape(len(heads), 2, -1)
+            part = np.moveaxis((u @ part).reshape(shape), 1, q + 1)
+        else:
+            rest = 2 ** (n - q - 1)
+            weights = u[:, :, :, None] * u.conj()[:, :, None, :]
+            part = np.einsum("gaij,gdirjc->gdarc", weights, part.reshape(len(heads), 2**q, 2, rest, 2, rest))
+        stack, rows = part.reshape(len(heads), -1), heads
     probs = np.clip(np.abs(stack) ** 2 if ket else np.real(stack), 0.0, None)
     return (probs / probs.sum(axis=1, keepdims=True))[[rows[label] for label in labels]]
 
@@ -237,11 +227,13 @@ def _correlator_plan(setting_labels: tuple[str, ...], wanted_labels: tuple[str, 
     """Label-only part of correlator estimation, shared by every replica: the
     2^n x 2^n parity (Walsh-Hadamard) matrix, which turns a count vector into
     the outcome parity of every qubit subset, the wanted strings grouped by
-    their number of covering settings, and the (S, 2^n) outcome classes rep.
-    Per group: the strings' indices, and per string its parity's flat index
-    in a settings x subsets grid and its covering settings, in data order.
-    rep[s, x] is the smallest outcome whose parity equals x's on every subset
-    read from setting s: an X/Y setting of the star plan has two classes."""
+    their number of covering settings, the (S, 2^n) outcome classes rep and
+    the number of wanted strings.  Per group: the strings' indices, and per
+    string its parity's flat index in a settings x subsets grid and its
+    covering settings, in data order.  The all-identity string is in no
+    group: Tr rho = 1, and any counts read it as 1 with sigma 0.  rep[s, x]
+    is the smallest outcome whose parity equals x's on every subset read from
+    setting s: an X/Y setting of the star plan has two classes."""
     n = len(wanted_labels[0])
     if any(len(label) != n for label in wanted_labels + setting_labels):
         raise ValueError("all wanted strings and settings must have equal length")
@@ -253,9 +245,9 @@ def _correlator_plan(setting_labels: tuple[str, ...], wanted_labels: tuple[str, 
     if not n_covers.all():
         raise ValueError(f"no setting in the data covers {wanted_labels[np.argmin(n_covers)]}")
     subsets = (wanted != 0) @ (1 << np.arange(n - 1, -1, -1))
-    groups = []
-    for size in sorted(set(n_covers.tolist())):  # np.unique would import numpy.ma (~20 ms)
-        rows = np.flatnonzero(n_covers == size)
+    groups, estimated = [], subsets != 0
+    for size in sorted(set(n_covers[estimated].tolist())):  # np.unique would import numpy.ma (~20 ms)
+        rows = np.flatnonzero(estimated & (n_covers == size))
         covering = np.nonzero(covers[rows])[1].reshape(len(rows), size)
         groups.append((rows, covering * 2**n + subsets[rows, None], covering))
     parity = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n)
@@ -267,7 +259,7 @@ def _correlator_plan(setting_labels: tuple[str, ...], wanted_labels: tuple[str, 
     rep = np.argmin(splits[:, np.arange(2**n)[:, None] ^ np.arange(2**n)], axis=-1)
     for array in (parity, rep, *(a for group in groups for a in group)):
         array.flags.writeable = False
-    return parity, tuple(groups), rep
+    return parity, tuple(groups), rep, len(wanted_labels)
 
 
 def _observed_counts(data: list, wanted_labels: tuple):
@@ -284,17 +276,19 @@ def _estimate_batch(counts: np.ndarray, shots: np.ndarray, plan) -> tuple[np.nda
     Every covering setting gives c = mean parity and sigma = sqrt((1 - c^2)/N);
     they combine by inverse-variance weighting, except that settings with
     sigma = 0 (all outcomes of one parity) are exact and are averaged alone.
-    Only the parity sums a group gathers are divided by their shots.
+    Only the parity sums a group gathers are divided by their shots.  The
+    all-identity string, in no group, is filled as (1, 0): the bits that
+    weighting gives it, since each setting's counts sum to its shots.
     """
-    parity, groups, _ = plan
+    parity, groups, _, width = plan
     sums = (counts @ parity).reshape(len(counts), -1)  # integer parity sums, exact in any order
-    value = np.empty((len(counts), sum(len(rows) for rows, _, _ in groups)))
-    sigma = np.empty_like(value)
+    value, sigma = np.ones((len(counts), width)), np.zeros((len(counts), width))
     for rows, flat, settings in groups:
         # np.take keeps each string's covering settings contiguous, so the
         # sums below add in the same order as np.sum over one string
-        values = np.take(sums, flat, axis=1) / shots[settings]
-        sigmas = np.sqrt(np.maximum(1.0 - values * values, 0.0) / shots[settings])
+        n_shots = shots[settings]
+        values = np.take(sums, flat, axis=1) / n_shots
+        sigmas = np.sqrt(np.maximum(1.0 - values * values, 0.0) / n_shots)
         exact = sigmas == 0.0
         inverse = 1.0 / np.where(exact, 1.0, sigmas * sigmas)
         if settings.shape[1] == 1:  # one cover: the bits of the weighted mean below, without its sums

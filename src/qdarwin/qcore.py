@@ -110,17 +110,6 @@ class StateVector:
         amps[int(bits, 2)] = 1.0
         return cls(_seal(amps))
 
-    @classmethod
-    def plus_state(cls, n_qubits: int) -> "StateVector":
-        """|+>^n, the uniform superposition."""
-        if n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        _check_qubit_budget(n_qubits)
-        return cls(_seal(np.full(2**n_qubits, 1.0 / sqrt(2**n_qubits), dtype=complex)))
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -149,11 +138,6 @@ class DensityMatrix:
     @property
     def n_qubits(self) -> int:
         return self.entries.shape[0].bit_length() - 1
-
-    @classmethod
-    def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
-        dim = 2**n_qubits
-        return cls(np.eye(dim, dtype=complex) / dim)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,15 @@
 Everything here deliberately avoids the library's reshape/transpose code
 paths: partial traces run over explicit binary indices, states are plain
 numpy arrays, and mutual information always goes through the dense global
-density matrix.  Slow, but trustworthy for n <= 6.
+density matrix.  Slow, but trustworthy for n <= 6.  The helpers at the end
+that build library objects (plus_state, density, maximally_mixed, spec_dict,
+mean_values) stand in for conveniences the library does not offer.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from qdarwin import DensityMatrix, StateVector
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -223,16 +227,22 @@ def estimate_entries_loop(setting_labels, vectors, shots, wanted_labels) -> dict
     return entries
 
 
-def estimate_batch_general(counts: np.ndarray, shots: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
+def estimate_batch_general(counts: np.ndarray, shots: np.ndarray, plan, wanted_labels) -> tuple[np.ndarray, np.ndarray]:
     """Reference for measurement._estimate_batch, which must match it bit for
     bit: every parity of every setting divided by its shots, then every group
     of strings through the general weighted mean, one-cover groups included.
-    Exact covers (sigma = 0) are averaged alone; otherwise the covers combine
-    by inverse-variance weighting, summed in each string's cover order."""
-    parity, groups, _ = plan
+    The all-identity string, which the plan leaves out of its groups, is
+    estimated too, from subset 0 of every setting.  Exact covers (sigma = 0)
+    are averaged alone; otherwise the covers combine by inverse-variance
+    weighting, summed in each string's cover order.  A string no group
+    reaches reads NaN."""
+    parity, groups, _, _ = plan
+    identity = np.array([i for i, label in enumerate(wanted_labels) if set(label) == {"I"}], dtype=int)
+    every = np.tile(np.arange(counts.shape[1]), (len(identity), 1))
+    groups = (*groups, (identity, every * counts.shape[2], every))
     parities = ((counts @ parity) / shots[:, None]).reshape(len(counts), -1)
-    value = np.empty((len(counts), sum(len(rows) for rows, _, _ in groups)))
-    sigma = np.empty_like(value)
+    value = np.full((len(counts), len(wanted_labels)), np.nan)
+    sigma = np.full_like(value, np.nan)
     for rows, flat, settings in groups:
         values = np.take(parities, flat, axis=1)
         sigmas = np.sqrt(np.maximum(1.0 - values * values, 0.0) / shots[settings])
@@ -294,3 +304,28 @@ def projected(rho: np.ndarray) -> np.ndarray:
     out = (vecs * water_fill_loop(eigs)) @ vecs.conj().T
     out = (out + out.conj().T) / 2
     return out / np.real(np.trace(out))
+
+
+def plus_state(n: int) -> StateVector:
+    """|+>^n, the uniform superposition."""
+    return StateVector(np.full(2**n, 1.0 / np.sqrt(2**n), dtype=complex))
+
+
+def density(state: StateVector) -> DensityMatrix:
+    """|psi><psi| of a ket."""
+    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()))
+
+
+def maximally_mixed(n: int) -> DensityMatrix:
+    """I / 2^n."""
+    return DensityMatrix(np.eye(2**n, dtype=complex) / 2**n)
+
+
+def spec_dict(spec) -> dict:
+    """A GraphSpec as the JSON object that GraphSpec.from_dict and --graph-file read."""
+    return {"n_qubits": spec.n_qubits, "edges": [[j, k, phase] for j, k, phase in spec.edges]}
+
+
+def mean_values(curve) -> list[float]:
+    """Each point's mean mutual information, in fragment-size order."""
+    return [p.mean_mi for p in curve.points]

@@ -14,6 +14,8 @@ import pytest
 from conftest import as_density, as_state
 from oracle_utils import (
     brute_mutual_information,
+    density,
+    mean_values,
     pauli_matrix,
     random_density_array,
     random_pure_array,
@@ -101,11 +103,11 @@ def test_criterion_2_diamond_breakdown():
 @criterion(3, "four-qubit star (1, 1, 2) and diamond (1/3, 5/3, 2) with per-fragment values")
 def test_criterion_3_four_qubit_curves():
     star = mi_curve(build_graph_state(star_spec(3, pi)), 1)
-    assert star.mean_values() == pytest.approx([1.0, 1.0, 2.0], abs=1e-9)
+    assert mean_values(star) == pytest.approx([1.0, 1.0, 2.0], abs=1e-9)
 
     for state in (build_graph_state(diamond_spec(3, pi, pi)), named_state("diamond-canonical")):
         diamond = mi_curve(state, 1)
-        assert diamond.mean_values() == pytest.approx([1 / 3, 5 / 3, 2.0], abs=1e-9)
+        assert mean_values(diamond) == pytest.approx([1 / 3, 5 / 3, 2.0], abs=1e-9)
 
     canonical = named_state("diamond-canonical")
     per_fragment = {(2,): 1.0, (3,): 0.0, (4,): 0.0, (2, 3): 2.0, (2, 4): 2.0, (3, 4): 1.0}
@@ -172,15 +174,15 @@ def test_criterion_7_closed_form_estimator():
 def test_criterion_8_finite_statistics_pipeline():
     cfg = RunConfig(shots_per_setting=100_000, seed=7, bootstrap_resamples=500)
     star_curve = estimate_mi_curve(named_state("star-experimental"), 1, cfg, "closed_form")
-    assert star_curve.mean_values() == pytest.approx([1.0, 1.0, 2.0], abs=0.05)
+    assert mean_values(star_curve) == pytest.approx([1.0, 1.0, 2.0], abs=0.05)
     assert all(p.stderr < 0.05 for p in star_curve.points)
 
     diamond_curve = estimate_mi_curve(named_state("diamond-canonical"), 1, cfg, "reconstruction")
-    assert diamond_curve.mean_values() == pytest.approx([1 / 3, 5 / 3, 2.0], abs=0.05)
+    assert mean_values(diamond_curve) == pytest.approx([1 / 3, 5 / 3, 2.0], abs=0.05)
     assert all(p.stderr < 0.05 for p in diamond_curve.points)
 
     # error bars shrink as 1/sqrt(shots) across a 64x range
-    star = named_state("star-experimental").density().entries
+    star = density(named_state("star-experimental")).entries
     noisy = as_density(0.8 * star + 0.2 * np.eye(16) / 16)
     plan = plan_measurements("star")
     medians = []
@@ -195,7 +197,7 @@ def test_criterion_8_finite_statistics_pipeline():
     # apparatus fidelities are out of scope; the fidelity path is validated
     # by the depolarized-GHZ identity instead
     ghz = ghz_state(4)
-    depolarized = as_density(0.9 * ghz.density().entries + 0.1 * np.eye(16) / 16)
+    depolarized = as_density(0.9 * density(ghz).entries + 0.1 * np.eye(16) / 16)
     assert fidelity(ghz, depolarized) == pytest.approx(0.90625, abs=1e-9)
 
 

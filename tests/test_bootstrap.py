@@ -15,6 +15,7 @@ from oracle_utils import (
     estimate_batch_general,
     estimate_entries_loop,
     linear_inversion,
+    mean_values,
     pauli_matrix,
     projected,
     star_populations_by_terms,
@@ -159,8 +160,16 @@ class TestBitsOfTheReferences:
         labels = tuple(s.labels for s in plan_measurements(target).settings)
         plan = _correlator_plan(labels, wanted)
         counts, shots = count_block(labels, size, rng)
-        got, expected = _estimate_batch(counts, shots, plan), estimate_batch_general(counts, shots, plan)
+        got, expected = _estimate_batch(counts, shots, plan), estimate_batch_general(counts, shots, plan, wanted)
         assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
+
+    def test_the_star_plan_estimates_31_one_cover_strings(self):
+        # IIII, the one string with several covers, is filled as (1, 0), not estimated
+        labels = tuple(s.labels for s in plan_measurements("star").settings)
+        _, groups, _, width = _correlator_plan(labels, STAR_LABELS)
+        assert width == 32 and len(groups) == 1
+        rows, flat, settings = groups[0]
+        assert settings.shape == (31, 1) and sorted(rows) == [i for i, w in enumerate(STAR_LABELS) if w != "IIII"]
 
     @pytest.mark.parametrize("size", [1, 7, 119])
     def test_star_populations_equal_the_term_by_term_sum(self, rng, size):
@@ -334,8 +343,8 @@ def oracle_curve(values: dict, pipeline: str) -> list[float]:
 def star_outcome_classes(label: str) -> list[int]:
     """Each outcome's class representative in a star-plan setting, from its
     letters alone: an X/Y setting is read only on the parity of all four
-    outcomes (and on IIII), so its classes are even (0) and odd (1); ZZZZ is
-    read on every subset, so each outcome is its own class."""
+    outcomes, so its classes are even (0) and odd (1); ZZZZ is read on every
+    subset, so each outcome is its own class."""
     if label == "ZZZZ":
         return list(range(16))
     assert set(label) <= {"X", "Y"}
@@ -672,7 +681,7 @@ class TestLowShotClosedForm:
                 for s in plan_measurements("star").settings]
         assert star_parameters(estimate_correlators(data, STAR_CORRELATORS)).sigma_p == 0.0
         curve = mi_curve_from_counts(data, 1, "closed_form", bootstrap_resamples=5, seed=3)
-        assert curve.mean_values() == [0.0, 0.0, 0.0]
+        assert mean_values(curve) == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(

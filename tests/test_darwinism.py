@@ -12,8 +12,10 @@ from oracle_utils import (
     brute_mutual_information,
     brute_partial_trace,
     brute_pure_entropy,
+    density,
     gf2_rank,
     graph_state_amplitudes,
+    mean_values,
     random_density_array,
     random_pure_array,
 )
@@ -105,7 +107,7 @@ class TestMutualInformation:
     def test_density_input_matches_pure_input(self, rng):
         psi = as_state(random_pure_array(4, rng))
         for frag in [(2,), (3, 4), (2, 3, 4)]:
-            assert mutual_information(psi.density(), 1, frag) == pytest.approx(
+            assert mutual_information(density(psi), 1, frag) == pytest.approx(
                 mutual_information(psi, 1, frag), abs=1e-9
             )
 
@@ -135,7 +137,7 @@ class TestMICurve:
         graph = mi_curve(build_graph_state(diamond_spec(3, pi, pi)), 1)
         canonical = mi_curve(named_state("diamond-canonical"), 1)
         for curve in (graph, canonical):
-            assert curve.mean_values() == pytest.approx([1 / 3, 5 / 3, 2.0], abs=1e-9)
+            assert mean_values(curve) == pytest.approx([1 / 3, 5 / 3, 2.0], abs=1e-9)
 
     def test_full_environment_reaches_twice_system_entropy(self, rng):
         for n in (3, 4, 5):
@@ -230,7 +232,7 @@ class TestEntropyBackends:
         assert _backend(star_spec(3, pi + 1e-9)) == "weighted-graph"
         assert _backend(diamond_spec(3, pi, pi / 3)) == "weighted-graph"
         assert _backend(named_state("ghz4")) == "dense-pure"
-        assert _backend(named_state("ghz4").density()) == "dense-mixed"
+        assert _backend(density(named_state("ghz4"))) == "dense-mixed"
 
     def test_stabilizer_matches_dense_per_fragment(self, rng):
         for _ in range(40):
@@ -316,7 +318,7 @@ class TestEntropyBackends:
     def test_every_size_sampled_from_spec_ket_and_density(self):
         spec = diamond_spec(5, pi / 2, pi / 3)
         state = build_graph_state(spec)
-        curves = [mi_curve(source, 1, max_exhaustive=0, sample_size=40) for source in (spec, state, state.density())]
+        curves = [mi_curve(source, 1, max_exhaustive=0, sample_size=40) for source in (spec, state, density(state))]
         assert all(p.stderr is not None for p in curves[0].points)
         for curve in curves[1:]:
             _assert_curve_matches(curve, [(p.mean_mi, p.min_mi, p.max_mi) for p in curves[0].points])
@@ -405,7 +407,7 @@ class TestEntropyBackends:
     def test_stabilizer_curve_builds_no_state(self, monkeypatch):
         monkeypatch.setenv("QDARWIN_MAX_QUBITS", "4")
         curve = mi_curve(star_spec(5, pi), 1)
-        assert curve.mean_values() == [1.0, 1.0, 1.0, 1.0, 2.0]
+        assert mean_values(curve) == [1.0, 1.0, 1.0, 1.0, 2.0]
         with pytest.raises(ValueError, match="cap"):
             mi_curve(star_spec(5, pi / 3), 1)
 
@@ -561,7 +563,7 @@ class TestMaskEnumeration:
     def test_64_qubits_with_the_system_on_the_top_bit(self):
         spec = GraphSpec(64, tuple((q, 64, pi) for q in range(1, 64)))
         curve = mi_curve(spec, 64, max_exhaustive=100, sample_size=20)
-        assert curve.mean_values() == [1.0] * 62 + [2.0]
+        assert mean_values(curve) == [1.0] * 62 + [2.0]
         assert curve._diagnostics["fragments_exhaustive"] == 63 + 63 + 1
 
     def test_graph_specs_beyond_64_qubits_fail_before_allocating(self, monkeypatch):

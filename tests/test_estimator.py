@@ -6,14 +6,16 @@ import pytest
 from conftest import as_density
 from oracle_utils import (
     brute_mutual_information_dm,
+    density,
     eig2x2,
+    maximally_mixed,
+    mean_values,
     pauli_matrix,
     random_density_array,
     two_branch_rho,
 )
 from qdarwin import (
     CorrelatorTable,
-    DensityMatrix,
     StateVector,
     all_pauli_strings,
     correlator_table,
@@ -69,7 +71,7 @@ class TestReconstruction:
     def test_ghz_round_trip(self, ghz4):
         table = correlator_table(ghz4, ALL_STRINGS)
         rho = reconstruct_density(table)
-        np.testing.assert_allclose(rho.entries, ghz4.density().entries, atol=1e-10)
+        np.testing.assert_allclose(rho.entries, density(ghz4).entries, atol=1e-10)
         assert np.linalg.eigvalsh(rho.entries).min() >= -1e-9
 
     def test_identity_only_table_is_maximally_mixed(self):
@@ -80,7 +82,7 @@ class TestReconstruction:
     def test_canonical_diamond_round_trip(self):
         state = named_state("diamond-canonical")
         rho = reconstruct_density(correlator_table(state, ALL_STRINGS))
-        np.testing.assert_allclose(rho.entries, state.density().entries, atol=1e-10)
+        np.testing.assert_allclose(rho.entries, density(state).entries, atol=1e-10)
 
     def test_random_mixed_round_trip(self, rng):
         for _ in range(4):
@@ -119,7 +121,7 @@ class TestStarParameters:
         assert params.consistent
 
     def test_maximally_mixed_flagged(self):
-        table = correlator_table(DensityMatrix.maximally_mixed(4), ALL_STRINGS)
+        table = correlator_table(maximally_mixed(4), ALL_STRINGS)
         params = star_parameters(table)
         assert params.p == pytest.approx(1 / 16, abs=1e-10)
         assert abs(params.c) == pytest.approx(0.0, abs=1e-10)
@@ -292,7 +294,7 @@ class TestDiamondPipeline:
     def test_ideal_canonical_table(self):
         table = correlator_table(named_state("diamond-canonical"), ALL_STRINGS)
         curve = diamond_mutual_information(table, 1)
-        assert curve.mean_values() == pytest.approx([1 / 3, 5 / 3, 2.0], abs=1e-9)
+        assert mean_values(curve) == pytest.approx([1 / 3, 5 / 3, 2.0], abs=1e-9)
 
     def test_matches_direct_computation(self):
         state = named_state("diamond-canonical")
@@ -305,12 +307,12 @@ class TestDiamondPipeline:
     def test_star_table_through_same_path(self):
         table = correlator_table(named_state("star-experimental"), ALL_STRINGS)
         curve = diamond_mutual_information(table, 1)
-        assert curve.mean_values() == pytest.approx([1.0, 1.0, 2.0], abs=1e-9)
+        assert mean_values(curve) == pytest.approx([1.0, 1.0, 2.0], abs=1e-9)
 
     def test_maximally_mixed_gives_zero_curve(self):
-        table = correlator_table(DensityMatrix.maximally_mixed(4), ALL_STRINGS)
+        table = correlator_table(maximally_mixed(4), ALL_STRINGS)
         curve = diamond_mutual_information(table, 1)
-        assert curve.mean_values() == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
+        assert mean_values(curve) == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
 
     def test_unphysical_beyond_tolerance_rejected(self):
         entries = {str(s): 0.0 for s in ALL_STRINGS}
@@ -323,4 +325,4 @@ class TestDiamondPipeline:
             diamond_mutual_information(table, 1, negativity_tol=0.05)
         # within a generous tolerance the same table is projected and analyzed
         curve = diamond_mutual_information(table, 1, negativity_tol=0.25)
-        assert all(v >= 0 for v in curve.mean_values())
+        assert all(v >= 0 for v in mean_values(curve))

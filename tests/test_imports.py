@@ -2,9 +2,9 @@
 
 A module may import a name it never loads only when the benchmark's tracer
 (perfbench/tracer.py) wraps that binding, ``qdarwin.__all__`` lists
-exactly the names the package's ``__init__`` imports, each of them is used
-outside the tests, and the command line imports no private name from the
-package."""
+exactly the names the package's ``__init__`` imports, each of them and
+each public method of its classes is used outside the tests, and the
+command line imports no private name from the package."""
 import ast
 import importlib
 import inspect
@@ -74,15 +74,30 @@ def test_all_lists_exactly_the_init_imports():
 
 def test_every_public_name_is_used_outside_the_tests():
     # loaded in a module of the package other than __init__ (a definition is
-    # not a load), or named in the README or the benchmark
-    used = set()
+    # not a load), or named in the README or the benchmark; a public method,
+    # class method or property of a class in __all__ counts as used when some
+    # such module reads it as an attribute, or the README or the benchmark
+    # names it after a dot
+    loaded, attributes = set(), set()
     for path in MODULES:
         tree = ast.parse(path.read_text())
-        used |= _loaded(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        loaded |= _loaded(tree)
+        attributes |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     root = PACKAGE.parent.parent
     text = "\n".join(p.read_text() for p in [root / "README.md", *sorted((root / "perfbench").glob("*.py"))])
+    used = loaded | attributes
     unused = [name for name in qdarwin.__all__ if name not in used and not re.search(rf"\b{name}\b", text)]
-    assert unused == []
+    members = [
+        (name, attr)
+        for name in qdarwin.__all__
+        if inspect.isclass(cls := getattr(qdarwin, name))
+        for attr, member in vars(cls).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(member) or isinstance(member, (classmethod, staticmethod, property)))
+    ]
+    unused += [f"{name}.{attr}" for name, attr in members
+               if attr not in attributes and not re.search(rf"\.{attr}\b", text)]
+    assert members and unused == []
 
 
 def test_noqa_comments_list_exactly_the_unloaded_imports():

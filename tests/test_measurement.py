@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import as_density, as_state
-from oracle_utils import measurement_probabilities_kron, random_density_array, random_pure_array
+from oracle_utils import (
+    density,
+    maximally_mixed,
+    mean_values,
+    measurement_probabilities_kron,
+    random_density_array,
+    random_pure_array,
+)
 from qdarwin import (
     DensityMatrix,
     OutcomeCounts,
@@ -22,6 +29,7 @@ from qdarwin import (
     sample_setting,
     star_parameters,
 )
+from qdarwin import measurement
 from qdarwin.estimator import StarParameters, clip_to_two_branch_model
 from qdarwin.measurement import (
     _plan_probabilities,
@@ -128,7 +136,7 @@ class TestSampleSetting:
 
     def test_maximally_mixed_is_uniform(self):
         cfg = RunConfig(shots_per_setting=10**6, seed=11)
-        oc = sample_setting(DensityMatrix.maximally_mixed(4), "XYZX", cfg)
+        oc = sample_setting(maximally_mixed(4), "XYZX", cfg)
         sigma = math.sqrt(10**6 * (1 / 16) * (15 / 16))
         for count in oc.counts.values():
             assert abs(count - 62500) < 4 * sigma
@@ -197,6 +205,21 @@ class TestWholePlanSampling:
                 labels = ["".join(rng.choice(list("XYZ"), n)) for _ in range(12)] * 2
                 rows = _plan_probabilities(state, labels)
                 np.testing.assert_array_equal(rows, [_plan_probabilities(state, [l])[0] for l in labels])
+
+    @pytest.mark.parametrize("target", ["star", "full_tomography"])
+    def test_a_ket_takes_one_rotation_product_per_qubit(self, monkeypatch, target):
+        products = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(inputs)
+                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+        monkeypatch.setattr(measurement, "_ROTATIONS", measurement._ROTATIONS.view(Counted))
+        labels = [s.labels for s in plan_measurements(target).settings]
+        _plan_probabilities(named_state("diamond-canonical"), labels)
+        assert len(products) == 4  # one per qubit; a product per (qubit, letter) made 8
 
     @pytest.mark.parametrize("poisson", [False, True], ids=["fixed shots", "poisson shots"])
     @pytest.mark.parametrize(
@@ -297,7 +320,7 @@ class TestEstimateCorrelators:
 
     def test_sigma_scales_with_shots(self):
         # depolarize so every correlator has nonzero binomial sigma
-        star = named_state("star-experimental").density().entries
+        star = density(named_state("star-experimental")).entries
         state = as_density(0.8 * star + 0.2 * np.eye(16) / 16)
         plan = plan_measurements("star")
         medians = []
@@ -376,13 +399,13 @@ class TestEstimateMICurve:
     def test_closed_form_converges(self):
         cfg = RunConfig(shots_per_setting=20000, seed=1, bootstrap_resamples=100)
         curve = estimate_mi_curve(named_state("star-experimental"), 1, cfg, "closed_form")
-        assert curve.mean_values() == pytest.approx([1.0, 1.0, 2.0], abs=0.05)
+        assert mean_values(curve) == pytest.approx([1.0, 1.0, 2.0], abs=0.05)
         assert all(p.stderr < 0.05 for p in curve.points)
 
     def test_reconstruction_converges(self):
         cfg = RunConfig(shots_per_setting=20000, seed=1, bootstrap_resamples=50)
         curve = estimate_mi_curve(named_state("diamond-canonical"), 1, cfg, "reconstruction")
-        assert curve.mean_values() == pytest.approx([1 / 3, 5 / 3, 2.0], abs=0.1)
+        assert mean_values(curve) == pytest.approx([1 / 3, 5 / 3, 2.0], abs=0.1)
 
     def test_seeded_determinism(self):
         cfg = RunConfig(shots_per_setting=2000, seed=77, bootstrap_resamples=25)
@@ -439,7 +462,7 @@ class TestEstimateMICurve:
         # P = 0 exactly: the binary entropies are 0, not -0
         cfg = RunConfig(shots_per_setting=500, seed=3, bootstrap_resamples=5)
         curve = estimate_mi_curve(StateVector.computational_basis("1010"), 1, cfg, "closed_form")
-        assert curve.mean_values() == [0.0, 0.0, 0.0]
+        assert mean_values(curve) == [0.0, 0.0, 0.0]
         assert all(math.copysign(1.0, p.mean_mi) == 1.0 for p in curve.points)
         assert math.copysign(1.0, curve.system_entropy) == 1.0
 

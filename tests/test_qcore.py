@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from conftest import as_density, as_state
 from oracle_utils import (
     brute_partial_trace,
+    density,
     ket,
+    maximally_mixed,
     pauli_matrix,
+    plus_state,
     random_density_array,
     random_pure_array,
     states_equal_up_to_phase,
 )
 from qdarwin import (
-    DensityMatrix,
     Gate,
     PauliString,
     StateVector,
@@ -51,7 +53,7 @@ class TestStateConstruction:
             StateVector(np.array([1.0, 0.0, 0.0]))
 
     def test_amplitudes_read_only(self):
-        state = StateVector.plus_state(2)
+        state = plus_state(2)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
@@ -68,7 +70,7 @@ class TestStateConstruction:
             StateVector(view),
             StateVector(sealed),
             StateVector(list(source)),
-            StateVector.plus_state(3),
+            plus_state(3),
             StateVector.computational_basis("011"),
             build_graph_state(star_spec(2, pi / 3)),
             evolve_ising(3, {(1, 2): 0.4}, 1.0),
@@ -116,18 +118,18 @@ class TestStateConstruction:
     def test_qubit_budget(self, monkeypatch):
         monkeypatch.setenv("QDARWIN_MAX_QUBITS", "3")
         with pytest.raises(ValueError, match="cap"):
-            StateVector.plus_state(4)
+            plus_state(4)
         # graph states and Ising evolution enforce the cap as well
         with pytest.raises(ValueError, match="cap"):
             build_graph_state(star_spec(3, pi))
         with pytest.raises(ValueError, match="cap"):
             evolve_ising(4, {(1, 2): 1.0}, 1.0)
-        StateVector.plus_state(3)
+        plus_state(3)
 
     def test_qubit_budget_names_a_malformed_variable(self, monkeypatch):
         monkeypatch.setenv("QDARWIN_MAX_QUBITS", "abc")
         with pytest.raises(ValueError, match="QDARWIN_MAX_QUBITS must be a positive integer, got 'abc'"):
-            StateVector.plus_state(2)
+            plus_state(2)
 
     def test_density_matrix_validation(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -147,7 +149,7 @@ class TestApplyGate:
 
     def test_out_of_range_target(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply_gate(StateVector.plus_state(2), Gate.hadamard(3))
+            apply_gate(plus_state(2), Gate.hadamard(3))
         for label in (2.5, 2.0, True):  # refused, not read as qubit 2 or 1
             with pytest.raises(ValueError, match="1-based integers"):
                 Gate.hadamard(label)
@@ -184,13 +186,13 @@ class TestPartialTrace:
         np.testing.assert_allclose(partial_trace(joint, [2, 3]).entries, rho_b, atol=1e-12)
 
     def test_ghz_single_qubit_marginal(self, ghz4):
-        reduced = partial_trace(ghz4.density(), [1])
+        reduced = partial_trace(density(ghz4), [1])
         np.testing.assert_allclose(reduced.entries, np.eye(2) / 2, atol=1e-12)
 
     def test_canonical_diamond_keep_1_3(self):
         # brute-force oracle on the explicitly written 4-term state
         state = named_state("diamond-canonical")
-        rho = state.density()
+        rho = density(state)
         oracle = brute_partial_trace(rho.entries, [1, 3], 4)
         np.testing.assert_allclose(oracle, np.eye(4) / 4, atol=1e-12)
         np.testing.assert_allclose(partial_trace(rho, [1, 3]).entries, np.eye(4) / 4, atol=1e-12)
@@ -233,13 +235,13 @@ class TestPartialTrace:
 
 class TestSpectraAndEntropy:
     def test_pure_state_entropy_zero(self, rng):
-        assert von_neumann_entropy(as_state(random_pure_array(3, rng)).density()) == pytest.approx(
+        assert von_neumann_entropy(density(as_state(random_pure_array(3, rng)))) == pytest.approx(
             0.0, abs=1e-9
         )
 
     @pytest.mark.parametrize("n,expected", [(1, 1.0), (2, 2.0)])
     def test_maximally_mixed_entropy(self, n, expected):
-        assert von_neumann_entropy(DensityMatrix.maximally_mixed(n)) == pytest.approx(
+        assert von_neumann_entropy(maximally_mixed(n)) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -272,7 +274,7 @@ class TestSpectraAndEntropy:
         psi = as_state(random_pure_array(4, rng))
         for cut in [(1,), (2, 3), (1, 4, 2)]:
             assert subsystem_entropy(psi, cut) == pytest.approx(
-                von_neumann_entropy(partial_trace(psi.density(), cut)), abs=1e-9
+                von_neumann_entropy(partial_trace(density(psi), cut)), abs=1e-9
             )
 
 
@@ -288,7 +290,7 @@ class TestPauliExpectation:
 
     def test_xxxx_on_ghz(self, ghz4):
         assert pauli_expectation(ghz4, "XXXX") == pytest.approx(1.0, abs=1e-12)
-        assert pauli_expectation(ghz4.density(), "XXXX") == pytest.approx(1.0, abs=1e-12)
+        assert pauli_expectation(density(ghz4), "XXXX") == pytest.approx(1.0, abs=1e-12)
 
     def test_length_mismatch(self, ghz4):
         with pytest.raises(ValueError, match="length"):
@@ -331,16 +333,16 @@ class TestFidelity:
     def test_pure_self(self, rng):
         psi = as_state(random_pure_array(3, rng))
         assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-12)
-        assert fidelity(psi.density(), psi) == pytest.approx(1.0, abs=1e-9)
+        assert fidelity(density(psi), psi) == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal(self):
         a = StateVector.computational_basis("0")
         b = StateVector.computational_basis("1")
         assert fidelity(a, b) == 0.0
-        assert fidelity(a.density(), b) == 0.0
+        assert fidelity(density(a), b) == 0.0
 
     def test_depolarized_ghz(self, ghz4):
-        mixed = as_density(0.9 * ghz4.density().entries + 0.1 * np.eye(16) / 16)
+        mixed = as_density(0.9 * density(ghz4).entries + 0.1 * np.eye(16) / 16)
         expected = 0.9 + 0.1 / 16  # linearity of <psi|rho|psi>
         assert fidelity(ghz4, mixed) == pytest.approx(expected, abs=1e-12)
         assert expected == 0.90625
@@ -350,11 +352,11 @@ class TestFidelity:
         psi = as_state(random_pure_array(2, rng))
         rho = as_density(random_density_array(2, rng))
         with pytest.raises(ValueError, match="at least one pure state"):
-            fidelity(psi.density(), rho)
+            fidelity(density(psi), rho)
 
     def test_dimension_mismatch(self, ghz4):
         with pytest.raises(ValueError, match="mismatch"):
-            fidelity(ghz4, StateVector.plus_state(2))
+            fidelity(ghz4, plus_state(2))
 
 
 class TestGlobalPhase:
@@ -364,7 +366,7 @@ class TestGlobalPhase:
 
     def test_different_states_are_not(self):
         assert not states_equal_up_to_phase(
-            StateVector.computational_basis("00"), StateVector.plus_state(2)
+            StateVector.computational_basis("00"), plus_state(2)
         )
 
 
