@@ -206,21 +206,22 @@ def _fragments(env_bits: np.ndarray, parts):
             held = full ^ held[::-1]
         size = d
         for lo in range(0, len(held), 2**16):
-            yield held[lo : lo + 2**16] ^ x
+            yield held[lo : lo + 2**16] ^ x if x else held[lo : lo + 2**16]  # a view: the consumer copies
 
 
 @functools.lru_cache(maxsize=1)
-def _graph_tables(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+def _graph_tables(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only, built once per spec: the (n, n) edge phases reduced into
-    [-pi, pi], and the uint64 masks of the neighbours by phase pi (not 0) of
-    qubits 1..n and, last, of no qubit."""
+    [-pi, pi], the uint64 masks of the neighbours by phase pi (not 0) of
+    qubits 1..n and, last, of no qubit, and those by any nonzero phase."""
     phases = np.zeros((spec.n_qubits,) * 2)
     for j, k, phase in spec.edges:
         phases[j - 1, k - 1] = phases[k - 1, j - 1] = math.remainder(phase, 2 * math.pi) + 0.0
     bits = np.uint64(1) << np.arange(spec.n_qubits, dtype=np.uint64)
     adjacency = np.append((np.abs(phases) > math.pi / 2) @ bits, np.uint64(0))
-    phases.flags.writeable = adjacency.flags.writeable = False
-    return phases, adjacency
+    neighbours = (phases != 0) @ bits
+    phases.flags.writeable = adjacency.flags.writeable = neighbours.flags.writeable = False
+    return phases, adjacency, neighbours
 
 
 def _graph_entropies(spec: GraphSpec, subsets) -> np.ndarray:
@@ -261,10 +262,10 @@ def _weighted_entropies(spec: GraphSpec, subsets, solved=None) -> np.ndarray:
     c_j(x')) / 2), c(x) = x^T W; s = 0 leaves it pure.  Blocks W equal up
     to the order of their rows and columns share one R (see _canonical), and
     `solved` (shape and canonical bytes -> entropy) carries them across calls."""
-    phases = _graph_tables(spec)[0]
-    inside = _bits(_masks(subsets), spec.n_qubits)
-    cut = (inside[:, :, None] != inside[:, None, :]) & (phases != 0)  # each cut's cross edges
-    coupled = cut.any(axis=2)  # qubits with a cross edge
+    phases, _, neighbours = _graph_tables(spec)
+    masks = _masks(subsets)
+    inside = _bits(masks, spec.n_qubits)
+    coupled = np.where(inside, ~masks[:, None], masks[:, None]) & neighbours != 0  # qubits with a cross edge
     # rows: the side with fewer coupled qubits, A itself on a tie
     row_side = inside == ((coupled & inside).sum(axis=1) <= (coupled & ~inside).sum(axis=1))[:, None]
     order = np.argsort(np.where(coupled, ~row_side, 2), axis=1, kind="stable")  # coupled rows, then columns
@@ -272,8 +273,10 @@ def _weighted_entropies(spec: GraphSpec, subsets, solved=None) -> np.ndarray:
     out, solved = np.zeros(len(inside)), {} if solved is None else solved
     for s in set(side.tolist()) - {0}:
         pick = np.flatnonzero(side == s)
-        r, c = order[pick, :s, None], order[pick, None, s : ends[pick].max()]  # uncoupled columns are 0
-        w = _canonical(np.where(cut[pick[:, None, None], r, c], phases[r, c], 0.0).view(np.uint64))
+        r, c = order[pick, :s, None], order[pick, None, s : ends[pick].max()]  # uncoupled columns are zeroed
+        w = np.where(np.arange(s, s + c.shape[2]) >= ends[pick, None, None], 0.0, phases[r, c]).view(np.uint64)
+        raw, first = np.unique(w.reshape(len(w), -1).view(f"V{w[0].nbytes}"), return_inverse=True)
+        w = _canonical(raw.view(np.uint64).reshape(-1, *w.shape[1:]))  # once per distinct raw block
         distinct, inverse = np.unique(w.reshape(len(w), -1).view(f"V{w[0].nbytes}"), return_inverse=True)
         keys = [(w.shape[1:], v.tobytes()) for v in distinct]  # equal bytes of other shapes are other blocks
         new = [i for i, key in enumerate(keys) if key not in solved]
@@ -281,7 +284,7 @@ def _weighted_entropies(spec: GraphSpec, subsets, solved=None) -> np.ndarray:
         step = max(1, 2**18 // (8 * 4**s))  # stacks of R's top rows of about 128 KB
         for i in range(0, len(blocks), step):
             solved.update(zip([keys[j] for j in new[i : i + step]], _coupling_entropies(blocks[i : i + step])))
-        out[pick] = np.array([solved[key] for key in keys])[inverse.reshape(-1)]
+        out[pick] = np.array([solved[key] for key in keys])[inverse.reshape(-1)[first.reshape(-1)]]
     return out
 
 
@@ -345,11 +348,13 @@ def mi_curve(
     """Mean/min/max mutual information for every fragment size 1..n_env.
 
     `source` is a StateVector, DensityMatrix or GraphSpec (at most 64
-    qubits); it sets the entropy backend, see _backend.
-    Sizes with more than max_exhaustive fragments are estimated from
-    sample_size >= 2 uniformly drawn fragments (fixed seed, reported
-    standard error); everything else is enumerated exhaustively.  Every size feeds
-    one stream of qubit masks that the backend reads _CHUNK at a time.
+    qubits); it sets the entropy backend, see _backend.  Sizes with more
+    than max_exhaustive fragments are estimated from sample_size >= 2
+    uniformly drawn fragments (fixed seed, reported standard error);
+    everything else is enumerated exhaustively.  A curve with no sampled
+    size draws nothing, but still refuses a seed np.random.default_rng would
+    refuse.  Every size feeds one stream of qubit masks that the backend
+    reads _CHUNK at a time.
     """
     n = source.n_qubits
     _check_system(system, n)
@@ -368,11 +373,11 @@ def mi_curve(
         kernel = functools.partial(_by_size, functools.partial(*dense), n, system)
     env = [q for q in range(1, n + 1) if q != system]
     env_bits, sizes = _masks([[q] for q in env]), range(1, len(env) + 1)
-    rng = np.random.default_rng(seed)
-    drawn = {  # seeded draws, in size order
-        d: _masks([rng.choice(env, size=d, replace=False) for _ in range(sample_size)])
-        for d in sizes if math.comb(len(env), d) > max_exhaustive
-    }
+    sampled = [d for d in sizes if math.comb(len(env), d) > max_exhaustive]
+    # default_rng takes these objects as they are; SeedSequence refuses what it refuses, and builds no Generator
+    if sampled or not isinstance(seed, (np.random.Generator, np.random.BitGenerator, np.random.bit_generator.ISeedSequence)):
+        rng = (np.random.default_rng if sampled else np.random.SeedSequence)(seed)
+    drawn = {d: _masks([rng.choice(env, size=d, replace=False) for _ in range(sample_size)]) for d in sampled}
     # one stream of parts (d, x), the size-d fragments F XOR x, enumerated ones
     # first: S (the empty set XOR S), every F, then S u F or, for a pure state,
     # E \ F of the same entropy, which exhaustive sizes find in reverse order
@@ -390,22 +395,22 @@ def mi_curve(
             chunks.append(kernel(held[:_CHUNK]))
             held = held[_CHUNK:]
     table = np.concatenate(chunks + ([kernel(held)] if len(held) else []))  # stabilizer ranks are bytes
-    tables = dict(zip(enumerated + listed, np.split(table, bounds[1:-1])))
-    h_f = {0: np.zeros(1, table.dtype), **{d: tables[d, 0] for d in sizes}}  # by size
-    # every size's values in one array: checked and clamped at once, extremes from one reduceat each
-    starts = np.cumsum([0] + [len(h_f[d]) for d in sizes])
+    # (0, 0): the empty fragment; every size's values in one array, checked and clamped at once
+    tables = {(0, 0): np.zeros(1, table.dtype)} | {k: table[a:b] for k, a, b in zip(enumerated + listed, bounds, bounds[1:])}
+    starts = np.cumsum([0] + [len(tables[d, 0]) for d in sizes])  # extremes from one reduceat each
     values = np.empty(int(starts[-1]), np.promote_types(table.dtype, np.int8))  # signed for ranks too
-    by_size = np.split(values, starts[1:-1])
+    by_size = [values[a:b] for a, b in zip(starts[:-1], starts[1:])]
     for d, part in zip(sizes, by_size):
-        np.add(table[0], h_f[d], out=part)
-        part -= tables.get((d, flip), h_f[len(env) - d][::-1])
+        np.add(table[0], tables[d, 0], out=part)
+        part -= tables.get((d, flip), tables[len(env) - d, 0][::-1])
     _nonnegative(values)
     lows, highs = (f.reduceat(values, starts[:-1]).astype(float).tolist() for f in (np.minimum, np.maximum))
     points = []
     for d, part, lo, hi in zip(sizes, by_size, lows, highs):
         stderr = float(np.std(part, ddof=1) / math.sqrt(len(part))) if d in drawn else None
-        # the mathematical mean lies in [min, max]; pin down summation round-off
-        points.append(MIPoint(d, min(max(float(np.mean(part)), lo), hi), lo, hi, math.comb(len(env), d), stderr))
+        # np.mean's sum and division; the mathematical mean lies in [min, max], so pin down round-off
+        mean = float(np.add.reduce(part, dtype=float) / len(part))
+        points.append(MIPoint(d, min(max(mean, lo), hi), lo, hi, math.comb(len(env), d), stderr))
     diagnostics = {
         "backend": backend,
         "fragments_exhaustive": sum(math.comb(len(env), d) for d in every),

@@ -59,10 +59,7 @@ class CorrelatorTable:
                 length = len(string)
             elif len(string) != length:
                 raise ValueError("all strings in a table must have equal length")
-            if isinstance(payload, tuple):
-                value, sigma = payload
-            else:
-                value, sigma = payload, None
+            value, sigma = payload if isinstance(payload, tuple) else (payload, None)
             value = float(value)
             sigma = None if sigma is None else float(sigma)
             if not -1.0 - 1e-9 <= value <= 1.0 + 1e-9:

@@ -9,7 +9,7 @@ chain of couplings between consecutive environment qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class GraphSpec:
                 raise ValueError(f"self-edge ({j}, {k}) not allowed")
             if not (1 <= j <= self.n_qubits and 1 <= k <= self.n_qubits):
                 raise ValueError(f"edge ({j}, {k}) out of range for {self.n_qubits} qubits")
-            if not np.isfinite(phase):
+            if not isfinite(phase):
                 raise ValueError(f"edge ({j}, {k}) has non-finite phase")
             pair = frozenset((j, k))
             if pair in seen:
@@ -90,17 +90,19 @@ def star_spec(n_env: int, phi: float) -> GraphSpec:
     """System qubit 1 coupled with phase phi to environment qubits 2..n_env+1."""
     if n_env < 1:
         raise ValueError("star graph needs at least one environment qubit")
-    edges = tuple((1, k, float(phi)) for k in range(2, n_env + 2))
-    return GraphSpec(n_qubits=n_env + 1, edges=edges)
+    return GraphSpec(n_qubits=n_env + 1, edges=_star_edges(n_env, phi))
+
+
+def _star_edges(n_env: int, phi: float) -> tuple:
+    return tuple((1, k, float(phi)) for k in range(2, n_env + 2))
 
 
 def diamond_spec(n_env: int, phi: float, theta: float) -> GraphSpec:
     """Star edges plus an open chain (j, j+1, theta) through the environment."""
     if n_env < 2:
         raise ValueError("diamond graph needs at least two environment qubits")
-    star = star_spec(n_env, phi).edges
     chain = tuple((j, j + 1, float(theta)) for j in range(2, n_env + 1))
-    return GraphSpec(n_qubits=n_env + 1, edges=star + chain)
+    return GraphSpec(n_qubits=n_env + 1, edges=_star_edges(n_env, phi) + chain)
 
 
 def build_graph_state(spec: GraphSpec) -> StateVector:

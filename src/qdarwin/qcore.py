@@ -241,11 +241,6 @@ def apply_circuit(state: StateVector, gates) -> StateVector:
     return state
 
 
-def _split_axes(n: int, keep: tuple[int, ...]) -> list[int]:
-    traced = [q for q in range(1, n + 1) if q not in keep]
-    return [q - 1 for q in keep] + [q - 1 for q in traced]
-
-
 def _validate_keep(n: int, keep) -> tuple[int, ...]:
     keep = tuple(keep)
     if not keep:
@@ -264,7 +259,7 @@ def _partial_trace_batch(mats: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     n = mats.shape[-1].bit_length() - 1
     lead = mats.shape[:-2]
     k = len(lead)
-    axes = _split_axes(n, keep)
+    axes = [q - 1 for q in keep] + [q - 1 for q in range(1, n + 1) if q not in keep]  # kept, then traced
     d_keep = 2 ** len(keep)
     d_traced = 2 ** (n - len(keep))
     tensor = mats.reshape(lead + (2,) * (2 * n))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from math import comb, pi
 
 import numpy as np
@@ -208,6 +209,44 @@ class TestMICurve:
         for size in (1, 0, -3):
             with pytest.raises(ValueError, match=f"sample_size must be at least 2 for a standard error, got {size}"):
                 mi_curve(star_spec(5, pi), 1, max_exhaustive=4, sample_size=size)
+
+    def test_only_a_sampled_curve_builds_a_generator(self, monkeypatch, rng):
+        calls, default_rng = [], np.random.default_rng
+
+        def spy(seed=None):
+            calls.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(darwinism.np.random, "default_rng", spy)
+        ket = as_state(random_pure_array(4, rng))
+        sources = (diamond_spec(6, pi, pi), diamond_spec(6, pi, pi / 3), ket, density(ket))
+        for source in sources:
+            assert mi_curve(source, 1)._diagnostics["sampled_sizes"] == []
+        assert calls == []
+        curve = mi_curve(diamond_spec(6, pi, pi), 1, max_exhaustive=15, sample_size=5, seed=3)
+        assert curve._diagnostics["sampled_sizes"] == [3]  # C(6, 3) = 20 is the one size above 15
+        assert calls == [3]
+
+    @pytest.mark.parametrize(
+        "seed, refusal",
+        [(-1, ValueError), (1.5, TypeError), ("x", TypeError), ([1, -2], ValueError)]
+        + [(seed, None) for seed in (None, 0, 2**70, [1, 2], np.int64(7))],
+    )
+    def test_an_exhaustive_curve_checks_its_seed_as_default_rng_does(self, seed, refusal):
+        spec = diamond_spec(4, pi, pi)
+        if refusal is None:
+            np.random.default_rng(seed)
+            assert mi_curve(spec, 1, seed=seed) == mi_curve(spec, 1)
+            return
+        with pytest.raises(refusal) as expected:
+            np.random.default_rng(seed)
+        with pytest.raises(refusal, match=f"^{re.escape(str(expected.value))}$"):
+            mi_curve(spec, 1, seed=seed)
+
+    def test_an_exhaustive_curve_takes_a_generator_as_default_rng_does(self):
+        spec = diamond_spec(4, pi, pi)
+        for seed in (np.random.default_rng(5), np.random.PCG64(5), np.random.SeedSequence(5)):
+            assert mi_curve(spec, 1, seed=seed) == mi_curve(spec, 1)
 
     def test_sampled_fragments_deterministic(self, rng):
         psi = as_state(random_pure_array(6, rng))
@@ -743,6 +782,21 @@ class TestBlockClasses:
         counts = _count_matrices(monkeypatch)
         curve = mi_curve(diamond_spec(n_env, pi, pi / 3), 1)
         assert sum(counts) == curve._diagnostics["eigenproblems"] == solved
+
+    def test_canonical_form_runs_once_per_distinct_raw_block(self, monkeypatch):
+        # the diamond's 1024 cuts give 683 byte-distinct raw blocks; only
+        # those are put in canonical form, and they fall into 158 classes
+        received, canonical = [], darwinism._canonical
+
+        def spy(blocks):
+            received.append(len(blocks))
+            assert len({block.tobytes() for block in blocks}) == len(blocks)
+            return canonical(blocks)
+
+        monkeypatch.setattr(darwinism, "_canonical", spy)
+        curve = mi_curve(diamond_spec(10, pi, pi / 3), 1)
+        assert sum(received) == 683
+        assert curve._diagnostics["eigenproblems"] == 158
 
     def test_stabilizer_ranks_are_bytes(self):
         spec = diamond_spec(6, pi, pi)

@@ -1,4 +1,5 @@
 import json
+import re
 from math import pi, sqrt
 
 import numpy as np
@@ -35,8 +36,18 @@ class TestGraphSpec:
             GraphSpec(3, ((2, 2, pi),))
 
     def test_rejects_nonfinite_phase(self):
-        with pytest.raises(ValueError, match="finite"):
-            GraphSpec(2, ((1, 2, float("nan")),))
+        first, chain = re.escape("edge (1, 2) has non-finite phase"), re.escape("edge (2, 3) has non-finite phase")
+        for phase in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"^{first}$"):
+                GraphSpec(2, ((1, 2, phase),))
+            with pytest.raises(ValueError, match=f"^{first}$"):
+                star_spec(3, phi=phase)
+            with pytest.raises(ValueError, match=f"^{first}$"):
+                diamond_spec(3, phi=phase, theta=pi)
+            with pytest.raises(ValueError, match=f"^{chain}$"):
+                diamond_spec(3, phi=pi, theta=phase)
+            with pytest.raises(ValueError, match="^diamond graph needs at least two environment qubits$"):
+                diamond_spec(1, phi=phase, theta=phase)
 
     # bool is an int subclass: True must not read as 1
     @pytest.mark.parametrize("n_qubits", [2.9, 3.0, "3", True])
