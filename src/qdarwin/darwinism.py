@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphstate import GraphSpec, _check_system, _is_integer
+from .graphstate import GraphSpec, _check_system, _is_integer, _json_fields
 from .qcore import (  # noqa: F401  (partial_trace, subsystem_entropy, von_neumann_entropy: perfbench/tracer.py wraps these bindings)
     StateVector,
     _check_qubit_budget,
@@ -35,6 +35,8 @@ _STEP_SIGMAS = 2.0  # classify_curve: a step between points with stderr must bea
 _CHUNK = 4096  # qubit masks per entropy-kernel call, across fragment sizes
 
 CSV_HEADER = "delta,mean_mi,min_mi,max_mi,n_fragments,stderr"
+_NUMBER = (int, float)  # a JSON number; _json_fields refuses a bool
+_POINT_JSON = "    {\n" + ",\n".join(f'      "{k}": %s' for k in CSV_HEADER.split(",")) + "\n    }"  # MICurve.to_json's point
 
 
 @dataclass(frozen=True)
@@ -147,20 +149,26 @@ class MICurve:
             points.append(MIPoint(int(delta), float(mean), float(lo), float(hi), int(count), stderr))
         return cls(points=tuple(points), system_entropy=system_entropy, n_env=n_env)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "system_entropy": self.system_entropy,
-            "n_env": self.n_env,
-            "points": [dict(vars(p)) for p in self.points],  # the fields in order, no deep copy
-        }
+    def to_json_dict(self) -> dict:  # the fields in order, no deep copy
+        return {"system_entropy": self.system_entropy, "n_env": self.n_env, "points": [dict(vars(p)) for p in self.points]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """json.dumps(self.to_json_dict(), indent=2) + "\n", byte for byte, from one call of json's C encoder
+        (an indent runs its pure-Python one): the values in order, split on ", " (in no number, null, true, false,
+        NaN or Infinity), fill the fixed layout; a field holding a container or a ", " string takes the slow path."""
+        text = json.dumps([self.system_entropy, self.n_env, *(v for p in self.points for v in vars(p).values())])[1:-1]
+        if len(values := text.split(", ")) != 2 + 6 * len(self.points) or "[" in text or "{" in text:
+            return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        points = "\n" + ",\n".join([_POINT_JSON] * len(self.points)) + "\n  " if self.points else ""
+        return ('{\n  "system_entropy": %s,\n  "n_env": %s,\n  "points": [' + points + "]\n}\n") % tuple(values)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MICurve":
-        points = tuple(MIPoint(**p) for p in data["points"])
-        return cls(points=points, system_entropy=data["system_entropy"], n_env=data["n_env"])
+        """The curve of a file to_json wrote; a ValueError names a field that is missing, unexpected or not of
+        its type.  An integer counts as a number, a boolean never does."""
+        entropy, n_env, points = _json_fields(data, system_entropy=_NUMBER, n_env=int, points=list)
+        kinds = dict(delta=int, mean_mi=_NUMBER, min_mi=_NUMBER, max_mi=_NUMBER, n_fragments=int, stderr=(*_NUMBER, type(None)))
+        return cls(points=tuple(MIPoint(*_json_fields(p, **kinds)) for p in points), system_entropy=entropy, n_env=n_env)
 
 
 def _backend(source) -> str:
@@ -397,11 +405,11 @@ def mi_curve(
     table = np.concatenate(chunks + ([kernel(held)] if len(held) else []))  # stabilizer ranks are bytes
     # (0, 0): the empty fragment; every size's values in one array, checked and clamped at once
     tables = {(0, 0): np.zeros(1, table.dtype)} | {k: table[a:b] for k, a, b in zip(enumerated + listed, bounds, bounds[1:])}
+    values = np.concatenate([table[:0]] + [tables[d, 0] for d in sizes], dtype=np.promote_types(table.dtype, np.int8))
+    np.add(table[0], values, out=values)  # H_S + H_F in one pass, in one buffer that is signed for ranks too
     starts = np.cumsum([0] + [len(tables[d, 0]) for d in sizes])  # extremes from one reduceat each
-    values = np.empty(int(starts[-1]), np.promote_types(table.dtype, np.int8))  # signed for ranks too
     by_size = [values[a:b] for a, b in zip(starts[:-1], starts[1:])]
-    for d, part in zip(sizes, by_size):
-        np.add(table[0], tables[d, 0], out=part)
+    for d, part in zip(sizes, by_size):  # - H_SF: a view per size, so no second full-length array
         part -= tables.get((d, flip), tables[len(env) - d, 0][::-1])
     _nonnegative(values)
     lows, highs = (f.reduceat(values, starts[:-1]).astype(float).tolist() for f in (np.minimum, np.maximum))

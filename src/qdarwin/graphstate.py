@@ -72,17 +72,17 @@ def _check_system(system, n_qubits: int) -> None:
 
 def _json_fields(data, **kinds) -> list:
     """The named fields of a parsed JSON object, in order; a ValueError names
-    the field that is missing, not of its type, or not asked for."""
+    the field that is missing, not of its type or types (a bool is only a
+    bool), or not asked for."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object with fields {', '.join(kinds)}, got {type(data).__name__}")
     unexpected = sorted(data.keys() - kinds)
     if unexpected:
         raise ValueError(f"unexpected field {unexpected[0]!r}; expected fields {', '.join(kinds)}")
     for name, kind in kinds.items():
-        value = data.get(name)
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        if name not in data or not isinstance(data[name], kind) or (isinstance(data[name], bool) and kind is not bool):
             got = repr(data[name]) if name in data else "nothing"
-            raise ValueError(f"field {name!r} must be {kind.__name__}, got {got}")
+            raise ValueError(f"field {name!r} must be {' or '.join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))}, got {got}")
     return [data[name] for name in kinds]
 
 

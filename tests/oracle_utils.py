@@ -5,9 +5,13 @@ paths: partial traces run over explicit binary indices, states are plain
 numpy arrays, and mutual information always goes through the dense global
 density matrix.  Slow, but trustworthy for n <= 6.  The helpers at the end
 that build library objects (plus_state, density, maximally_mixed, spec_dict,
-mean_values) stand in for conveniences the library does not offer.
+mean_values) stand in for conveniences the library does not offer, and
+curve_json spells a curve through json's own indented encoder.
 """
 from __future__ import annotations
+
+import dataclasses
+import json
 
 import numpy as np
 
@@ -329,3 +333,10 @@ def spec_dict(spec) -> dict:
 def mean_values(curve) -> list[float]:
     """Each point's mean mutual information, in fragment-size order."""
     return [p.mean_mi for p in curve.points]
+
+
+def curve_json(curve) -> str:
+    """The bytes MICurve.to_json must write: json.dumps(..., indent=2) of the
+    curve's fields, each point's in declaration order, and a final newline."""
+    points = [{f.name: getattr(p, f.name) for f in dataclasses.fields(p)} for p in curve.points]
+    return json.dumps({"system_entropy": curve.system_entropy, "n_env": curve.n_env, "points": points}, indent=2) + "\n"

@@ -69,6 +69,12 @@ class TestCurveCommand:
         assert manifest["command"] == "curve"
         assert manifest["tool_version"]
 
+    def test_one_qubit_graph_file_writes_the_empty_curve(self, tmp_path):
+        graph, out = tmp_path / "graph.json", tmp_path / "c.json"
+        graph.write_text(json.dumps({"n_qubits": 1, "edges": []}))
+        assert run(["curve", "--graph-file", str(graph), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"system_entropy": 0.0, "n_env": 0, "points": []}
+
     def test_named_curve_as_json(self, tmp_path):
         out = tmp_path / "diamond.json"
         assert run(["curve", "--named", "diamond-canonical", "--out", str(out)]) == 0

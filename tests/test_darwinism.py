@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 from math import comb, pi
@@ -13,6 +14,7 @@ from oracle_utils import (
     brute_mutual_information,
     brute_partial_trace,
     brute_pure_entropy,
+    curve_json,
     density,
     gf2_rank,
     graph_state_amplitudes,
@@ -25,9 +27,11 @@ from qdarwin import (
     GraphSpec,
     MICurve,
     MIPoint,
+    RunConfig,
     build_graph_state,
     classify_curve,
     diamond_spec,
+    estimate_mi_curve,
     evolve_ising,
     mi_curve,
     mutual_information,
@@ -803,6 +807,12 @@ class TestBlockClasses:
         ranks = _graph_entropies(spec, list(itertools.combinations(range(1, 8), 3)))
         assert ranks.dtype == np.uint8
 
+    def test_byte_ranks_are_signed_before_the_subtraction(self, monkeypatch):
+        # ranks that break H_S + H_F >= H_SF must fail the nonnegativity check, not wrap around a byte
+        monkeypatch.setattr(darwinism, "_graph_entropies", lambda spec, masks: np.bitwise_count(masks).astype(np.uint8))
+        with pytest.raises(ValueError, match="mutual information -3.0 violates nonnegativity"):
+            mi_curve(diamond_spec(6, pi, pi), 1)
+
 
 class TestCurveContainer:
     def _curve(self):
@@ -823,8 +833,9 @@ class TestCurveContainer:
 
     def test_json_round_trip(self):
         curve = self._curve()
-        back = MICurve.from_json_dict(curve.to_json_dict())
+        back = MICurve.from_json_dict(json.loads(curve.to_json()))
         assert back == curve
+        assert back.to_json() == curve.to_json() == curve_json(curve)
 
     def test_rejects_gapped_deltas(self):
         point = MIPoint(delta=2, mean_mi=1.0, min_mi=1.0, max_mi=1.0, n_fragments=3)
@@ -846,6 +857,137 @@ class TestCurveContainer:
         point = MIPoint(delta=1, mean_mi=0.5, min_mi=0.9, max_mi=1.0, n_fragments=1)
         with pytest.raises(ValueError, match="min <= mean <= max"):
             MICurve(points=(point,), system_entropy=1.0, n_env=1)
+
+
+def _point(delta=1, mean=1.0, lo=1.0, hi=1.0, count=1, stderr=None):
+    return MIPoint(delta=delta, mean_mi=mean, min_mi=lo, max_mi=hi, n_fragments=count, stderr=stderr)
+
+
+class TestCurveJson:
+    """MICurve.to_json against json.dumps(..., indent=2) of the same fields."""
+
+    @pytest.mark.parametrize("source", [
+        diamond_spec(6, pi, pi),  # stabilizer
+        diamond_spec(6, pi, pi / 3),  # weighted-graph
+        build_graph_state(diamond_spec(5, pi, 0.4)),  # dense-pure
+        density(build_graph_state(star_spec(4, pi / 3))),  # dense-mixed
+        named_state("star-experimental"),
+    ], ids=["stabilizer", "weighted-graph", "dense-pure", "dense-mixed", "named"])
+    def test_every_backend_matches_the_indented_encoder(self, source):
+        curve = mi_curve(source, 1)
+        assert curve.to_json() == curve_json(curve)
+
+    @pytest.mark.parametrize("source", [diamond_spec(8, pi, pi), diamond_spec(7, pi, pi / 3)])
+    def test_a_sampled_curve_matches_it(self, source):
+        curve = mi_curve(source, 2, max_exhaustive=10, sample_size=5)
+        assert any(isinstance(p.stderr, float) for p in curve.points)
+        assert curve.to_json() == curve_json(curve)
+
+    @pytest.mark.parametrize("name, pipeline", [("star-experimental", "closed_form"),
+                                                ("diamond-canonical", "reconstruction")])
+    def test_an_estimated_curve_matches_it(self, name, pipeline):
+        cfg = RunConfig(shots_per_setting=500, seed=4, bootstrap_resamples=5)
+        curve = estimate_mi_curve(named_state(name), 1, cfg, pipeline)
+        assert all(isinstance(p.stderr, float) for p in curve.points)
+        assert curve.to_json() == curve_json(curve)
+
+    def test_an_integer_entropy_read_back_matches_it(self):
+        text = mi_curve(star_spec(3, pi), 1).to_json().replace('"system_entropy": 1.0,', '"system_entropy": 1,')
+        curve = MICurve.from_json_dict(json.loads(text))
+        assert curve.system_entropy == 1 and isinstance(curve.system_entropy, int)
+        assert curve.to_json() == curve_json(curve) == text
+
+    @pytest.mark.parametrize("stderr", [math.nan, math.inf, -math.inf, 0.0, 3])
+    def test_nonfinite_and_integer_stderrs_match_it(self, stderr):
+        curve = MICurve(points=(_point(stderr=stderr), _point(2, stderr=stderr)), system_entropy=1.0, n_env=2)
+        assert curve.to_json() == curve_json(curve)
+
+    @pytest.mark.parametrize("value", [-0.0, 1e-17, 5e-324, 0.1 + 0.2, 1e16, 2 / 3])
+    def test_extreme_values_match_it(self, value):
+        curve = MICurve(points=(_point(mean=value, lo=value, hi=value),), system_entropy=value, n_env=1)
+        assert curve.to_json() == curve_json(curve)
+
+    def test_one_point_and_no_points_match_it(self):
+        one, empty = mi_curve(star_spec(1, pi), 1), MICurve(points=(), system_entropy=0.0, n_env=0)
+        assert one.n_env == 1 and one.to_json() == curve_json(one)
+        assert empty.to_json() == curve_json(empty) == '{\n  "system_entropy": 0.0,\n  "n_env": 0,\n  "points": []\n}\n'
+
+    @pytest.mark.parametrize("source", [
+        GraphSpec(1, ()),
+        build_graph_state(GraphSpec(1, ())),
+        density(build_graph_state(GraphSpec(1, ()))),
+    ], ids=["stabilizer", "dense-pure", "dense-mixed"])
+    def test_a_one_qubit_source_gives_the_empty_curve(self, source):
+        curve = mi_curve(source, 1)
+        assert (curve.points, curve.n_env) == ((), 0)
+        assert curve.to_json() == curve_json(curve)
+        assert curve.system_entropy == pytest.approx(0.0, abs=1e-12)  # a dense state's keeps its round-off
+
+    @pytest.mark.parametrize("stderr", [[1.0], [1, 2], {"a": 1}, "a, b", "[", True])
+    def test_a_field_json_spells_otherwise_matches_it(self, stderr):
+        curve = MICurve(points=(_point(stderr=stderr), _point(2)), system_entropy=1.0, n_env=2)
+        assert curve.to_json() == curve_json(curve)
+
+    def test_a_numpy_integer_raises_the_encoders_type_error(self):
+        curve = MICurve(points=(_point(delta=np.int64(1)),), system_entropy=1.0, n_env=1)
+        with pytest.raises(TypeError) as expected:
+            curve_json(curve)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            curve.to_json()
+
+
+class TestCurveFromJson:
+    def _data(self):
+        return json.loads(mi_curve(star_spec(3, pi), 1).to_json())
+
+    @pytest.mark.parametrize("field", ["system_entropy", "n_env", "points"])
+    def test_refuses_a_missing_field(self, field):
+        data = self._data()
+        del data[field]
+        with pytest.raises(ValueError, match=f"field '{field}' must be .*, got nothing"):
+            MICurve.from_json_dict(data)
+
+    @pytest.mark.parametrize("field", ["delta", "mean_mi", "min_mi", "max_mi", "n_fragments", "stderr"])
+    def test_refuses_a_missing_point_field(self, field):
+        data = self._data()
+        del data["points"][1][field]
+        with pytest.raises(ValueError, match=f"field '{field}' must be .*, got nothing"):
+            MICurve.from_json_dict(data)
+
+    def test_refuses_an_unknown_field(self):
+        data = self._data()
+        data["points"][0]["extra"] = 1
+        with pytest.raises(ValueError, match="unexpected field 'extra'"):
+            MICurve.from_json_dict(data)
+        with pytest.raises(ValueError, match="unexpected field 'version'"):
+            MICurve.from_json_dict({**self._data(), "version": 1})
+
+    @pytest.mark.parametrize("field, value", [
+        ("delta", True), ("delta", 1.0), ("delta", "1"), ("n_fragments", False), ("n_fragments", 3.0),
+        ("mean_mi", "1.0"), ("min_mi", True), ("max_mi", None), ("stderr", "0.1"), ("stderr", False), ("stderr", [0.1]),
+    ])
+    def test_refuses_a_point_value_of_the_wrong_type(self, field, value):
+        data = self._data()
+        data["points"][0][field] = value
+        with pytest.raises(ValueError, match=f"field '{field}' must be (int|int or float|int or float or NoneType), got "):
+            MICurve.from_json_dict(data)
+
+    @pytest.mark.parametrize("field, value", [("system_entropy", "1.0"), ("system_entropy", True),
+                                              ("n_env", 3.0), ("n_env", True), ("points", {})])
+    def test_refuses_a_curve_value_of_the_wrong_type(self, field, value):
+        with pytest.raises(ValueError, match=f"field '{field}' must be "):
+            MICurve.from_json_dict({**self._data(), field: value})
+
+    @pytest.mark.parametrize("data", [[], "curve", None, {"system_entropy": 1.0, "n_env": 1, "points": [[1, 1.0]]}])
+    def test_refuses_what_is_not_an_object(self, data):
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            MICurve.from_json_dict(data)
+
+    def test_takes_integers_as_numbers(self):
+        data = self._data()
+        data["points"][0].update(mean_mi=1, min_mi=1, max_mi=1, stderr=0)
+        point = MICurve.from_json_dict(data).points[0]
+        assert (point.mean_mi, point.min_mi, point.max_mi, point.stderr) == (1, 1, 1, 0)
 
 
 class TestClassifier:

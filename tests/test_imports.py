@@ -142,3 +142,11 @@ def test_import_loads_no_executor():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
                          capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n[]\n"
+
+
+def test_cli_import_loads_no_hashlib():
+    # only `qdarwin estimate --counts-file` hashes, so the import waits for it
+    code = "import sys, qdarwin.cli\nprint('hashlib' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
