@@ -155,7 +155,7 @@ def _write_curve(curve, out: Path, manifest: dict) -> None:
 def _cmd_curve(args) -> int:
     source = _curve_source(args)
     curve = mi_curve(source, args.system)
-    manifest = _manifest(args, "family named n_env phi theta graph_file system")
+    manifest = _manifest(args, "family named n_env phi theta graph_file system", curve._diagnostics.get("seed"))
     _write_curve(curve, Path(args.out), manifest)
     return 0
 
@@ -184,7 +184,7 @@ def _cmd_estimate(args) -> int:
         curve = mi_curve_from_counts(data, args.system, args.pipeline, bootstrap_resamples=args.bootstrap, seed=args.seed)
     manifest = _manifest(args, "named counts_file pipeline shots bootstrap system poisson", args.seed)
     if args.counts_file:
-        import hashlib  # here: state, plan and verify never load it (curve and estimate do, through numpy.random)
+        import hashlib  # here: state, plan, verify and exhaustive curves never load it (numpy.random does)
         manifest["counts_sha256"] = hashlib.sha256(raw).hexdigest()
     if args.save_counts:
         _write_with_manifest(Path(args.save_counts), counts_to_json(saved), manifest)

@@ -22,6 +22,7 @@ from .qcore import (  # noqa: F401  (partial_trace, subsystem_entropy, von_neuma
     _entropy_batch,
     _partial_trace_batch,
     _pure_entropies,
+    _rng,
     partial_trace,
     subsystem_entropy,
     von_neumann_entropy,
@@ -31,6 +32,7 @@ _PI_SLACK = 1e-12  # rad: round-off of phases such as 3*pi or -g*t, nothing more
 _DEFAULT_MAX_EXHAUSTIVE = math.comb(23, 11)  # every size of every curve of up to 24 qubits
 _DEFAULT_SAMPLE_SIZE = 1000
 _DEFAULT_SAMPLE_SEED = 1789
+_CURVE_STREAM = 0xF4A6  # sampled size d draws from stream (_CURVE_STREAM, d) of the seed
 _STEP_SIGMAS = 2.0  # classify_curve: a step between points with stderr must beat this many sigma
 _CHUNK = 4096  # qubit masks per entropy-kernel call, across fragment sizes
 
@@ -358,16 +360,17 @@ def mi_curve(
     `source` is a StateVector, DensityMatrix or GraphSpec (at most 64
     qubits); it sets the entropy backend, see _backend.  Sizes with more
     than max_exhaustive fragments are estimated from sample_size >= 2
-    uniformly drawn fragments (fixed seed, reported standard error);
-    everything else is enumerated exhaustively.  A curve with no sampled
-    size draws nothing, but still refuses a seed np.random.default_rng would
-    refuse.  Every size feeds one stream of qubit masks that the backend
-    reads _CHUNK at a time.
+    uniformly drawn fragments (reported standard error), each size from its
+    own stream of the integer seed; everything else is enumerated
+    exhaustively.  Every size feeds one stream of qubit masks that the
+    backend reads _CHUNK at a time.
     """
     n = source.n_qubits
     _check_system(system, n)
     if sample_size < 2:
         raise ValueError(f"sample_size must be at least 2 for a standard error, got {sample_size}")
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     backend, solved = _backend(source), {}  # solved: weighted-graph classes, once per curve
     if isinstance(source, GraphSpec):
         if n > 64:
@@ -381,11 +384,10 @@ def mi_curve(
         kernel = functools.partial(_by_size, functools.partial(*dense), n, system)
     env = [q for q in range(1, n + 1) if q != system]
     env_bits, sizes = _masks([[q] for q in env]), range(1, len(env) + 1)
-    sampled = [d for d in sizes if math.comb(len(env), d) > max_exhaustive]
-    # default_rng takes these objects as they are; SeedSequence refuses what it refuses, and builds no Generator
-    if sampled or not isinstance(seed, (np.random.Generator, np.random.BitGenerator, np.random.bit_generator.ISeedSequence)):
-        rng = (np.random.default_rng if sampled else np.random.SeedSequence)(seed)
-    drawn = {d: _masks([rng.choice(env, size=d, replace=False) for _ in range(sample_size)]) for d in sampled}
+    drawn = {}  # a uniform d-subset per row: the d smallest of m uniform keys, OR'd into a mask
+    for d in (d for d in sizes if math.comb(len(env), d) > max_exhaustive):
+        keys = _rng(seed, _CURVE_STREAM, d).random((sample_size, len(env)))
+        drawn[d] = np.bitwise_or.reduce(env_bits[np.argpartition(keys, d - 1, axis=1)[:, :d]], axis=1)
     # one stream of parts (d, x), the size-d fragments F XOR x, enumerated ones
     # first: S (the empty set XOR S), every F, then S u F or, for a pure state,
     # E \ F of the same entropy, which exhaustive sizes find in reverse order
@@ -418,13 +420,14 @@ def mi_curve(
         stderr = float(np.std(part, ddof=1) / math.sqrt(len(part))) if d in drawn else None
         # np.mean's sum and division; the mathematical mean lies in [min, max], so pin down round-off
         mean = float(np.add.reduce(part, dtype=float) / len(part))
-        points.append(MIPoint(d, min(max(mean, lo), hi), lo, hi, math.comb(len(env), d), stderr))
+        points.append(MIPoint(d, min(max(mean, lo), hi), lo, hi, len(part), stderr))
     diagnostics = {
         "backend": backend,
         "fragments_exhaustive": sum(math.comb(len(env), d) for d in every),
         "fragments_sampled": sum(len(f) for f in drawn.values()),
         "sampled_sizes": list(drawn),  # in size order
         "sample_size": sample_size,
+        **({"seed": int(seed)} if drawn else {}),
         **({"eigenproblems": len(solved)} if backend == "weighted-graph" else {}),
     }
     return MICurve(points=tuple(points), system_entropy=float(table[0]), n_env=len(env), _diagnostics=diagnostics)

@@ -32,6 +32,7 @@ from .qcore import (  # noqa: F401  (project_to_physical: perfbench/tracer.py wr
     _projected_density,
     _spectrum_entropies,
     _water_fill,
+    _xlogx,
     all_pauli_strings,
     as_pauli,
     pauli_expectation,
@@ -39,7 +40,6 @@ from .qcore import (  # noqa: F401  (project_to_physical: perfbench/tracer.py wr
 )
 
 _F_WINDOW = 1e-9
-_XLOGX_CUTOFF = 1e-12
 _NEGATIVITY_TOL = 0.25
 
 
@@ -247,15 +247,6 @@ def _star_parameters(values: np.ndarray, sigmas: list) -> StarParameters:
         consistent=deviation <= tol,
         deviation=deviation,
     )
-
-
-def _xlogx(x) -> np.ndarray:
-    """Re[x log2 x] elementwise with the 0 log 0 := 0 convention; tiny
-    magnitudes drop out, negative x take the complex logarithm."""
-    x = np.asarray(x, dtype=complex)
-    small = np.abs(x) <= _XLOGX_CUTOFF
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 0.0, (safe * np.log2(safe)).real)
 
 
 def branch_eigenvalues(params: StarParameters) -> tuple[float, float]:

@@ -39,14 +39,15 @@ from .qcore import (  # noqa: F401  (apply_gate: perfbench/tracer.py wraps this 
     PAULI_MATRICES,
     PauliString,
     StateVector,
+    _rng,
     all_pauli_strings,
     apply_gate,
     as_pauli,
 )
 
-_SEED_MASK = (1 << 64) - 1
 _SAMPLE_STREAM = 0x5E77
 _BOOTSTRAP_STREAM = 0xB007
+_LETTER_DIGITS = str.maketrans("IXYZ", "0123")  # a setting read in base 4 keys its sample stream
 # A bootstrap block holds at most 100 replicas and the count entries (replicas x settings x
 # outcomes) of 100 tomography replicas: fixed per-call costs are paid once per 100 replicas.
 _BOOTSTRAP_REPLICAS, _BOOTSTRAP_ENTRIES = 100, 100 * 81 * 16
@@ -148,13 +149,6 @@ def counts_from_json(text: str) -> list[OutcomeCounts]:
     return [OutcomeCounts.from_json_dict(item) for item in items]
 
 
-def _setting_rng(seed: int, labels: str) -> np.random.Generator:
-    code = 0
-    for letter in labels:
-        code = code * 4 + "IXYZ".index(letter)
-    return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, _SAMPLE_STREAM, code]))
-
-
 def _plan_probabilities(state, labels) -> np.ndarray:
     """Born probabilities (S, 2^n) of every setting in labels, each qubit read in
     the eigenbasis of its Pauli letter (bit 0 <-> eigenvalue +1).
@@ -194,7 +188,7 @@ def _sample_counts(state, labels, cfg: RunConfig) -> tuple[np.ndarray, np.ndarra
     probs = _plan_probabilities(state, labels)
     counts, shots = np.empty(probs.shape), np.empty(len(labels), dtype=int)
     for i, label in enumerate(labels):
-        rng = _setting_rng(cfg.seed, label)
+        rng = _rng(cfg.seed, _SAMPLE_STREAM, int(label.translate(_LETTER_DIGITS), 4))
         shots[i] = cfg.shots_per_setting
         if cfg.poisson_shots:
             shots[i] = max(int(rng.poisson(cfg.shots_per_setting)), 1)
@@ -394,7 +388,7 @@ def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstra
     probabilities = np.zeros(counts.shape)
     np.add.at(probabilities, (np.arange(len(counts))[:, None], plan[2]), counts / counts.sum(axis=1, keepdims=True))
     probabilities = np.minimum(probabilities, 1.0)
-    boot_rng = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, _BOOTSTRAP_STREAM]))
+    boot_rng = _rng(seed, _BOOTSTRAP_STREAM)
     per_block = max(1, min(_BOOTSTRAP_REPLICAS, _BOOTSTRAP_ENTRIES // counts.size))
     blocks = []
     for start in range(0, bootstrap_resamples, per_block):

@@ -50,6 +50,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator of stream `key` of an integer seed, taken mod 2^64: every
+    sampler draws from its own (seed, key) stream, whatever else was drawn."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), *key]))
+
+
 def _check_qubit_budget(n_qubits: int) -> None:
     cap = max_qubits()
     if n_qubits > cap:
@@ -315,18 +321,22 @@ def _spectrum_entropies(eigs: np.ndarray) -> np.ndarray:
             f"eigenvalue {float(eigs.min()):.3e} below -1e-9; use project_to_physical first"
         )
     flat = np.clip(eigs, 0.0, None).reshape(-1, eigs.shape[-1])
-    kept = flat > _LOG_CUTOFF
-    safe = np.where(kept, flat, 1.0)
-    terms = safe * np.log2(safe)
+    terms = _xlogx(flat)
     # spectra ascend (eigvalsh and eigh sort them; water-filling keeps the order), so the kept
     # eigenvalues are a suffix of each row; each suffix is summed as a contiguous row, so a
     # spectrum gives the same bits alone as in any batch
-    n_kept = kept.sum(axis=-1)
+    n_kept = (flat > _LOG_CUTOFF).sum(axis=-1)
     totals = np.zeros(len(flat))
     for m in set(n_kept.tolist()) - {0}:
         rows = n_kept == m
         totals[rows] = np.ascontiguousarray(terms[rows, eigs.shape[-1] - m :]).sum(axis=-1)
     return (np.maximum(-totals, 0.0) + 0.0).reshape(eigs.shape[:-1])
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x log2 x elementwise for x >= 0, with 0 log 0 := 0: x up to 1e-12 gives 0."""
+    safe = np.where(x > _LOG_CUTOFF, x, 1.0)
+    return safe * np.log2(safe)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

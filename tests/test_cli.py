@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -127,6 +128,18 @@ class TestCurveCommand:
                 "sample_size": 1000,
                 **({"eigenproblems": 4} if backend == "weighted-graph" else {}),
             }
+
+    def test_a_sampled_curves_manifest_names_its_seed(self, tmp_path, monkeypatch):
+        # sizes of more than 3 fragments are sampled here; an exhaustive curve's manifest keeps seed null
+        args = ["curve", "--family", "star", "--n-env", "4", "--phi", "pi", "--out", str(tmp_path / "c.csv")]
+        assert run(args) == 0
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert manifest["seed"] is None and "seed" not in manifest["diagnostics"]
+        monkeypatch.setattr("qdarwin.cli.mi_curve", functools.partial(qdarwin.mi_curve, max_exhaustive=3))
+        assert run(args) == 0
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert manifest["seed"] == manifest["diagnostics"]["seed"] == 1789
+        assert manifest["diagnostics"]["sampled_sizes"] == [1, 2, 3]
 
     def test_stabilizer_curve_beyond_state_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QDARWIN_MAX_QUBITS", "4")

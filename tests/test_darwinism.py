@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+from functools import partial
 from math import comb, pi
 
 import numpy as np
@@ -40,6 +41,7 @@ from qdarwin import (
 )
 import qdarwin.darwinism as darwinism
 from qdarwin.darwinism import (
+    _DEFAULT_MAX_EXHAUSTIVE,
     _backend,
     _canonical,
     _coupling_entropies,
@@ -69,6 +71,13 @@ def _random_graph(n, rng, phases):
     pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
     chosen = [pairs[i] for i in np.flatnonzero(rng.random(len(pairs)) < 0.5)]
     return GraphSpec(n, tuple((j, k, float(rng.choice(phases))) for j, k in chosen))
+
+
+def _draws(env, d, sample_size, seed):
+    """The size-d fragments mi_curve draws from seed: per draw, the qubits of
+    env at the d smallest of len(env) uniform keys from the size's stream."""
+    keys = np.random.default_rng(np.random.SeedSequence([seed, darwinism._CURVE_STREAM, d]))
+    return [tuple(sorted(env[i] for i in np.argsort(row)[:d])) for row in keys.random((sample_size, len(env)))]
 
 
 def _assert_curve_matches(curve, expected, tol=1e-12):
@@ -214,43 +223,35 @@ class TestMICurve:
             with pytest.raises(ValueError, match=f"sample_size must be at least 2 for a standard error, got {size}"):
                 mi_curve(star_spec(5, pi), 1, max_exhaustive=4, sample_size=size)
 
-    def test_only_a_sampled_curve_builds_a_generator(self, monkeypatch, rng):
-        calls, default_rng = [], np.random.default_rng
+    def test_a_sampled_curve_makes_one_stream_per_sampled_size(self, monkeypatch, rng):
+        calls, stream = [], darwinism._rng
 
-        def spy(seed=None):
-            calls.append(seed)
-            return default_rng(seed)
+        def spy(seed, *key):
+            calls.append((seed, *key))
+            return stream(seed, *key)
 
-        monkeypatch.setattr(darwinism.np.random, "default_rng", spy)
+        monkeypatch.setattr(darwinism, "_rng", spy)
         ket = as_state(random_pure_array(4, rng))
         sources = (diamond_spec(6, pi, pi), diamond_spec(6, pi, pi / 3), ket, density(ket))
         for source in sources:
             assert mi_curve(source, 1)._diagnostics["sampled_sizes"] == []
         assert calls == []
-        curve = mi_curve(diamond_spec(6, pi, pi), 1, max_exhaustive=15, sample_size=5, seed=3)
-        assert curve._diagnostics["sampled_sizes"] == [3]  # C(6, 3) = 20 is the one size above 15
-        assert calls == [3]
+        curve = mi_curve(diamond_spec(6, pi, pi), 1, max_exhaustive=6, sample_size=5, seed=3)
+        assert curve._diagnostics["sampled_sizes"] == [2, 3, 4]  # C(6, d) = 6, 15, 20, 15, 6, 1
+        assert calls == [(3, darwinism._CURVE_STREAM, d) for d in (2, 3, 4)]
 
-    @pytest.mark.parametrize(
-        "seed, refusal",
-        [(-1, ValueError), (1.5, TypeError), ("x", TypeError), ([1, -2], ValueError)]
-        + [(seed, None) for seed in (None, 0, 2**70, [1, 2], np.int64(7))],
-    )
-    def test_an_exhaustive_curve_checks_its_seed_as_default_rng_does(self, seed, refusal):
-        spec = diamond_spec(4, pi, pi)
-        if refusal is None:
-            np.random.default_rng(seed)
-            assert mi_curve(spec, 1, seed=seed) == mi_curve(spec, 1)
-            return
-        with pytest.raises(refusal) as expected:
-            np.random.default_rng(seed)
-        with pytest.raises(refusal, match=f"^{re.escape(str(expected.value))}$"):
-            mi_curve(spec, 1, seed=seed)
+    @pytest.mark.parametrize("seed", [None, 1.5, 3.0, "3", True, [1, 2], np.random.default_rng(5), np.random.SeedSequence(5)])
+    @pytest.mark.parametrize("max_exhaustive", [_DEFAULT_MAX_EXHAUSTIVE, 0])
+    def test_seed_must_be_an_integer(self, seed, max_exhaustive):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            mi_curve(diamond_spec(4, pi, pi), 1, max_exhaustive=max_exhaustive, seed=seed)
 
-    def test_an_exhaustive_curve_takes_a_generator_as_default_rng_does(self):
-        spec = diamond_spec(4, pi, pi)
-        for seed in (np.random.default_rng(5), np.random.PCG64(5), np.random.SeedSequence(5)):
-            assert mi_curve(spec, 1, seed=seed) == mi_curve(spec, 1)
+    def test_seeds_are_integers_mod_2_64(self):
+        spec = diamond_spec(6, pi, pi / 3)
+        curve = partial(mi_curve, spec, 1, max_exhaustive=6, sample_size=20)
+        assert curve(seed=np.int64(3)) == curve(seed=3) != curve(seed=4)
+        assert curve(seed=-1) == curve(seed=np.uint64(2**64 - 1)) == curve(seed=2**64 - 1)
+        assert curve(seed=2**70 + 5) == curve(seed=5)
 
     def test_sampled_fragments_deterministic(self, rng):
         psi = as_state(random_pure_array(6, rng))
@@ -401,15 +402,10 @@ class TestEntropyBackends:
         for source in sources:
             n = source.n_qubits
             env = list(range(2, n + 1))
-            draws_rng = np.random.default_rng(5)  # the draws mi_curve makes: sizes in order
-            fragments_by_size = []
-            for d in range(1, n):
-                if comb(n - 1, d) <= 4:
-                    fragments_by_size.append(list(itertools.combinations(env, d)))
-                else:
-                    fragments_by_size.append(
-                        [tuple(sorted(draws_rng.choice(env, size=d, replace=False))) for _ in range(30)]
-                    )
+            fragments_by_size = [
+                list(itertools.combinations(env, d)) if comb(n - 1, d) <= 4 else _draws(env, d, 30, 5)
+                for d in range(1, n)
+            ]
             curve = mi_curve(source, 1, max_exhaustive=4, sample_size=30, seed=5)
             state = build_graph_state(source) if isinstance(source, GraphSpec) else source
             _assert_curve_matches(curve, _per_fragment_curve(state, 1, fragments_by_size))
@@ -419,7 +415,7 @@ class TestEntropyBackends:
                     continue
                 values = [mutual_information(state, 1, f) for f in fragments]
                 assert point.stderr == pytest.approx(np.std(values, ddof=1) / np.sqrt(30), abs=1e-12)
-                assert point.n_fragments == comb(n - 1, point.delta)
+                assert point.n_fragments == 30
 
     def test_large_sizes_run_in_chunks_with_bounded_memory(self):
         # sizes of more than 4096 fragments are evaluated a chunk at a time;
@@ -549,11 +545,7 @@ class TestMaskEnumeration:
             calls.clear()
             curve = mi_curve(spec, system, max_exhaustive=max_exhaustive, sample_size=9, seed=4)
             monkeypatch.undo()
-            draws = np.random.default_rng(4)
-            drawn = {
-                d: _masks([draws.choice(env, size=d, replace=False) for _ in range(9)])
-                for d in range(1, 7) if comb(6, d) > max_exhaustive
-            }
+            drawn = {d: _masks(_draws(env, d, 9, 4)) for d in range(1, 7) if comb(6, d) > max_exhaustive}
             stream = _stream(env, system, range(1, 7), drawn, sum(1 << (q - 1) for q in env))
             assert [len(c) for c in calls[:-1]] == [chunk] * (len(calls) - 1)
             assert 0 < len(calls[-1]) <= chunk
@@ -584,7 +576,8 @@ class TestMaskEnumeration:
             "fragments_sampled": 21,
             "sampled_sizes": [2, 3, 4],
             "sample_size": 7,
-            "eigenproblems": 22,
+            "seed": 1789,
+            "eigenproblems": 21,
         }
 
     def test_sampled_sizes_are_those_above_max_exhaustive(self):
@@ -594,6 +587,45 @@ class TestMaskEnumeration:
             sampled = [d for d in range(1, 7) if comb(6, d) > max_exhaustive]
             assert curve._diagnostics["sampled_sizes"] == sampled
             assert [p.delta for p in curve.points if p.stderr is not None] == sampled
+
+    def test_a_sampled_size_keeps_its_draws_whatever_else_is_sampled(self, rng):
+        # C(8, d) = 8, 28, 56, 70, 56, 28, 8, 1; a random state gives each fragment its own value
+        state = as_state(random_pure_array(9, rng))
+        curves = [mi_curve(state, 1, max_exhaustive=m, sample_size=40) for m in (0, 8, 27, 55, 69)]
+        for d in range(1, 9):
+            sampled = {curve.points[d - 1] for curve in curves if d in curve._diagnostics["sampled_sizes"]}
+            assert len(sampled) == 1
+
+    def test_draws_are_uniform_subsets_of_the_environment(self, monkeypatch):
+        # 3000 draws of each size of a 6-qubit environment, system 3; every
+        # subset of a size is as likely: chi-square below its 0.999 quantile
+        spec, system, draws = diamond_spec(6, pi, pi), 3, 3000
+        env_mask = sum(1 << (q - 1) for q in range(1, 8) if q != system)
+        masks = []
+
+        def spy(source, chunk):
+            masks.extend(int(x) for x in chunk)
+            return _graph_entropies(source, chunk)
+
+        monkeypatch.setattr(darwinism, "_graph_entropies", spy)
+        mi_curve(spec, system, max_exhaustive=0, sample_size=draws, seed=11)
+        quantile = {5: 20.515, 14: 36.123, 19: 43.820}  # of chi-square with C(6, d) - 1 degrees of freedom
+        for d in range(1, 7):
+            drawn = np.array(masks[1 + (d - 1) * draws : 1 + d * draws], dtype=np.uint64)
+            assert (np.bitwise_count(drawn) == d).all() and (drawn & ~np.uint64(env_mask) == 0).all()
+            counts = np.unique(drawn, return_counts=True)[1]
+            assert len(counts) == comb(6, d)
+            if d < 6:
+                expected = draws / comb(6, d)
+                assert ((counts - expected) ** 2 / expected).sum() < quantile[comb(6, d) - 1]
+
+    def test_sampled_means_lie_within_3_stderr_of_the_exact_means(self):
+        spec = diamond_spec(16, pi, pi)
+        exact, sampled = mi_curve(spec, 1), mi_curve(spec, 1, max_exhaustive=0)
+        assert sampled._diagnostics["sampled_sizes"] == list(range(1, 17))
+        for e, s in zip(exact.points, sampled.points):
+            assert abs(s.mean_mi - e.mean_mi) <= 3 * s.stderr + 1e-12
+            assert e.min_mi <= s.min_mi <= s.max_mi <= e.max_mi
 
     def test_default_curve_of_24_qubits_is_exact(self):
         # 1000 draws of sizes 10-13 read size 10's max_mi as 1.0 and size 13's

@@ -19,38 +19,38 @@ STATES = {"closed_form": "star-experimental", "reconstruction": "diamond-canonic
 GOLDEN = {
     ('closed_form', 1, 300): (
         [
-            (0.9984284947115637, 0.9984284947115637, 0.9984284947115637, 0.0035297895183361806),
-            (0.9984284947115637, 0.9984284947115637, 0.9984284947115637, 0.0035297895183361806),
-            (1.9968569894231274, 1.9968569894231274, 1.9968569894231274, 0.00705957903667238),
+            (0.9984284947115638, 0.9984284947115638, 0.9984284947115638, 0.0035297895183361238),
+            (0.9984284947115638, 0.9984284947115638, 0.9984284947115638, 0.0035297895183361238),
+            (1.9968569894231276, 1.9968569894231276, 1.9968569894231276, 0.007059579036672267),
         ],
-        0.9984284947115637,
+        0.9984284947115638,
         {'replicas_clipped': 20, 'model_deviation': 0.0, 'model_sigma_p': 0.0101950877787},
     ),
     ('closed_form', 1, 100000): (
         [
-            (0.9999898018532652, 0.9999898018532652, 0.9999898018532652, 2.3352015404405978e-05),
-            (0.9999898018532652, 0.9999898018532652, 0.9999898018532652, 2.3352015404405978e-05),
-            (1.9999796037065305, 1.9999796037065305, 1.9999796037065305, 4.670403080880231e-05),
+            (0.9999898018532652, 0.9999898018532652, 0.9999898018532652, 2.3352015404400363e-05),
+            (0.9999898018532652, 0.9999898018532652, 0.9999898018532652, 2.3352015404400363e-05),
+            (1.9999796037065305, 1.9999796037065305, 1.9999796037065305, 4.6704030808791084e-05),
         ],
         0.9999898018532652,
         {'replicas_clipped': 20, 'model_deviation': 1.11022302463e-16, 'model_sigma_p': 0.000559013042782},
     ),
     ('closed_form', 2, 300): (
         [
-            (0.9974015885677395, 0.9974015885677395, 0.9974015885677395, 0.007550085402823165),
-            (0.9974015885677395, 0.9974015885677395, 0.9974015885677395, 0.007550085402823165),
-            (1.994803177135479, 1.994803177135479, 1.994803177135479, 0.01510017080564633),
+            (0.9974015885677396, 0.9974015885677396, 0.9974015885677396, 0.007550085402823109),
+            (0.9974015885677396, 0.9974015885677396, 0.9974015885677396, 0.007550085402823109),
+            (1.9948031771354793, 1.9948031771354793, 1.9948031771354793, 0.015100170805646218),
         ],
-        0.9974015885677395,
+        0.9974015885677396,
         {'replicas_clipped': 20, 'model_deviation': 2.22044604925e-16, 'model_sigma_p': 0.0101878195246},
     ),
     ('closed_form', 2, 100000): (
         [
-            (0.9999952725717264, 0.9999952725717264, 0.9999952725717264, 8.054951967746405e-06),
-            (0.9999952725717264, 0.9999952725717264, 0.9999952725717264, 8.054951967746405e-06),
-            (1.9999905451434528, 1.9999905451434528, 1.9999905451434528, 1.610990393549674e-05),
+            (0.9999952725717265, 0.9999952725717265, 0.9999952725717265, 8.054951967772516e-06),
+            (0.9999952725717265, 0.9999952725717265, 0.9999952725717265, 8.054951967772516e-06),
+            (1.999990545143453, 1.999990545143453, 1.999990545143453, 1.6109903935548962e-05),
         ],
-        0.9999952725717264,
+        0.9999952725717265,
         {'replicas_clipped': 20, 'model_deviation': 0.0, 'model_sigma_p': 0.000559015162585},
     ),
     ('reconstruction', 1, 300): (

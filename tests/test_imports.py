@@ -72,20 +72,39 @@ def test_all_lists_exactly_the_init_imports():
     assert len(set(imported)) == len(imported)
 
 
+def _attribute_reads(tree: ast.Module, classes: set[str]) -> set[tuple[str | None, str]]:
+    """(owner, attribute) of every attribute read: the owner is the class that a
+    `ClassName.x` read names or that a `cls.x` read in its body stands for, and
+    None where the source does not show the object's class."""
+    owners = {}
+    for node in ast.walk(tree):  # outer classes first, so a nested class's cls wins
+        if isinstance(node, ast.ClassDef):
+            owners |= {inner: node.name for inner in ast.walk(node)
+                       if isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name) and inner.value.id == "cls"}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            named = node.value.id if isinstance(node.value, ast.Name) and node.value.id in classes else None
+            reads.add((owners.get(node, named), node.attr))
+    return reads
+
+
 def test_every_public_name_is_used_outside_the_tests():
     # loaded in a module of the package other than __init__ (a definition is
     # not a load), or named in the README or the benchmark; a public method,
     # class method or property of a class in __all__ counts as used when some
-    # such module reads it as an attribute, or the README or the benchmark
-    # names it after a dot
-    loaded, attributes = set(), set()
-    for path in MODULES:
-        tree = ast.parse(path.read_text())
+    # such module reads it as an attribute of that class (`ClassName.x`, or
+    # `cls.x` in its body) or of an object of unknown class, or the README or
+    # the benchmark names it after a dot
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    classes = {node.name for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    loaded, reads = set(), set()
+    for tree in trees:
         loaded |= _loaded(tree)
-        attributes |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        reads |= _attribute_reads(tree, classes)
     root = PACKAGE.parent.parent
     text = "\n".join(p.read_text() for p in [root / "README.md", *sorted((root / "perfbench").glob("*.py"))])
-    used = loaded | attributes
+    used = loaded | {attr for _, attr in reads}
     unused = [name for name in qdarwin.__all__ if name not in used and not re.search(rf"\b{name}\b", text)]
     members = [
         (name, attr)
@@ -96,8 +115,21 @@ def test_every_public_name_is_used_outside_the_tests():
         and (inspect.isfunction(member) or isinstance(member, (classmethod, staticmethod, property)))
     ]
     unused += [f"{name}.{attr}" for name, attr in members
-               if attr not in attributes and not re.search(rf"\.{attr}\b", text)]
+               if not {(name, attr), (None, attr)} & reads and not re.search(rf"\.{attr}\b", text)]
     assert members and unused == []
+
+
+def test_a_class_read_credits_only_its_class():
+    tree = ast.parse(
+        "class A:\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls.build(), A.parse\n"
+        "class B:\n"
+        "    pass\n"
+        "B.load, thing.save\n"
+    )
+    assert _attribute_reads(tree, {"A", "B"}) == {("A", "build"), ("A", "parse"), ("B", "load"), (None, "save")}
 
 
 def test_noqa_comments_list_exactly_the_unloaded_imports():
@@ -150,3 +182,16 @@ def test_cli_import_loads_no_hashlib():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
                          capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def test_exhaustive_curve_loads_no_numpy_random(tmp_path):
+    # a curve with no sampled size makes no stream, so neither numpy.random nor hashlib is loaded
+    code = (
+        "import sys, qdarwin.cli\n"
+        "for source in (['--family', 'diamond', '--n-env', '10', '--phi', 'pi', '--theta', 'pi/3'], ['--named', 'ghz4']):\n"
+        f"    assert qdarwin.cli.run(['curve', *source, '--out', {str(tmp_path / 'c.json')!r}]) == 0\n"
+        "print(sorted(m for m in ('hashlib', 'numpy.random') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -413,6 +413,17 @@ class TestEstimateMICurve:
         b = estimate_mi_curve(named_state("star-experimental"), 1, cfg, "closed_form")
         assert a == b
 
+    @pytest.mark.parametrize("pipeline, name", [("closed_form", "star-experimental"), ("reconstruction", "ghz4")])
+    def test_a_numpy_integer_seed_gives_its_integers_curve(self, pipeline, name):
+        # both streams take the seed mod 2^64: np.int64(3) and 3 - 2^64 are the seed 3
+        state, curves = named_state(name), []
+        for seed in (3, np.int64(3), 3 - 2**64):
+            cfg = RunConfig(shots_per_setting=500, seed=seed, bootstrap_resamples=5)
+            data = measurement.sample_plan(state, plan_measurements(measurement.PLAN_TARGETS[pipeline]).settings, cfg)
+            curves.append(estimate_mi_curve(state, 1, cfg, pipeline))
+            curves.append(mi_curve_from_counts(data, 1, pipeline, bootstrap_resamples=5, seed=seed))
+        assert curves[1:] == curves[:1] * 5
+
     def test_exact_table_short_circuit(self):
         # the zero-noise limit of the pipeline is the ideal closed-form curve
         table = correlator_table(named_state("star-experimental"), all_pauli_strings(4))
