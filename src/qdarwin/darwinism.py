@@ -220,18 +220,19 @@ def _fragments(env_bits: np.ndarray, parts):
 
 
 @functools.lru_cache(maxsize=1)
-def _graph_tables(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _graph_tables(spec: GraphSpec) -> tuple[np.ndarray, ...]:
     """Read-only, built once per spec: the (n, n) edge phases reduced into
     [-pi, pi], the uint64 masks of the neighbours by phase pi (not 0) of
-    qubits 1..n and, last, of no qubit, and those by any nonzero phase."""
+    qubits 1..n and, last, of no qubit, those by any nonzero phase, and
+    those by a phase of exactly +-pi (an exact CZ, no slack)."""
     phases = np.zeros((spec.n_qubits,) * 2)
     for j, k, phase in spec.edges:
         phases[j - 1, k - 1] = phases[k - 1, j - 1] = math.remainder(phase, 2 * math.pi) + 0.0
     bits = np.uint64(1) << np.arange(spec.n_qubits, dtype=np.uint64)
     adjacency = np.append((np.abs(phases) > math.pi / 2) @ bits, np.uint64(0))
-    neighbours = (phases != 0) @ bits
-    phases.flags.writeable = adjacency.flags.writeable = neighbours.flags.writeable = False
-    return phases, adjacency, neighbours
+    neighbours, cz = (phases != 0) @ bits, (np.abs(phases) == math.pi) @ bits
+    phases.flags.writeable = adjacency.flags.writeable = neighbours.flags.writeable = cz.flags.writeable = False
+    return phases, adjacency, neighbours, cz
 
 
 def _graph_entropies(spec: GraphSpec, subsets) -> np.ndarray:
@@ -266,21 +267,33 @@ def _graph_entropies(spec: GraphSpec, subsets) -> np.ndarray:
 def _weighted_entropies(spec: GraphSpec, subsets, solved=None) -> np.ndarray:
     """Entropies in bits of the reductions of any graph state to B subsets
     (label tuples or masks), from the edges across each cut (Hein et al.,
-    quant-ph/0602096): with W the phases between the coupled qubits (those
-    with a cross edge), rows on the side with fewer of them (s), the
-    reduction is D R D^dag, D diagonal, R[x, x'] = 2^-s prod_j cos((c_j(x) -
-    c_j(x')) / 2), c(x) = x^T W; s = 0 leaves it pure.  Blocks W equal up
-    to the order of their rows and columns share one R (see _canonical), and
-    `solved` (shape and canonical bytes -> entropy) carries them across calls."""
-    phases, _, neighbours = _graph_tables(spec)
-    masks = _masks(subsets)
-    inside = _bits(masks, spec.n_qubits)
-    coupled = np.where(inside, ~masks[:, None], masks[:, None]) & neighbours != 0  # qubits with a cross edge
+    quant-ph/0602096).  First the Clifford part: a leaf, a qubit whose one
+    cross edge has phase exactly +-pi after the remainder (a CZ; pi -+ 1 ulp
+    is not one), and its hub, that edge's other end, hold a Bell pair, since a
+    unitary on the leaf's side controlled by the leaf in the X basis undoes
+    the hub's other cross edges.  Each round peels 1 bit per hub (an isolated
+    pi edge makes both ends hubs) and drops hubs and leaves from the cut.
+    Then, with W the phases between the coupled qubits left (those with a
+    cross edge), rows on the side with fewer of them (s), the reduction is
+    D R D^dag, D diagonal, R[x, x'] = 2^-s prod_j cos((c_j(x) - c_j(x')) /
+    2), c(x) = x^T W; s = 0 leaves it pure.  Blocks W equal up to the order
+    of their rows and columns share one R (see _canonical), and `solved`
+    (shape and canonical bytes -> entropy) carries them across calls."""
+    phases, _, neighbours, cz = _graph_tables(spec)
+    n, masks = spec.n_qubits, _masks(subsets)
+    inside = _bits(masks, n)
+    cross = np.where(inside, ~masks[:, None], masks[:, None]) & neighbours  # (B, n) cross-edge masks
+    out, solved = np.zeros(len(inside)), {} if solved is None else solved
+    while cz.any() and (leaf := (np.bitwise_count(cross) == 1) & (cross & cz != 0)).any():
+        hubs = np.bitwise_or.reduce(cross * leaf, axis=1)  # each leaf's one cross neighbour
+        leaves = leaf @ (np.uint64(1) << np.arange(n, dtype=np.uint64))
+        out += np.bitwise_count(hubs & ~leaves) + np.bitwise_count(hubs & leaves) / 2
+        cross = np.where(_bits(hubs, n), 0, cross & ~hubs[:, None])  # a leaf's one edge goes with its hub
+    coupled = cross != 0
     # rows: the side with fewer coupled qubits, A itself on a tie
     row_side = inside == ((coupled & inside).sum(axis=1) <= (coupled & ~inside).sum(axis=1))[:, None]
     order = np.argsort(np.where(coupled, ~row_side, 2), axis=1, kind="stable")  # coupled rows, then columns
     side, ends = (coupled & row_side).sum(axis=1), coupled.sum(axis=1)
-    out, solved = np.zeros(len(inside)), {} if solved is None else solved
     for s in set(side.tolist()) - {0}:
         pick = np.flatnonzero(side == s)
         r, c = order[pick, :s, None], order[pick, None, s : ends[pick].max()]  # uncoupled columns are zeroed
@@ -294,7 +307,7 @@ def _weighted_entropies(spec: GraphSpec, subsets, solved=None) -> np.ndarray:
         step = max(1, 2**18 // (8 * 4**s))  # stacks of R's top rows of about 128 KB
         for i in range(0, len(blocks), step):
             solved.update(zip([keys[j] for j in new[i : i + step]], _coupling_entropies(blocks[i : i + step])))
-        out[pick] = np.array([solved[key] for key in keys])[inverse.reshape(-1)[first.reshape(-1)]]
+        out[pick] += np.array([solved[key] for key in keys])[inverse.reshape(-1)[first.reshape(-1)]]
     return out
 
 

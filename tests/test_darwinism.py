@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -577,7 +578,7 @@ class TestMaskEnumeration:
             "sampled_sizes": [2, 3, 4],
             "sample_size": 7,
             "seed": 1789,
-            "eigenproblems": 21,
+            "eigenproblems": 14,
         }
 
     def test_sampled_sizes_are_those_above_max_exhaustive(self):
@@ -809,19 +810,20 @@ class TestBlockClasses:
         assert len({key for _, key in solved}) == 1
         assert abs(expected[0] - expected[1]) > 0.05  # a shared entry would show
 
-    @pytest.mark.parametrize("n_env, solved", [(10, 158), (12, 358), (14, 941)])
+    @pytest.mark.parametrize("n_env, solved", [(10, 90), (12, 189), (14, 560)], ids=["n_env10", "n_env12", "n_env14"])
     def test_diamond_curve_matrix_count(self, monkeypatch, n_env, solved):
-        # byte-distinct blocks, 683 at n_env 10 and 2392 at 12, fall into
-        # these classes up to row and column order; n_env 14 runs over four
-        # chunks of masks, and a class met in an earlier chunk is not solved
-        # again (1146 matrices when each chunk kept its own classes)
+        # the blocks left after the pi leaves are peeled fall into these
+        # classes up to row and column order (158, 358 and 941 without the
+        # peel); n_env 14 runs over four chunks of masks, and a class met in
+        # an earlier chunk is not solved again
         counts = _count_matrices(monkeypatch)
         curve = mi_curve(diamond_spec(n_env, pi, pi / 3), 1)
         assert sum(counts) == curve._diagnostics["eigenproblems"] == solved
 
     def test_canonical_form_runs_once_per_distinct_raw_block(self, monkeypatch):
-        # the diamond's 1024 cuts give 683 byte-distinct raw blocks; only
-        # those are put in canonical form, and they fall into 158 classes
+        # after the peel the diamond's 1024 cuts give 227 byte-distinct raw
+        # blocks (683 without it); only those are put in canonical form, and
+        # they fall into 90 classes
         received, canonical = [], darwinism._canonical
 
         def spy(blocks):
@@ -831,8 +833,8 @@ class TestBlockClasses:
 
         monkeypatch.setattr(darwinism, "_canonical", spy)
         curve = mi_curve(diamond_spec(10, pi, pi / 3), 1)
-        assert sum(received) == 683
-        assert curve._diagnostics["eigenproblems"] == 158
+        assert sum(received) == 227
+        assert curve._diagnostics["eigenproblems"] == 90
 
     def test_stabilizer_ranks_are_bytes(self):
         spec = diamond_spec(6, pi, pi)
@@ -844,6 +846,106 @@ class TestBlockClasses:
         monkeypatch.setattr(darwinism, "_graph_entropies", lambda spec, masks: np.bitwise_count(masks).astype(np.uint8))
         with pytest.raises(ValueError, match="mutual information -3.0 violates nonnegativity"):
             mi_curve(diamond_spec(6, pi, pi), 1)
+
+
+def _oracle_entropies(spec, subsets):
+    psi = graph_state_amplitudes(spec.n_qubits, spec.edges)
+    return [brute_pure_entropy(psi, cut, spec.n_qubits) for cut in subsets]
+
+
+def _ulp_off(spec):
+    """spec with every edge of phase exactly +-pi (mod 2 pi) moved 1 ulp towards 0."""
+    def shift(phase):
+        return math.nextafter(phase, 0.0) if abs(math.remainder(phase, 2 * pi)) == pi else phase
+    return GraphSpec(spec.n_qubits, tuple((j, k, shift(p)) for j, k, p in spec.edges))
+
+
+class TestPiPeel:
+    """Cuts with a pi leaf, a qubit whose one cross edge is an exact CZ, lose
+    it and its hub for 1 bit before any eigenproblem (_weighted_entropies)."""
+
+    def test_random_graphs_match_the_oracle(self, rng, monkeypatch):
+        counts = _count_matrices(monkeypatch)
+        peeled, unpeeled = 0, 0
+        for trial in range(42):
+            n = 2 + trial % 7
+            phases = [pi, -pi, 3 * pi, pi, pi / 3, -2.0, float(rng.uniform(-2 * pi, 2 * pi))]
+            spec = _random_graph(n, rng, phases)
+            subsets = [s for d in range(n + 1) for s in itertools.combinations(range(1, n + 1), d)]
+            for source in (spec, _ulp_off(spec)):
+                counts.clear()
+                assert _weighted_entropies(source, subsets) == pytest.approx(_oracle_entropies(source, subsets), abs=1e-12)
+                if source is spec:
+                    peeled += sum(counts)
+                else:
+                    unpeeled += sum(counts)
+        assert peeled < unpeeled / 2  # the peel fired, and only on exact pi edges
+
+    def test_pi_is_exact_after_the_remainder(self):
+        for phase, cz in ((pi, 1), (-pi, 1), (3 * pi, 1), (-3 * pi, 1), (math.nextafter(pi, 0.0), 0),
+                          (math.nextafter(pi, 4.0), 0), (pi + 1e-13, 0), (pi / 3, 0), (2 * pi, 0)):
+            tables = darwinism._graph_tables(GraphSpec(2, ((1, 2, phase),)))
+            assert list(tables[3]) == [2 * cz, cz]
+
+    @pytest.mark.parametrize(
+        "edges, cut, bits",
+        [
+            # an isolated pi edge: both ends are hubs, and the pair is 1 bit
+            (((1, 2, pi),), (1,), 1.0),
+            (((1, 2, pi), (1, 3, pi / 3), (2, 4, -0.7)), (1, 3), 1.0),
+            # a hub with three pi leaves (pi, -pi, 3 pi) and a weighted edge that the peel removes
+            (((1, 2, pi), (1, 3, -pi), (1, 4, 3 * pi), (1, 5, pi / 3)), (1,), 1.0),
+            (((1, 2, pi), (1, 3, -pi), (1, 4, 3 * pi), (1, 5, pi / 3)), (1, 5), 1.0),
+            # two adjacent hubs, 2 and 3, with a leaf each
+            (((1, 2, pi), (2, 3, pi / 3), (3, 4, pi)), (1, 3), 2.0),
+            # the system of a diamond alone, and an environment qubit whose pi partner is its leaf
+            (diamond_spec(4, pi, pi / 3).edges, (1,), 1.0),
+            (diamond_spec(4, pi, pi / 3).edges, (2,), 1.0),
+        ],
+        ids=["isolated", "isolated-among-others", "hub-alone", "hub-with-a-neighbour", "two-hubs", "diamond-system",
+             "diamond-environment-qubit"],
+    )
+    def test_a_cut_that_peels_to_nothing_solves_no_eigenproblem(self, monkeypatch, edges, cut, bits):
+        spec = GraphSpec(max(max(j, k) for j, k, _ in edges), tuple(edges))
+        calls, coupling = [], darwinism._coupling_entropies
+        monkeypatch.setattr(darwinism, "_coupling_entropies", lambda w: calls.append(w.shape) or coupling(w))
+        solved = {}
+        assert list(_weighted_entropies(spec, [cut], solved)) == [bits]
+        assert calls == [] and solved == {}
+        assert bits == pytest.approx(_oracle_entropies(spec, [cut])[0], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "phase", [math.nextafter(pi, 0.0), math.nextafter(pi, 4.0), -math.nextafter(pi, 0.0)], ids=["below", "above", "negative"]
+    )
+    def test_pi_one_ulp_off_is_not_peeled(self, monkeypatch, phase):
+        # the two-hub graph of the test above, with one pi edge 1 ulp off: only 3 -- 4 is peeled
+        spec = GraphSpec(4, ((1, 2, phase), (2, 3, pi / 3), (3, 4, pi)))
+        counts = _count_matrices(monkeypatch)
+        subsets = [s for d in range(5) for s in itertools.combinations(range(1, 5), d)]
+        assert _weighted_entropies(spec, subsets) == pytest.approx(_oracle_entropies(spec, subsets), abs=1e-12)
+        counts.clear()
+        value = _weighted_entropies(spec, [(1, 3)])[0]
+        assert counts == [1]  # one block: the edge 1 -- 2
+        assert value == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, eigenproblems, digest",
+        [
+            (star_spec(10, pi / 3), 10, "6c1950ea97d482c2"),
+            (diamond_spec(10, pi / 2, pi / 3), 158, "f407249e9bc88e45"),
+        ],
+        ids=["star", "diamond"],
+    )
+    def test_specs_without_an_exact_pi_edge_keep_their_bits(self, spec, eigenproblems, digest):
+        # the eigenproblem counts and the JSON bytes (sha256 prefix) from before the peel existed
+        curve = mi_curve(spec, 1)
+        assert curve._diagnostics["eigenproblems"] == eigenproblems
+        assert hashlib.sha256(curve.to_json().encode()).hexdigest()[:16] == digest
+
+    def test_diamond_csv_keeps_its_bytes(self):
+        # JSON values move by round-off (at most 1.3e-15 here); the 12-digit CSV does not
+        curve = mi_curve(diamond_spec(10, pi, pi / 3), 1)
+        assert hashlib.sha256(curve.to_csv().encode()).hexdigest()[:16] == "d62f0a30b1efeb32"
 
 
 class TestCurveContainer:
