@@ -142,6 +142,7 @@ def _density_batch(values: np.ndarray) -> np.ndarray:
     # values keep their bits: each pair z, z ^ 1 first, then the eight pair sums in z order; and
     # a contiguous rho's trace adds in the same order in any batch
     pairs = np.stack([coeffs[0::2] + coeffs[1::2], coeffs[0::2] - coeffs[1::2]], axis=1)
+    # one (8, 8, 2, 16 x B) product, not in-place adds: freeing it lifts glibc's mmap threshold (README)
     entries = np.take(sum(signs * pairs[:, None]).reshape(256, -1), gather, axis=0)
     rho = np.ascontiguousarray(entries.T).reshape(values.shape[:-1] + (16, 16))
     rho = (rho + np.conj(np.swapaxes(rho, -1, -2))) / 2
@@ -404,6 +405,7 @@ def _reconstruction_replicas(values: np.ndarray, system: int):
     eigs, vecs = np.linalg.eigh(rho)
     lowest = eigs[:, 0].copy()  # a view would see the water-filling below
     unphysical = lowest < _EIGENVALUE_FLOOR
+    unphysical = slice(None) if unphysical.all() else unphysical  # every replica: no mask copies
     eigs[unphysical] = _water_fill(eigs[unphysical])
     rho[unphysical] = _projected_density(eigs[unphysical], vecs[unphysical])
     env = [q for q in range(1, 5) if q != system]

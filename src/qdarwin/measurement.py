@@ -24,6 +24,7 @@ from .estimator import (  # noqa: F401  (diamond_mutual_information, star_mutual
     CorrelatorTable,
     _check_negativity,
     _closed_form_replicas,
+    _density_batch,
     _point_curve,
     _reconstruction_replicas,
     _star_parameters,
@@ -278,27 +279,36 @@ def _estimate_batch(counts: np.ndarray, shots: np.ndarray, plan) -> tuple[np.nda
     sums = (counts @ parity).reshape(len(counts), -1)  # integer parity sums, exact in any order
     value, sigma = np.ones((len(counts), width)), np.zeros((len(counts), width))
     for rows, flat, settings in groups:
-        # np.take keeps each string's covering settings contiguous, so the
-        # sums below add in the same order as np.sum over one string
-        n_shots = shots[settings]
-        values = np.take(sums, flat, axis=1) / n_shots
+        # covering settings first, (C, B, R): a sum over a string's covers adds whole
+        # (B, R) slabs, in the order np.sum adds them on one string (see _cover_sum)
+        n_shots = shots[settings.T][:, None]
+        values = np.take(sums, flat.T, axis=1).transpose(1, 0, 2) / n_shots
         sigmas = np.sqrt(np.maximum(1.0 - values * values, 0.0) / n_shots)
         exact = sigmas == 0.0
         inverse = 1.0 / np.where(exact, 1.0, sigmas * sigmas)
-        if settings.shape[1] == 1:  # one cover: the bits of the weighted mean below, without its sums
-            value[:, rows] = np.where(exact, values, inverse * values / inverse)[..., 0]
-            sigma[:, rows] = np.where(exact, 0.0, 1.0 / np.sqrt(inverse))[..., 0]
+        if len(n_shots) == 1:  # one cover: the bits of the weighted mean below, without its sums
+            value[:, rows] = np.where(exact, values, inverse * values / inverse)[0]
+            sigma[:, rows] = np.where(exact, 0.0, 1.0 / np.sqrt(inverse))[0]
             continue
-        n_exact = exact.sum(axis=-1)
+        n_exact = exact.sum(axis=0)
         weights = np.where(exact, 0.0, inverse)
-        total = np.where(n_exact > 0, 1.0, weights.sum(axis=-1))
-        value[:, rows] = np.where(
-            n_exact > 0,
-            np.where(exact, values, 0.0).sum(axis=-1) / np.maximum(n_exact, 1),
-            (weights * values).sum(axis=-1) / total,
-        )
+        total = np.where(n_exact > 0, 1.0, _cover_sum(weights))
+        exact_mean = _cover_sum(np.where(exact, values, 0.0)) / np.maximum(n_exact, 1)
+        value[:, rows] = np.where(n_exact > 0, exact_mean, _cover_sum(weights * values) / total)
         sigma[:, rows] = np.where(n_exact > 0, 0.0, 1.0 / np.sqrt(total))
     return value, sigma
+
+
+def _cover_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=0) of a (C, ...) stack with the bits of np.sum(axis=-1) on the (..., C) layout: +0.0
+    plus numpy's pairwise_sum of each contiguous row (numpy/_core/src/umath/loops_utils.h.src)."""
+    if (n := len(x)) < 8:  # a left fold
+        return reduce(np.add, x, 0.0)
+    if n > 128:  # two halves, split at a multiple of 8
+        return _cover_sum(x[: n // 16 * 8]) + _cover_sum(x[n // 16 * 8 :])
+    # eight running sums of every eighth term, added as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the rest
+    r = reduce(np.add, x[: n - n % 8].reshape((-1, 8) + x.shape[1:]))
+    return reduce(np.add, x[n - n % 8 :], r[0] + r[1] + (r[2] + r[3]) + (r[4] + r[5] + (r[6] + r[7]))) + 0.0
 
 
 def estimate_correlators(data, wanted) -> CorrelatorTable:
@@ -380,9 +390,7 @@ def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstra
         kernel = _closed_form_replicas
     else:
         kernel = partial(_reconstruction_replicas, system=system)
-    point = kernel(values)
-    if pipeline == "reconstruction":
-        _check_negativity(point[2][0])
+        _check_negativity(np.linalg.eigh(_density_batch(values))[0][0, 0])  # the kernel's own lowest eigenvalue
     # resample only the outcome classes the estimator reads, each at its representative;
     # a class summed to 1 + 1 ulp would fail multinomial's pvals > 1 check
     probabilities = np.zeros(counts.shape)
@@ -395,10 +403,13 @@ def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstra
         size = min(per_block, bootstrap_resamples - start)
         # replica-major, setting-minor: one multinomial per (replica, setting), however blocked
         block = boot_rng.multinomial(shots, probabilities, size=(size, len(shots))).astype(float)
-        blocks.append(kernel(_estimate_batch(block, shots, plan)[0]))
-    replicas = np.concatenate([c for (c, _, _), _, _ in blocks])
+        estimates = _estimate_batch(block, shots, plan)[0]
+        if not blocks:  # the point rides as row 0; rebinding frees the replicas' own copy
+            estimates = np.concatenate([values, estimates])
+        blocks.append(kernel(estimates))
+    replicas = np.concatenate([c for (c, _, _), _, _ in blocks])[1:]
     spread = np.std(replicas, axis=0, ddof=1)
-    flags = np.concatenate([f for _, _, f in blocks])
+    flags = np.concatenate([f for _, _, f in blocks])[1:]
     if pipeline == "closed_form":
         diagnostics = {
             "replicas_clipped": int(np.sum(flags)),
@@ -406,7 +417,7 @@ def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstra
             "model_sigma_p": float(f"{params.sigma_p:.12g}"),
         }
     else:
-        bias = replicas.mean(axis=0) - point[0][0][0]  # Efron and Tibshirani's bootstrap bias estimate
+        bias = replicas.mean(axis=0) - blocks[0][0][0][0]  # Efron and Tibshirani's bootstrap bias estimate
         diagnostics = {
             "replicas_projected": int(np.sum(flags < _EIGENVALUE_FLOOR)),
             "replicas_beyond_tolerance": int(np.sum(flags < -_NEGATIVITY_TOL)),
@@ -414,7 +425,7 @@ def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstra
             "bootstrap_bias": [float(f"{b:.12g}") for b in bias],
             "bias_exceeds_stderr": bool(np.any(np.abs(bias) > spread)),
         }
-    return _point_curve(point, spread.tolist(), diagnostics)
+    return _point_curve(blocks[0], spread.tolist(), diagnostics)
 
 
 def estimate_mi_curve(state, system: int, cfg: RunConfig, pipeline: str) -> MICurve:

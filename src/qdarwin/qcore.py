@@ -51,9 +51,10 @@ def _is_integer(value) -> bool:
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
-    """The generator of stream `key` of an integer seed, taken mod 2^64: every
-    sampler draws from its own (seed, key) stream, whatever else was drawn."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), *key]))
+    """The generator of stream `key` (words below 2^32) of an integer seed, taken mod 2^64: every sampler
+    draws from its own (seed, key) stream; SeedSequence gets the uint32 words it reads from [seed, *key]."""
+    high, low = divmod(int(seed) & (2**64 - 1), 2**32)  # low word first, the high word only if nonzero
+    return np.random.default_rng(np.random.SeedSequence(np.array([low, *([high] if high else []), *key], np.uint32)))
 
 
 def _check_qubit_budget(n_qubits: int) -> None:
@@ -260,18 +261,12 @@ def _validate_keep(n: int, keep) -> tuple[int, ...]:
 
 
 def _partial_trace_batch(mats: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Reduced matrices on the (validated) qubits `keep` of a (..., 2^n, 2^n)
-    stack, in the order the qubits are listed."""
-    n = mats.shape[-1].bit_length() - 1
-    lead = mats.shape[:-2]
-    k = len(lead)
-    axes = [q - 1 for q in keep] + [q - 1 for q in range(1, n + 1) if q not in keep]  # kept, then traced
-    d_keep = 2 ** len(keep)
-    d_traced = 2 ** (n - len(keep))
-    tensor = mats.reshape(lead + (2,) * (2 * n))
-    tensor = tensor.transpose(list(range(k)) + [k + a for a in axes] + [k + n + a for a in axes])
-    tensor = tensor.reshape(lead + (d_keep, d_traced, d_keep, d_traced))
-    return np.einsum("...aibi->...ab", tensor)
+    """Reduced matrices on the (validated) qubits `keep` of a (..., 2^n, 2^n) stack, in the order the
+    qubits are listed: one einsum over the (..., 2, ..., 2) view, with no transposed copy."""
+    n, kept = mats.shape[-1].bit_length() - 1, [q - 1 for q in keep]
+    labels = [*range(n), *(n + a if a in kept else a for a in range(n))]  # a traced qubit's column axis is its row's
+    out = np.einsum(mats.reshape(mats.shape[:-2] + (2,) * (2 * n)), [..., *labels], [..., *kept, *(n + a for a in kept)])
+    return out.reshape(mats.shape[:-2] + (2 ** len(keep),) * 2) + 0.0  # as a sum from 0: keeping all gives no -0.0
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's reshape/transpose code
 paths: partial traces run over explicit binary indices, states are plain
 numpy arrays, and mutual information always goes through the dense global
-density matrix.  Slow, but trustworthy for n <= 6.  The helpers at the end
+density matrix (partial_trace_transposed, the library's former partial
+trace, is kept only as a bit-for-bit reference).  Slow, but trustworthy for n <= 6.  The helpers at the end
 that build library objects (plus_state, density, maximally_mixed, spec_dict,
 mean_values) stand in for conveniences the library does not offer, and
 curve_json spells a curve through json's own indented encoder.
@@ -111,6 +112,22 @@ def brute_partial_trace(rho: np.ndarray, keep, n: int) -> np.ndarray:
                 acc += rho[row, col]
             out[i, j] = acc
     return out
+
+
+def partial_trace_transposed(mats: np.ndarray, keep) -> np.ndarray:
+    """Reference for qcore._partial_trace_batch, which must match it bit for
+    bit: the transpose-reshape partial trace it replaced.  Each qubit is an
+    axis of the (..., 2, ..., 2) view; the kept axes, in keep order, then the
+    traced ones in label order are copied into (..., d_keep, d_traced, d_keep,
+    d_traced), and the traced index is summed off its diagonal."""
+    n = mats.shape[-1].bit_length() - 1
+    lead = mats.shape[:-2]
+    k = len(lead)
+    axes = [q - 1 for q in keep] + [q - 1 for q in range(1, n + 1) if q not in keep]
+    tensor = mats.reshape(lead + (2,) * (2 * n))
+    tensor = tensor.transpose(list(range(k)) + [k + a for a in axes] + [k + n + a for a in axes])
+    tensor = tensor.reshape(lead + (2 ** len(keep), 2 ** (n - len(keep)), 2 ** len(keep), 2 ** (n - len(keep))))
+    return np.einsum("...aibi->...ab", tensor)
 
 
 def brute_entropy(rho: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 oracles: every replica's numbers must match a scalar, one-replica-at-a-time
 computation to 1e-12."""
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ from qdarwin import (
 )
 from qdarwin.estimator import (
     STAR_CORRELATORS,
+    _check_negativity,
+    _closed_form_replicas,
     _density_batch,
     _reconstruction_replicas,
     _star_populations,
@@ -50,7 +53,9 @@ from qdarwin import measurement
 from qdarwin.measurement import (
     _BOOTSTRAP_STREAM,
     _correlator_plan,
+    _cover_sum,
     _estimate_batch,
+    _observed_counts,
 )
 from qdarwin.qcore import DensityMatrix, _projected_density, _water_fill
 
@@ -170,6 +175,21 @@ class TestBitsOfTheReferences:
         assert width == 32 and len(groups) == 1
         rows, flat, settings = groups[0]
         assert settings.shape == (31, 1) and sorted(rows) == [i for i, w in enumerate(STAR_LABELS) if w != "IIII"]
+
+    @pytest.mark.parametrize("covers", [1, 2, 3, 7, 8, 9, 16, 27, 81, 129, 300])
+    def test_cover_sums_add_as_np_sum_on_the_covers_last_layout(self, rng, covers):
+        # _cover_sum restates numpy's pairwise order for the (C, B, R) layout; a numpy that
+        # sums a contiguous row otherwise fails here before any golden value moves.  Row 0
+        # holds zeroed (exact) weights, row 1 zeros of both signs, row 2 all -0.0 (np.sum
+        # gives +0.0), row 3 exact cancellations
+        x = rng.standard_normal((6, 7, covers)) * 10.0 ** rng.integers(-8, 9, (6, 7, covers))
+        x[0, :, rng.random(covers) < 0.5] = 0.0
+        x[1] = np.where(rng.random((7, covers)) < 0.5, 0.0, -0.0)
+        x[2] = -0.0
+        x[3, :, : covers // 2 * 2] = np.repeat([[1.5, -1.5]], covers // 2, axis=0).ravel()
+        expected = np.sum(x, axis=-1)
+        for stack in (np.moveaxis(x, -1, 0), np.ascontiguousarray(np.moveaxis(x, -1, 0))):
+            assert same_bits(_cover_sum(stack), expected)
 
     @pytest.mark.parametrize("size", [1, 7, 119])
     def test_star_populations_equal_the_term_by_term_sum(self, rng, size):
@@ -541,15 +561,60 @@ class TestPointEstimateIsReplicaZero:
             ("hyperentangled-xi", "reconstruction", "full_tomography"),
         ],
     )
-    def test_point_curve_equals_scalar_path(self, name, pipeline, target, shots):
+    @pytest.mark.parametrize("replicas", [2, 3, 5], ids=["1-block", "2-blocks", "3-blocks"])
+    def test_point_curve_equals_scalar_path(self, monkeypatch, name, pipeline, target, shots, replicas):
+        # blocks of at most 2 replicas: the point rides in the first block's kernel call
+        monkeypatch.setattr(measurement, "_BOOTSTRAP_REPLICAS", 2)
         for seed in (1, 2, 3):
             cfg = RunConfig(shots_per_setting=shots, seed=seed)
             data = [sample_setting(named_state(name), s, cfg) for s in plan_measurements(target).settings]
             for system in (1, 2, 3, 4):
                 points, system_entropy = scalar_point_curve(data, system, pipeline)
-                curve = mi_curve_from_counts(data, system, pipeline, bootstrap_resamples=2, seed=seed)
+                curve = mi_curve_from_counts(data, system, pipeline, bootstrap_resamples=replicas, seed=seed)
                 assert [(p.mean_mi, p.min_mi, p.max_mi) for p in curve.points] == points
                 assert curve.system_entropy == system_entropy
+
+    @pytest.mark.parametrize(
+        "name,pipeline,target",
+        [
+            ("star-experimental", "closed_form", "star"),
+            ("diamond-canonical", "reconstruction", "full_tomography"),
+            ("hyperentangled-xi", "reconstruction", "full_tomography"),
+        ],
+    )
+    def test_no_row_depends_on_its_company(self, name, pipeline, target):
+        # the point estimate is row 0 of the first block's kernel call: that row must equal
+        # the one-row call, and the block's rows the call without the point, bit for bit
+        data = [sample_setting(named_state(name), s, RunConfig(shots_per_setting=300, seed=4))
+                for s in plan_measurements(target).settings]
+        plan, counts, shots = _observed_counts(data, STAR_LABELS if pipeline == "closed_form" else ALL_LABELS)
+        point = _estimate_batch(counts[None], shots, plan)[0]
+        draws = np.random.default_rng(8).multinomial(shots, counts / shots[:, None], size=(100, len(shots)))
+        block = _estimate_batch(draws.astype(float), shots, plan)[0]
+        kernels = [_closed_form_replicas]
+        if pipeline == "reconstruction":
+            kernels = [partial(_reconstruction_replicas, system=system) for system in (1, 2, 3, 4)]
+        for kernel in kernels:
+            calls = (point, block, np.concatenate([point, block]))
+            outputs = [(*curves, h_s, flag) for curves, h_s, flag in map(kernel, calls)]
+            for alone, rest, together in zip(*outputs):
+                assert same_bits(together[:1], alone) and same_bits(together[1:], rest)
+
+    def test_the_refusal_reads_the_kernels_lowest_eigenvalue(self, monkeypatch):
+        # one shot per setting: the inversion's lowest eigenvalue is -1.177
+        data = [sample_setting(named_state("diamond-canonical"), s, RunConfig(shots_per_setting=1, seed=1))
+                for s in plan_measurements("full_tomography").settings]
+        plan, counts, shots = _observed_counts(data, ALL_LABELS)
+        point = _estimate_batch(counts[None], shots, plan)[0]
+        draws = np.random.default_rng(8).multinomial(shots, counts / shots[:, None], size=(100, len(shots)))
+        block = _estimate_batch(draws.astype(float), shots, plan)[0]
+        lowest = _reconstruction_replicas(point, 1)[2]
+        in_company = _reconstruction_replicas(np.concatenate([point, block]), 1)[2][:1]
+        checked = []
+        monkeypatch.setattr(measurement, "_check_negativity", lambda value: checked.append(value) or _check_negativity(value))
+        with pytest.raises(ValueError, match=rf"eigenvalue {float(lowest[0]):.3f}, beyond"):
+            mi_curve_from_counts(data, 1, "reconstruction", bootstrap_resamples=2)
+        assert same_bits(np.array(checked), lowest) and same_bits(in_company, lowest)
 
     def test_point_refused_beyond_negativity_tolerance(self):
         # every shot of every setting reads 0000: all correlators are +1 and

@@ -1,3 +1,4 @@
+import itertools
 from functools import partial
 from math import pi, sqrt
 
@@ -12,6 +13,7 @@ from oracle_utils import (
     density,
     ket,
     maximally_mixed,
+    partial_trace_transposed,
     pauli_matrix,
     plus_state,
     random_density_array,
@@ -35,7 +37,8 @@ from qdarwin import (
     subsystem_entropy,
     von_neumann_entropy,
 )
-from qdarwin.qcore import _pauli_action
+from qdarwin import darwinism, measurement
+from qdarwin.qcore import _partial_trace_batch, _pauli_action, _rng
 
 
 class TestStateConstruction:
@@ -219,6 +222,30 @@ class TestPartialTrace:
         two = partial_trace(partial_trace(rho, (1, 3, 4)), (1, 2))
         np.testing.assert_allclose(one.entries, two.entries, atol=1e-10)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_einsum_equals_the_transposed_copy_bit_for_bit(self, rng, n):
+        # every keep set in every order, on stacks of 0, 1 and 2 leading axes; entries span 12
+        # decades, and one row of zeros of both signs makes some diagonal sums exactly zero
+        keeps = [k for size in range(1, n + 1) for k in itertools.permutations(range(1, n + 1), size)]
+        for lead in ((), (3,), (2, 1)):
+            shape = lead + (2**n, 2**n)
+            mats = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(-6, 7, shape)
+            mats[..., 0, :] = np.where(rng.random(2**n) < 0.5, 0.0, -0.0) + 1j * np.where(rng.random(2**n) < 0.5, 0.0, -0.0)
+            for keep in keeps:
+                got, expected = _partial_trace_batch(mats, keep), partial_trace_transposed(mats, keep)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), keep
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_keep_set_matches_the_brute_oracle(self, rng, n):
+        # all orders up to 4 qubits; each subset ascending and reversed at 5 and 6
+        rho = random_density_array(n, rng)
+        subsets = [k for size in range(1, n + 1) for k in itertools.combinations(range(1, n + 1), size)]
+        keeps = [k for size in range(1, n + 1) for k in itertools.permutations(range(1, n + 1), size)]
+        for keep in keeps if n <= 4 else subsets + [k[::-1] for k in subsets if len(k) > 1]:
+            np.testing.assert_allclose(
+                partial_trace(as_density(rho), keep).entries, brute_partial_trace(rho, list(keep), n), atol=1e-10
+            )
+
     def test_errors(self, rng):
         rho = as_density(random_density_array(2, rng))
         with pytest.raises(ValueError, match="nonempty"):
@@ -386,3 +413,20 @@ class TestProjectToPhysical:
         np.testing.assert_allclose(
             project_to_physical(rho).entries, np.diag([0.6, 0.4, 0.0, 0.0]), atol=1e-12
         )
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, np.int64(3)])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (measurement._SAMPLE_STREAM, int("ZXYZ".translate(measurement._LETTER_DIGITS), 4)),
+            (measurement._BOOTSTRAP_STREAM,),
+            (darwinism._CURVE_STREAM, 3),
+        ],
+        ids=["sample", "bootstrap", "curve"],
+    )
+    def test_a_stream_is_the_seed_sequence_of_seed_and_key(self, seed, key):
+        # _rng hands SeedSequence the uint32 words it would read from the list itself
+        expected = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), *key]))
+        assert _rng(seed, *key).bit_generator.state == expected.bit_generator.state
