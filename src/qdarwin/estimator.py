@@ -140,9 +140,8 @@ def _density_batch(values: np.ndarray) -> np.ndarray:
     coeffs = (np.take(values.reshape(-1, 256).T, order, axis=0).reshape(16, 16, -1) * phases).reshape(16, -1)
     # the sums over z add as the dense 256 x 256 product they replace did on OpenBLAS, so seeded
     # values keep their bits: each pair z, z ^ 1 first, then the eight pair sums in z order; and
-    # a contiguous rho's trace adds in the same order in any batch
+    # a contiguous rho's trace adds in the same order in any batch (why one product, not in-place adds: README)
     pairs = np.stack([coeffs[0::2] + coeffs[1::2], coeffs[0::2] - coeffs[1::2]], axis=1)
-    # one (8, 8, 2, 16 x B) product, not in-place adds: freeing it lifts glibc's mmap threshold (README)
     entries = np.take(sum(signs * pairs[:, None]).reshape(256, -1), gather, axis=0)
     rho = np.ascontiguousarray(entries.T).reshape(values.shape[:-1] + (16, 16))
     rho = (rho + np.conj(np.swapaxes(rho, -1, -2))) / 2
@@ -393,6 +392,11 @@ def _check_negativity(lowest: float, tol: float = _NEGATIVITY_TOL) -> None:
         raise ValueError(f"reconstruction has eigenvalue {lowest:.3f}, beyond the projection tolerance {tol}")
 
 
+def _check_point(values: np.ndarray) -> None:
+    """Refuse a (1, 256) point row on the lowest eigenvalue of its inversion, the bits _reconstruction_replicas computes."""
+    _check_negativity(np.linalg.eigh(_density_batch(values))[0][0, 0])
+
+
 def _reconstruction_replicas(values: np.ndarray, system: int):
     """Mean, min and max (B, 3) per fragment size of each replica's 256
     correlators, its H_S, and the lowest eigenvalue of its linear inversion.
@@ -405,7 +409,6 @@ def _reconstruction_replicas(values: np.ndarray, system: int):
     eigs, vecs = np.linalg.eigh(rho)
     lowest = eigs[:, 0].copy()  # a view would see the water-filling below
     unphysical = lowest < _EIGENVALUE_FLOOR
-    unphysical = slice(None) if unphysical.all() else unphysical  # every replica: no mask copies
     eigs[unphysical] = _water_fill(eigs[unphysical])
     rho[unphysical] = _projected_density(eigs[unphysical], vecs[unphysical])
     env = [q for q in range(1, 5) if q != system]

@@ -22,9 +22,8 @@ from .estimator import (  # noqa: F401  (diamond_mutual_information, star_mutual
     _NEGATIVITY_TOL,
     STAR_CORRELATORS,
     CorrelatorTable,
-    _check_negativity,
+    _check_point,
     _closed_form_replicas,
-    _density_batch,
     _point_curve,
     _reconstruction_replicas,
     _star_parameters,
@@ -279,8 +278,7 @@ def _estimate_batch(counts: np.ndarray, shots: np.ndarray, plan) -> tuple[np.nda
     sums = (counts @ parity).reshape(len(counts), -1)  # integer parity sums, exact in any order
     value, sigma = np.ones((len(counts), width)), np.zeros((len(counts), width))
     for rows, flat, settings in groups:
-        # covering settings first, (C, B, R): a sum over a string's covers adds whole
-        # (B, R) slabs, in the order np.sum adds them on one string (see _cover_sum)
+        # covering settings first, (C, B, R): _cover_sum adds whole (B, R) slabs in np.sum's order on one string
         n_shots = shots[settings.T][:, None]
         values = np.take(sums, flat.T, axis=1).transpose(1, 0, 2) / n_shots
         sigmas = np.sqrt(np.maximum(1.0 - values * values, 0.0) / n_shots)
@@ -390,7 +388,7 @@ def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstra
         kernel = _closed_form_replicas
     else:
         kernel = partial(_reconstruction_replicas, system=system)
-        _check_negativity(np.linalg.eigh(_density_batch(values))[0][0, 0])  # the kernel's own lowest eigenvalue
+        _check_point(values)  # before any replica is drawn
     # resample only the outcome classes the estimator reads, each at its representative;
     # a class summed to 1 + 1 ulp would fail multinomial's pvals > 1 check
     probabilities = np.zeros(counts.shape)
@@ -403,10 +401,8 @@ def _curve_from_counts(plan, counts, shots, system: int, pipeline: str, bootstra
         size = min(per_block, bootstrap_resamples - start)
         # replica-major, setting-minor: one multinomial per (replica, setting), however blocked
         block = boot_rng.multinomial(shots, probabilities, size=(size, len(shots))).astype(float)
-        estimates = _estimate_batch(block, shots, plan)[0]
-        if not blocks:  # the point rides as row 0; rebinding frees the replicas' own copy
-            estimates = np.concatenate([values, estimates])
-        blocks.append(kernel(estimates))
+        block = block if blocks else np.concatenate([counts[None], block])  # the observed counts ride as row 0
+        blocks.append(kernel(_estimate_batch(block, shots, plan)[0]))
     replicas = np.concatenate([c for (c, _, _), _, _ in blocks])[1:]
     spread = np.std(replicas, axis=0, ddof=1)
     flags = np.concatenate([f for _, _, f in blocks])[1:]

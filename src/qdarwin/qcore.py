@@ -51,10 +51,10 @@ def _is_integer(value) -> bool:
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
-    """The generator of stream `key` (words below 2^32) of an integer seed, taken mod 2^64: every sampler
-    draws from its own (seed, key) stream; SeedSequence gets the uint32 words it reads from [seed, *key]."""
-    high, low = divmod(int(seed) & (2**64 - 1), 2**32)  # low word first, the high word only if nonzero
-    return np.random.default_rng(np.random.SeedSequence(np.array([low, *([high] if high else []), *key], np.uint32)))
+    """The generator of stream `key` of an integer seed, taken mod 2^64: every sampler draws from its own
+    (seed, key) stream; SeedSequence gets the uint32 words it reads from [seed, *key]: low word first, 0 as one."""
+    words = [v >> s & 0xFFFFFFFF for v in (int(seed) % 2**64, *map(int, key)) for s in range(0, v.bit_length() or 1, 32)]
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, np.uint32)))
 
 
 def _check_qubit_budget(n_qubits: int) -> None:

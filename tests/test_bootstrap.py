@@ -42,7 +42,6 @@ from qdarwin import (
 )
 from qdarwin.estimator import (
     STAR_CORRELATORS,
-    _check_negativity,
     _closed_form_replicas,
     _density_batch,
     _reconstruction_replicas,
@@ -583,14 +582,15 @@ class TestPointEstimateIsReplicaZero:
         ],
     )
     def test_no_row_depends_on_its_company(self, name, pipeline, target):
-        # the point estimate is row 0 of the first block's kernel call: that row must equal
-        # the one-row call, and the block's rows the call without the point, bit for bit
+        # the observed counts are row 0 of the first block, through the estimator and the kernel:
+        # that row must equal the one-row call, and the block's rows the call without it, bit for bit
         data = [sample_setting(named_state(name), s, RunConfig(shots_per_setting=300, seed=4))
                 for s in plan_measurements(target).settings]
         plan, counts, shots = _observed_counts(data, STAR_LABELS if pipeline == "closed_form" else ALL_LABELS)
-        point = _estimate_batch(counts[None], shots, plan)[0]
         draws = np.random.default_rng(8).multinomial(shots, counts / shots[:, None], size=(100, len(shots)))
-        block = _estimate_batch(draws.astype(float), shots, plan)[0]
+        (point, point_sigma), (block, block_sigma) = (_estimate_batch(c, shots, plan) for c in (counts[None], draws.astype(float)))
+        values, sigmas = _estimate_batch(np.concatenate([counts[None], draws.astype(float)]), shots, plan)
+        assert same_bits(values, np.concatenate([point, block])) and same_bits(sigmas, np.concatenate([point_sigma, block_sigma]))
         kernels = [_closed_form_replicas]
         if pipeline == "reconstruction":
             kernels = [partial(_reconstruction_replicas, system=system) for system in (1, 2, 3, 4)]
@@ -610,11 +610,11 @@ class TestPointEstimateIsReplicaZero:
         block = _estimate_batch(draws.astype(float), shots, plan)[0]
         lowest = _reconstruction_replicas(point, 1)[2]
         in_company = _reconstruction_replicas(np.concatenate([point, block]), 1)[2][:1]
-        checked = []
-        monkeypatch.setattr(measurement, "_check_negativity", lambda value: checked.append(value) or _check_negativity(value))
+        eigh, checked = np.linalg.eigh, []  # a refused run's one eigh is the refusal's
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: checked.append(eigh(m)[0][:, 0]) or eigh(m))
         with pytest.raises(ValueError, match=rf"eigenvalue {float(lowest[0]):.3f}, beyond"):
             mi_curve_from_counts(data, 1, "reconstruction", bootstrap_resamples=2)
-        assert same_bits(np.array(checked), lowest) and same_bits(in_company, lowest)
+        assert same_bits(np.concatenate(checked), lowest) and same_bits(in_company, lowest)
 
     def test_point_refused_beyond_negativity_tolerance(self):
         # every shot of every setting reads 0000: all correlators are +1 and

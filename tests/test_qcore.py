@@ -235,6 +235,22 @@ class TestPartialTrace:
                 got, expected = _partial_trace_batch(mats, keep), partial_trace_transposed(mats, keep)
                 assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), keep
 
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_one_einsum_keeps_the_bits_above_the_iterator_buffer(self, rng, n):
+        # 2^14 or more entries per matrix, past nditer's 8192-element buffer: ends, halves,
+        # interleaved and reversed keep sets, everything kept, and random orders
+        qubits = list(range(1, n + 1))
+        keeps = [(1,), (n,), (n, 1), tuple(qubits[: n // 2]), tuple(qubits[n // 2 :]), tuple(qubits[::2]),
+                 tuple(qubits[1::2]), tuple(qubits[::-3]), tuple(qubits), tuple(qubits[::-1])]
+        keeps += [tuple(int(q) for q in rng.permutation(qubits)[: rng.integers(1, n + 1)]) for _ in range(6)]
+        for lead in ((), (2,)):
+            shape = lead + (2**n, 2**n)
+            mats = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(-6, 7, shape)
+            mats[..., 0, :] = np.where(rng.random(2**n) < 0.5, 0.0, -0.0) + 1j * np.where(rng.random(2**n) < 0.5, 0.0, -0.0)
+            for keep in keeps:
+                got, expected = _partial_trace_batch(mats, keep), partial_trace_transposed(mats, keep)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), keep
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_keep_set_matches_the_brute_oracle(self, rng, n):
         # all orders up to 4 qubits; each subset ascending and reversed at 5 and 6
@@ -430,3 +446,21 @@ class TestStreams:
         # _rng hands SeedSequence the uint32 words it would read from the list itself
         expected = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), *key]))
         assert _rng(seed, *key).bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("label", ["Z" * 16, "Z" * 17, "X" * 24, "I" * 8 + "Y" * 16, "ZXYZ" * 6])
+    def test_a_long_settings_key_is_split_into_words(self, seed, label):
+        # a full-weight setting of 17 or more qubits keys its stream at or above 4^16 = 2^32
+        key = (measurement._SAMPLE_STREAM, int(label.translate(measurement._LETTER_DIGITS), 4))
+        expected = np.random.default_rng(np.random.SeedSequence([seed, *key]))
+        assert _rng(seed, *key).bit_generator.state == expected.bit_generator.state
+
+    def test_a_17_qubit_setting_draws_from_its_stream(self):
+        label, cfg = "X" * 17, measurement.RunConfig(shots_per_setting=40, seed=5)
+        state = StateVector.computational_basis("0" * 17)
+        key = int(label.translate(measurement._LETTER_DIGITS), 4)
+        assert key >= 2**32
+        rng = np.random.default_rng(np.random.SeedSequence([5, measurement._SAMPLE_STREAM, key]))
+        expected = rng.multinomial(40, measurement._plan_probabilities(state, [label])[0])
+        counts = measurement.sample_setting(state, label, cfg)
+        assert counts == measurement.OutcomeCounts.from_vector(PauliString(label), expected)
