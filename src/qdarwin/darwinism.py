@@ -38,6 +38,7 @@ _CHUNK = 4096  # qubit masks per entropy-kernel call, across fragment sizes
 
 CSV_HEADER = "delta,mean_mi,min_mi,max_mi,n_fragments,stderr"
 _NUMBER = (int, float)  # a JSON number; _json_fields refuses a bool
+_STDERR = (*_NUMBER, type(None))  # a point's stderr, never a bool
 _POINT_JSON = "    {\n" + ",\n".join(f'      "{k}": %s' for k in CSV_HEADER.split(",")) + "\n    }"  # MICurve.to_json's point
 
 
@@ -121,8 +122,12 @@ class MICurve:
         deltas = [p.delta for p in points]
         if deltas != list(range(1, self.n_env + 1)):
             raise ValueError(f"deltas {deltas} must be 1..{self.n_env}")
+        if not -1e-9 <= self.system_entropy < math.inf:  # a NaN or infinite entropy would bound nothing
+            raise ValueError(f"system entropy {self.system_entropy!r} is not a finite number >= 0")
         bound = 2 * self.system_entropy + 1e-9
         for p in points:
+            if not _is_integer(p.n_fragments) or isinstance(p.stderr, bool) or not isinstance(p.stderr, _STDERR):
+                raise ValueError(f"point {p} needs an integer n_fragments and a number or None as stderr")
             if not (p.min_mi <= p.mean_mi <= p.max_mi):
                 raise ValueError(f"point {p} violates min <= mean <= max")
             if p.min_mi < -1e-9 or p.max_mi > bound:
@@ -133,43 +138,44 @@ class MICurve:
         lines = [CSV_HEADER]
         for p in self.points:
             stderr = "" if p.stderr is None else f"{p.stderr:.12g}"
-            lines.append(
-                f"{p.delta},{p.mean_mi:.12g},{p.min_mi:.12g},{p.max_mi:.12g},"
-                f"{p.n_fragments},{stderr}"
-            )
+            lines.append(f"{p.delta},{p.mean_mi:.12g},{p.min_mi:.12g},{p.max_mi:.12g},{p.n_fragments},{stderr}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, system_entropy: float, n_env: int) -> "MICurve":
-        lines = [ln for ln in text.strip().splitlines() if ln] or [""]
-        if lines[0] != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {lines[0]!r}")
-        points = []
-        for line in lines[1:]:
-            delta, mean, lo, hi, count, stderr = line.split(",")
-            stderr = None if stderr == "" else float(stderr)
-            points.append(MIPoint(int(delta), float(mean), float(lo), float(hi), int(count), stderr))
+        """The curve of a CSV that to_csv wrote; a ValueError names the line and field it cannot read."""
+        lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()] or [(1, "")]
+        if lines[0][1] != CSV_HEADER:
+            raise ValueError(f"unexpected CSV header {lines[0][1]!r}")
+        names, points = CSV_HEADER.split(","), []
+        for number, line in lines[1:]:
+            if len(fields := line.split(",")) != len(names):
+                raise ValueError(f"CSV line {number} has {len(fields)} fields, expected {len(names)}: {CSV_HEADER}")
+            values = []
+            for name, kind, value in zip(names, (int, float, float, float, int, float), fields):
+                try:
+                    values.append(None if name == "stderr" and value == "" else kind(value))
+                except ValueError:
+                    raise ValueError(f"CSV line {number}: field {name!r} must be {kind.__name__}, got {value!r}") from None
+            points.append(MIPoint(*values))
         return cls(points=tuple(points), system_entropy=system_entropy, n_env=n_env)
 
     def to_json_dict(self) -> dict:  # the fields in order, no deep copy
         return {"system_entropy": self.system_entropy, "n_env": self.n_env, "points": [dict(vars(p)) for p in self.points]}
 
     def to_json(self) -> str:
-        """json.dumps(self.to_json_dict(), indent=2) + "\n", byte for byte, from one call of json's C encoder
-        (an indent runs its pure-Python one): the values in order, split on ", " (in no number, null, true, false,
-        NaN or Infinity), fill the fixed layout; a field holding a container or a ", " string takes the slow path."""
+        """json.dumps(self.to_json_dict(), indent=2) + "\n" byte for byte, from one call of json's C encoder (an indent runs
+        its pure-Python one): __post_init__ leaves numbers, null, true and false, so the values split on ", " fill the layout."""
         text = json.dumps([self.system_entropy, self.n_env, *(v for p in self.points for v in vars(p).values())])[1:-1]
-        if len(values := text.split(", ")) != 2 + 6 * len(self.points) or "[" in text or "{" in text:
-            return json.dumps(self.to_json_dict(), indent=2) + "\n"
         points = "\n" + ",\n".join([_POINT_JSON] * len(self.points)) + "\n  " if self.points else ""
-        return ('{\n  "system_entropy": %s,\n  "n_env": %s,\n  "points": [' + points + "]\n}\n") % tuple(values)
+        return ('{\n  "system_entropy": %s,\n  "n_env": %s,\n  "points": [' + points + "]\n}\n") % tuple(text.split(", "))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MICurve":
         """The curve of a file to_json wrote; a ValueError names a field that is missing, unexpected or not of
         its type.  An integer counts as a number, a boolean never does."""
         entropy, n_env, points = _json_fields(data, system_entropy=_NUMBER, n_env=int, points=list)
-        kinds = dict(delta=int, mean_mi=_NUMBER, min_mi=_NUMBER, max_mi=_NUMBER, n_fragments=int, stderr=(*_NUMBER, type(None)))
+        kinds = dict(delta=int, mean_mi=_NUMBER, min_mi=_NUMBER, max_mi=_NUMBER, n_fragments=int, stderr=_STDERR)
         return cls(points=tuple(MIPoint(*_json_fields(p, **kinds)) for p in points), system_entropy=entropy, n_env=n_env)
 
 

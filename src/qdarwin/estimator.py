@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb, prod, sqrt
 
@@ -249,15 +249,8 @@ def _star_parameters(values: np.ndarray, sigmas: list) -> StarParameters:
     )
 
 
-def branch_eigenvalues(params: StarParameters) -> tuple[float, float]:
-    """f+/f- = (1 +- sqrt(4|C|^2 + (1-2P)^2))/2, the eigenvalues of the
-    coherence block [[P, C], [C*, 1-P]]; they sum to one."""
-    f_plus, f_minus = _branch_eigenvalues(params.p, params.c)
-    return float(f_plus), float(f_minus)
-
-
 def _branch_eigenvalues(p, c):
-    # hypot and float_power round exactly as Python's abs and ** on scalars
+    """f+/f- = (1 +- sqrt(4|C|^2 + (1-2P)^2))/2, the eigenvalues of [[P, C], [C*, 1-P]]; hypot and float_power round as abs and ** do."""
     spread = np.sqrt(4.0 * np.float_power(_magnitude(c), 2) + np.float_power(1.0 - 2.0 * p, 2))
     return (1.0 + spread) / 2.0, (1.0 - spread) / 2.0
 
@@ -273,10 +266,8 @@ def star_mutual_information(params: StarParameters, delta: int) -> float:
         raise ValueError(f"delta must be 1, 2 or 3, got {delta}")
     values, in_model = _two_branch_mi(params.p, params.c)
     if not in_model:
-        raise ValueError(
-            f"branch eigenvalues {branch_eigenvalues(params)} outside [0, 1]: the "
-            "table is not consistent with the two-branch model"
-        )
+        eigenvalues = tuple(map(float, _branch_eigenvalues(params.p, params.c)))
+        raise ValueError(f"branch eigenvalues {eigenvalues} outside [0, 1]: the table is not consistent with the two-branch model")
     return float(values[delta - 1])
 
 
@@ -299,23 +290,10 @@ def _two_branch_mi(p, c):
     return np.stack([binary, binary, full], axis=-1), in_model
 
 
-def clip_to_two_branch_model(params: StarParameters) -> StarParameters:
-    """Project sampled (P, C) onto the physical two-branch set.
-
-    The ideal star state sits on the positivity boundary, and its Re C = 1/2
-    is read exactly, so noise in Im C puts nearly every finite-sample
-    estimate outside it; clamping P to [0, 1] and |C| to sqrt(P(1-P)) is the
-    model-space analogue of project_to_physical and leaves the
-    fragment-size-1/2 values untouched.
-    """
-    p, c = _clip_two_branch(params.p, params.c)
-    if p == params.p and c == params.c:
-        return params
-    return replace(params, p=float(p), c=complex(c))
-
-
 def _clip_two_branch(p, c):
-    """clip_to_two_branch_model, elementwise over arrays of P and C."""
+    """Sampled (P, C) clamped elementwise into the two-branch set, P to [0, 1] and |C| to sqrt(P(1-P)):
+    the model-space analogue of project_to_physical, which leaves the size-1 and size-2 values as they are.
+    The ideal star sits on the boundary with Re C = 1/2 read exactly, so noise in Im C puts most estimates out."""
     p = np.clip(p, 0.0, 1.0)
     c_max = np.sqrt(np.maximum(p * (1.0 - p), 0.0))
     magnitude = _magnitude(c)
@@ -386,10 +364,10 @@ def plan_measurements(target: str) -> MeasurementPlan:
     return MeasurementPlan(correlators=correlators, settings=settings, counts=counts)
 
 
-def _check_negativity(lowest: float, tol: float = _NEGATIVITY_TOL) -> None:
-    """Refuse a reconstruction whose lowest eigenvalue lies below -tol (and below -1e-9)."""
-    if lowest < min(-tol, _EIGENVALUE_FLOOR):
-        raise ValueError(f"reconstruction has eigenvalue {lowest:.3f}, beyond the projection tolerance {tol}")
+def _check_negativity(lowest: float) -> None:
+    """Refuse a reconstruction whose lowest eigenvalue lies below -_NEGATIVITY_TOL."""
+    if lowest < -_NEGATIVITY_TOL:
+        raise ValueError(f"reconstruction has eigenvalue {lowest:.3f}, beyond the projection tolerance {_NEGATIVITY_TOL}")
 
 
 def _check_point(values: np.ndarray) -> None:
@@ -431,13 +409,11 @@ def _point_curve(replicas, stderr=(None, None, None), diagnostics: dict | None =
     return MICurve(points=points, system_entropy=float(h_s[0]), n_env=3, _diagnostics=diagnostics)
 
 
-def diamond_mutual_information(
-    table: CorrelatorTable, system: int, *, negativity_tol: float = _NEGATIVITY_TOL
-) -> MICurve:
+def diamond_mutual_information(table: CorrelatorTable, system: int) -> MICurve:
     """Mutual-information curve from a full 256-string correlator table, run as the one replica of
     the reconstruction kernel: linear inversion, projection to the physical set when finite
-    statistics produced (mildly) negative eigenvalues, then the fragment entropies."""
+    statistics produced (mildly) negative eigenvalues, then the fragment entropies; refused as the point estimate is."""
     _check_system(system, 4)
     replicas = _reconstruction_replicas(_table_values(table, _pauli_strings())[None], system)
-    _check_negativity(float(replicas[2][0]), negativity_tol)
+    _check_negativity(float(replicas[2][0]))
     return _point_curve(replicas)

@@ -2,6 +2,7 @@
 oracles: every replica's numbers must match a scalar, one-replica-at-a-time
 computation to 1e-12."""
 import itertools
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -45,8 +46,8 @@ from qdarwin.estimator import (
     _closed_form_replicas,
     _density_batch,
     _reconstruction_replicas,
+    _clip_two_branch,
     _star_populations,
-    clip_to_two_branch_model,
 )
 from qdarwin import measurement
 from qdarwin.measurement import (
@@ -538,7 +539,9 @@ def scalar_point_curve(data, system: int, pipeline: str):
     """The point estimate through the public scalar functions: one
     (mean, min, max) per fragment size, and the system entropy."""
     if pipeline == "closed_form":
-        params = clip_to_two_branch_model(star_parameters(estimate_correlators(data, STAR_CORRELATORS)))
+        params = star_parameters(estimate_correlators(data, STAR_CORRELATORS))
+        p, c = _clip_two_branch(params.p, params.c)
+        params = replace(params, p=float(p), c=complex(c))  # the two-branch clip the closed-form kernel applies
         values = [star_mutual_information(params, d) for d in (1, 2, 3)]
         return [(v, v, v) for v in values], values[0]
     curve = diamond_mutual_information(estimate_correlators(data, all_pauli_strings(4)), system)

@@ -1058,9 +1058,15 @@ class TestCurveJson:
         assert curve.system_entropy == pytest.approx(0.0, abs=1e-12)  # a dense state's keeps its round-off
 
     @pytest.mark.parametrize("stderr", [[1.0], [1, 2], {"a": 1}, "a, b", "[", True])
-    def test_a_field_json_spells_otherwise_matches_it(self, stderr):
-        curve = MICurve(points=(_point(stderr=stderr), _point(2)), system_entropy=1.0, n_env=2)
-        assert curve.to_json() == curve_json(curve)
+    def test_a_field_json_spells_otherwise_is_refused(self, stderr):
+        # a container, string or bool stderr never reaches to_json: the curve refuses it
+        with pytest.raises(ValueError, match="a number or None as stderr"):
+            MICurve(points=(_point(stderr=stderr), _point(2)), system_entropy=1.0, n_env=2)
+
+    @pytest.mark.parametrize("count", [3.0, "3", None, True, [3]])
+    def test_a_non_integer_fragment_count_is_refused(self, count):
+        with pytest.raises(ValueError, match="an integer n_fragments"):
+            MICurve(points=(_point(count=count),), system_entropy=1.0, n_env=1)
 
     def test_a_numpy_integer_raises_the_encoders_type_error(self):
         curve = MICurve(points=(_point(delta=np.int64(1)),), system_entropy=1.0, n_env=1)
@@ -1122,6 +1128,57 @@ class TestCurveFromJson:
         data["points"][0].update(mean_mi=1, min_mi=1, max_mi=1, stderr=0)
         point = MICurve.from_json_dict(data).points[0]
         assert (point.mean_mi, point.min_mi, point.max_mi, point.stderr) == (1, 1, 1, 0)
+
+    @pytest.mark.parametrize("spelled", ["NaN", "Infinity", "-Infinity"])
+    def test_refuses_a_nonfinite_system_entropy(self, spelled):
+        text = mi_curve(star_spec(3, pi), 1).to_json().replace('"system_entropy": 1.0,', f'"system_entropy": {spelled},')
+        with pytest.raises(ValueError, match="system entropy .* is not a finite number >= 0"):
+            MICurve.from_json_dict(json.loads(text))
+
+
+class TestSystemEntropyBound:
+    # a NaN or infinite entropy makes the bound 2 * S + 1e-9 NaN or infinite, so it would check no point
+
+    @pytest.mark.parametrize("entropy", [math.nan, math.inf, -math.inf, -1e-6])
+    def test_the_constructor_refuses_it(self, entropy):
+        with pytest.raises(ValueError, match="system entropy .* is not a finite number >= 0"):
+            MICurve(points=(MIPoint(1, 0.5, 0.5, 0.5, 3),), system_entropy=entropy, n_env=1)
+
+    @pytest.mark.parametrize("entropy", [math.nan, math.inf, -1e-6])
+    def test_from_csv_refuses_it(self, entropy):
+        text = mi_curve(star_spec(3, pi), 1).to_csv()
+        with pytest.raises(ValueError, match="system entropy .* is not a finite number >= 0"):
+            MICurve.from_csv(text, entropy, 3)
+
+    def test_round_off_below_zero_is_kept(self):
+        curve = MICurve(points=(MIPoint(1, 0.0, 0.0, 0.0, 3),), system_entropy=-1e-12, n_env=1)
+        assert curve.system_entropy == -1e-12
+
+
+class TestCurveFromCsv:
+    def _text(self):
+        return mi_curve(star_spec(3, pi), 1).to_csv()
+
+    @pytest.mark.parametrize("row, message", [
+        ("2,1,1,1", "CSV line 3 has 4 fields, expected 6: delta,mean_mi"),
+        ("2,1,1,1,3,,7", "CSV line 3 has 7 fields, expected 6: delta,mean_mi"),
+        ("2,1,1,1,3.0,", "CSV line 3: field 'n_fragments' must be int, got '3.0'"),
+        ("2,1,one,1,3,", "CSV line 3: field 'min_mi' must be float, got 'one'"),
+        ("2,1,1,1,3,x", "CSV line 3: field 'stderr' must be float, got 'x'"),
+        ("two,1,1,1,3,", "CSV line 3: field 'delta' must be int, got 'two'"),
+    ])
+    def test_names_the_line_and_field_it_cannot_read(self, row, message):
+        lines = self._text().splitlines()
+        lines[2] = row
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MICurve.from_csv("\n".join(lines) + "\n", 1.0, 3)
+
+    def test_counts_lines_of_the_file_blank_ones_included(self):
+        lines = self._text().splitlines()
+        text = "\n".join(["", *lines[:2], "", lines[2] + "x", lines[3]]) + "\n"  # the size-2 row, now line 5
+        with pytest.raises(ValueError, match="CSV line 5: field 'stderr' must be float, got 'x'"):
+            MICurve.from_csv(text, 1.0, 3)
+        assert MICurve.from_csv("\n" + self._text() + "\n\n", 1.0, 3) == MICurve.from_csv(self._text(), 1.0, 3)
 
 
 class TestClassifier:

@@ -16,12 +16,15 @@ from oracle_utils import (
 )
 from qdarwin import (
     CorrelatorTable,
+    OutcomeCounts,
     StateVector,
     all_pauli_strings,
     correlator_table,
     diamond_mutual_information,
+    estimate_correlators,
     ghz_state,
     mi_curve,
+    mi_curve_from_counts,
     named_state,
     plan_measurements,
     reconstruct_density,
@@ -34,8 +37,8 @@ from qdarwin.estimator import (
     _Q_TERMS,
     STAR_CORRELATORS,
     StarParameters,
+    _branch_eigenvalues,
     _star_populations,
-    branch_eigenvalues,
     covering_setting,
 )
 
@@ -192,7 +195,7 @@ class TestClosedFormMutualInformation:
         for p in np.linspace(0.05, 0.95, 7):
             c = 0.8 * np.sqrt(p * (1 - p)) * np.exp(1.3j)
             params = StarParameters(p=float(p), c=complex(c))
-            f_plus, f_minus = branch_eigenvalues(params)
+            f_plus, f_minus = _branch_eigenvalues(params.p, params.c)
             assert f_plus + f_minus == pytest.approx(1.0, abs=1e-12)
             assert (f_plus, f_minus) == pytest.approx(eig2x2(float(p), complex(c)), abs=1e-10)
 
@@ -320,9 +323,17 @@ class TestDiamondPipeline:
         entries["XXXX"] = 1.0
         entries["YYYY"] = 1.0
         entries["ZZZZ"] = -1.0
-        table = CorrelatorTable(entries)  # spectrum reaches -1/8
-        with pytest.raises(ValueError, match="projection tolerance"):
-            diamond_mutual_information(table, 1, negativity_tol=0.05)
-        # within a generous tolerance the same table is projected and analyzed
-        curve = diamond_mutual_information(table, 1, negativity_tol=0.25)
+        table = CorrelatorTable(entries)  # spectrum reaches -1/8, within the fixed tolerance 0.25
+        curve = diamond_mutual_information(table, 1)  # so the table is projected and analyzed
         assert all(v >= 0 for v in mean_values(curve))
+        # every shot of every tomography setting reads 0000: all correlators are +1 and the
+        # inversion's lowest eigenvalue is -0.933; the pipeline and the table refuse it alike
+        data = [OutcomeCounts(setting=s, shots=50, counts={"0000": 50})
+                for s in plan_measurements("full_tomography").settings]
+        refusals = []
+        for run in (lambda: mi_curve_from_counts(data, 1, "reconstruction", bootstrap_resamples=2),
+                    lambda: diamond_mutual_information(estimate_correlators(data, ALL_STRINGS), 1)):
+            with pytest.raises(ValueError) as refused:
+                run()
+            refusals.append(str(refused.value))
+        assert refusals == ["reconstruction has eigenvalue -0.933, beyond the projection tolerance 0.25"] * 2

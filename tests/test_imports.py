@@ -2,9 +2,10 @@
 
 A module may import a name it never loads only when the benchmark's tracer
 (perfbench/tracer.py) wraps that binding, ``qdarwin.__all__`` lists
-exactly the names the package's ``__init__`` imports, each of them and
-each public method of its classes is used outside the tests, and the
-command line imports no private name from the package."""
+exactly the names the package's ``__init__`` imports, each public
+top-level name of a module and each public method of a class in
+``__all__`` is used outside the tests, and the command line imports no
+private name from the package."""
 import ast
 import importlib
 import inspect
@@ -90,12 +91,13 @@ def _attribute_reads(tree: ast.Module, classes: set[str]) -> set[tuple[str | Non
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    # loaded in a module of the package other than __init__ (a definition is
-    # not a load), or named in the README or the benchmark; a public method,
-    # class method or property of a class in __all__ counts as used when some
-    # such module reads it as an attribute of that class (`ClassName.x`, or
-    # `cls.x` in its body) or of an object of unknown class, or the README or
-    # the benchmark names it after a dot
+    # a name in __all__, or a public top-level function, class or constant of
+    # a module, is loaded in a module of the package other than __init__ (a
+    # definition is not a load), or named in the README, the benchmark or
+    # pyproject.toml; a public method, class method or property of a class in
+    # __all__ counts as used when some such module reads it as an attribute of
+    # that class (`ClassName.x`, or `cls.x` in its body) or of an object of
+    # unknown class, or the README or the benchmark names it after a dot
     trees = [ast.parse(path.read_text()) for path in MODULES]
     classes = {node.name for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     loaded, reads = set(), set()
@@ -103,9 +105,11 @@ def test_every_public_name_is_used_outside_the_tests():
         loaded |= _loaded(tree)
         reads |= _attribute_reads(tree, classes)
     root = PACKAGE.parent.parent
-    text = "\n".join(p.read_text() for p in [root / "README.md", *sorted((root / "perfbench").glob("*.py"))])
+    documents = [root / "README.md", root / "pyproject.toml", *sorted((root / "perfbench").glob("*.py"))]
+    text = "\n".join(p.read_text() for p in documents)
     used = loaded | {attr for _, attr in reads}
-    unused = [name for name in qdarwin.__all__ if name not in used and not re.search(rf"\b{name}\b", text)]
+    public = dict.fromkeys([*qdarwin.__all__, *sorted(n for tree in trees for n in _defined(tree) if not n.startswith("_"))])
+    unused = [name for name in public if name not in used and not re.search(rf"\b{name}\b", text)]
     members = [
         (name, attr)
         for name in qdarwin.__all__

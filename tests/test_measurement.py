@@ -30,7 +30,7 @@ from qdarwin import (
     star_parameters,
 )
 from qdarwin import measurement
-from qdarwin.estimator import StarParameters, clip_to_two_branch_model
+from qdarwin.estimator import _clip_two_branch
 from qdarwin.measurement import (
     _plan_probabilities,
     counts_from_json,
@@ -381,18 +381,17 @@ class TestPhysicalProjection:
 
 class TestModelClipping:
     def test_within_model_untouched(self):
-        params = StarParameters(p=0.4, c=0.3)
-        assert clip_to_two_branch_model(params) is params
+        assert _clip_two_branch(0.4, 0.3) == (0.4, 0.3)
 
     def test_overshoot_coherence_clipped(self):
-        clipped = clip_to_two_branch_model(StarParameters(p=0.5, c=0.52))
-        assert abs(clipped.c) == pytest.approx(0.5, abs=1e-12)
-        assert clipped.p == 0.5
+        p, c = _clip_two_branch(0.5, 0.52)
+        assert abs(c) == pytest.approx(0.5, abs=1e-12)
+        assert p == 0.5
 
     def test_population_clamped(self):
-        clipped = clip_to_two_branch_model(StarParameters(p=1.0 + 1e-4, c=0.01))
-        assert clipped.p == 1.0
-        assert clipped.c == 0.0
+        p, c = _clip_two_branch(1.0 + 1e-4, 0.01)
+        assert p == 1.0
+        assert c == 0.0
 
 
 class TestEstimateMICurve:
