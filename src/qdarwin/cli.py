@@ -39,7 +39,6 @@ from .measurement import (  # noqa: F401  (sample_setting: perfbench/tracer.py w
     RunConfig,
     counts_from_json,
     counts_to_json,
-    estimate_mi_curve,
     mi_curve_from_counts,
     sample_plan,
     sample_setting,
@@ -175,13 +174,9 @@ def _cmd_estimate(args) -> int:
             bootstrap_resamples=args.bootstrap,
             poisson_shots=args.poisson,
         )
-        if args.save_counts:  # drawn once, in one batch, after mi_curve_from_counts's checks; tee keeps them to save
-            plan = plan_measurements(PLAN_TARGETS[args.pipeline])
-            data, saved = itertools.tee(sample_plan(state, plan.settings, cfg))
-        else:
-            curve = estimate_mi_curve(state, args.system, cfg, args.pipeline)
-    if args.counts_file or args.save_counts:
-        curve = mi_curve_from_counts(data, args.system, args.pipeline, bootstrap_resamples=args.bootstrap, seed=args.seed)
+        # drawn once, in one batch, after mi_curve_from_counts's checks; tee keeps them for --save-counts
+        data, saved = itertools.tee(sample_plan(state, plan_measurements(PLAN_TARGETS[args.pipeline]).settings, cfg))
+    curve = mi_curve_from_counts(data, args.system, args.pipeline, bootstrap_resamples=args.bootstrap, seed=args.seed)
     manifest = _manifest(args, "named counts_file pipeline shots bootstrap system poisson", args.seed)
     if args.counts_file:
         import hashlib  # here: state, plan, verify and exhaustive curves never load it (numpy.random does)

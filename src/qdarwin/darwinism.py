@@ -23,6 +23,7 @@ from .qcore import (  # noqa: F401  (partial_trace, subsystem_entropy, von_neuma
     _partial_trace_batch,
     _pure_entropies,
     _rng,
+    _validate_keep,
     partial_trace,
     subsystem_entropy,
     von_neumann_entropy,
@@ -42,28 +43,6 @@ _STDERR = (*_NUMBER, type(None))  # a point's stderr, never a bool
 _POINT_JSON = "    {\n" + ",\n".join(f'      "{k}": %s' for k in CSV_HEADER.split(",")) + "\n    }"  # MICurve.to_json's point
 
 
-@dataclass(frozen=True)
-class Fragment:
-    """Ordered set of environment qubit labels."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        bad = [q for q in self.members if not (_is_integer(q) and q >= 1)]
-        if bad:
-            raise ValueError(f"fragment label {bad[0]!r} is not a 1-based integer qubit label")
-        members = tuple(int(q) for q in self.members)
-        if len(set(members)) != len(members):
-            raise ValueError(f"fragment has repeated qubits: {members}")
-        object.__setattr__(self, "members", members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
 def mutual_information(state, system: int, fragment) -> float:
     """I = H_S + H_F - H_SF in bits, clamped to >= 0.
 
@@ -72,13 +51,12 @@ def mutual_information(state, system: int, fragment) -> float:
     """
     n = state.n_qubits
     _check_system(system, n)
-    members = Fragment(tuple(fragment)).members
+    fragment = tuple(fragment)
+    if not fragment:
+        return 0.0
+    members = _validate_keep(n, fragment)
     if system in members:
         raise ValueError(f"fragment {members} contains the system qubit {system}")
-    if any(q > n for q in members):
-        raise ValueError(f"fragment {members} out of range for {n} qubits")
-    if not members:
-        return 0.0
     source = state.amplitudes if isinstance(state, StateVector) else state.entries
     h = functools.partial(_pure_entropies if source.ndim == 1 else _mixed_entropies, source)
     return float(_nonnegative(h([(system,)]) + h([members]) - h([(system,) + members]))[0])
@@ -120,14 +98,15 @@ class MICurve:
     def __post_init__(self) -> None:
         points = tuple(self.points)
         deltas = [p.delta for p in points]
-        if deltas != list(range(1, self.n_env + 1)):
-            raise ValueError(f"deltas {deltas} must be 1..{self.n_env}")
-        if not -1e-9 <= self.system_entropy < math.inf:  # a NaN or infinite entropy would bound nothing
+        if not all(map(_is_integer, [self.n_env, *deltas])) or deltas != list(range(1, self.n_env + 1)):
+            raise ValueError(f"deltas {deltas} must be the integers 1..{self.n_env!r}")
+        # a NaN or infinite entropy would bound nothing; a bool, like any other field's, would not read back
+        if isinstance(self.system_entropy, bool) or not -1e-9 <= self.system_entropy < math.inf:
             raise ValueError(f"system entropy {self.system_entropy!r} is not a finite number >= 0")
         bound = 2 * self.system_entropy + 1e-9
         for p in points:
-            if not _is_integer(p.n_fragments) or isinstance(p.stderr, bool) or not isinstance(p.stderr, _STDERR):
-                raise ValueError(f"point {p} needs an integer n_fragments and a number or None as stderr")
+            if not _is_integer(p.n_fragments) or not isinstance(p.stderr, _STDERR) or bool in map(type, vars(p).values()):
+                raise ValueError(f"point {p} needs an integer n_fragments, a number or None as stderr, and no bool field")
             if not (p.min_mi <= p.mean_mi <= p.max_mi):
                 raise ValueError(f"point {p} violates min <= mean <= max")
             if p.min_mi < -1e-9 or p.max_mi > bound:
@@ -165,7 +144,7 @@ class MICurve:
 
     def to_json(self) -> str:
         """json.dumps(self.to_json_dict(), indent=2) + "\n" byte for byte, from one call of json's C encoder (an indent runs
-        its pure-Python one): __post_init__ leaves numbers, null, true and false, so the values split on ", " fill the layout."""
+        its pure-Python one): __post_init__ leaves numbers and null, so the values split on ", " fill the layout."""
         text = json.dumps([self.system_entropy, self.n_env, *(v for p in self.points for v in vars(p).values())])[1:-1]
         points = "\n" + ",\n".join([_POINT_JSON] * len(self.points)) + "\n  " if self.points else ""
         return ('{\n  "system_entropy": %s,\n  "n_env": %s,\n  "points": [' + points + "]\n}\n") % tuple(text.split(", "))
@@ -386,6 +365,8 @@ def mi_curve(
     """
     n = source.n_qubits
     _check_system(system, n)
+    if not _is_integer(sample_size):
+        raise ValueError(f"sample_size must be an integer, got {sample_size!r}")
     if sample_size < 2:
         raise ValueError(f"sample_size must be at least 2 for a standard error, got {sample_size}")
     if not _is_integer(seed):

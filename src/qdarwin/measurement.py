@@ -333,7 +333,7 @@ def _check_estimate(system: int, pipeline: str) -> None:
     _check_system(system, 4)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)  # one entry per pipeline, each name checked before the call
 def _pipeline_tables(pipeline: str):
     """The labels a pipeline reads, built once: its plan's settings and its wanted correlators."""
     wanted = STAR_CORRELATORS if pipeline == "closed_form" else all_pauli_strings(4)

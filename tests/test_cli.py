@@ -448,15 +448,17 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("pipeline,system", [("reconstruction", "0"), ("reconstruction", "5"),
                                                  ("reconstruction", "7"), ("closed_form", "7")])
-    def test_system_refused_before_sampling(self, tmp_path, capsys, monkeypatch, pipeline, system):
+    @pytest.mark.parametrize("save", [[], ["--save-counts", "counts.json"]])
+    def test_system_refused_before_sampling(self, tmp_path, capsys, monkeypatch, pipeline, system, save):
         def refuse(*args, **kwargs):
             raise AssertionError("sample_setting was called")
 
         monkeypatch.setattr("qdarwin.cli.sample_setting", refuse)
         for binding in ("sample_setting", "_sample_counts"):
             monkeypatch.setattr(f"qdarwin.measurement.{binding}", refuse)
+        monkeypatch.chdir(tmp_path)
         code = run(["estimate", "--named", "diamond-canonical", "--pipeline", pipeline, "--system", system,
-                    "--save-counts", str(tmp_path / "counts.json"), "--out", str(tmp_path / "x.csv")])
+                    *save, "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert capsys.readouterr().err == f"error: system index {system} out of range\n"
         assert list(tmp_path.iterdir()) == []

@@ -25,7 +25,6 @@ from oracle_utils import (
     random_pure_array,
 )
 from qdarwin import (
-    Fragment,
     GraphSpec,
     MICurve,
     MIPoint,
@@ -89,17 +88,6 @@ def _assert_curve_matches(curve, expected, tol=1e-12):
         assert point.max_mi == pytest.approx(hi, abs=tol)
 
 
-class TestFragment:
-    def test_fragment_validation(self):
-        with pytest.raises(ValueError, match="repeated"):
-            Fragment((2, 2))
-        # labels are refused, not coerced: int(3.7) would read as qubit 3
-        for label in (3.7, 3.0, True, "3", 0, -1):
-            with pytest.raises(ValueError, match=f"fragment label {label!r} is not a 1-based integer"):
-                Fragment((2, label))
-        assert Fragment((np.int64(3), 2)).members == (3, 2)
-
-
 class TestMutualInformation:
     def test_star_single_fragment(self):
         star = build_graph_state(star_spec(3, pi))
@@ -138,6 +126,16 @@ class TestMutualInformation:
 
     def test_empty_fragment_is_zero(self, ghz4):
         assert mutual_information(ghz4, 1, ()) == 0.0
+
+    def test_fragment_labels_are_refused_not_coerced(self):
+        state = named_state("diamond-canonical")
+        with pytest.raises(ValueError, match="duplicate qubit labels"):
+            mutual_information(state, 1, (2, 2))
+        # int(3.7) would read as qubit 3
+        for label in (3.7, 3.0, True, "3", 0, -1, 5):
+            with pytest.raises(ValueError, match=f"^qubit label {re.escape(repr(label))} out of range for 4 qubits"):
+                mutual_information(state, 1, (2, label))
+        assert mutual_information(state, 1, (np.int64(3), 2)) == mutual_information(state, 1, (3, 2)) == 2.0
 
 
 class TestMICurve:
@@ -223,6 +221,13 @@ class TestMICurve:
         for size in (1, 0, -3):
             with pytest.raises(ValueError, match=f"sample_size must be at least 2 for a standard error, got {size}"):
                 mi_curve(star_spec(5, pi), 1, max_exhaustive=4, sample_size=size)
+
+    @pytest.mark.parametrize("size", [2.5, 3.0, True])
+    @pytest.mark.parametrize("n_env, max_exhaustive", [(4, _DEFAULT_MAX_EXHAUSTIVE), (8, 10)])
+    def test_sample_size_must_be_an_integer(self, size, n_env, max_exhaustive):
+        # 2.5 once reached an exhaustive curve's diagnostics, and a sampled size raised numpy's TypeError
+        with pytest.raises(ValueError, match=f"^sample_size must be an integer, got {size!r}$"):
+            mi_curve(diamond_spec(n_env, pi, pi), 1, max_exhaustive=max_exhaustive, sample_size=size)
 
     def test_a_sampled_curve_makes_one_stream_per_sampled_size(self, monkeypatch, rng):
         calls, stream = [], darwinism._rng
@@ -1067,6 +1072,18 @@ class TestCurveJson:
     def test_a_non_integer_fragment_count_is_refused(self, count):
         with pytest.raises(ValueError, match="an integer n_fragments"):
             MICurve(points=(_point(count=count),), system_entropy=1.0, n_env=1)
+
+    @pytest.mark.parametrize("name, message", [
+        ("n_env", "deltas"), ("delta", "deltas"), ("system_entropy", "system entropy True"),
+        ("mean_mi", "no bool field"), ("min_mi", "no bool field"), ("max_mi", "no bool field"),
+    ])
+    def test_a_bool_field_is_refused(self, name, message):
+        # True == 1 passed every other check, and from_json_dict refused the file to_json wrote
+        fields = {"system_entropy": 1.0, "n_env": 1, "point": dict(delta=1, mean_mi=1.0, min_mi=1.0, max_mi=1.0, n_fragments=3)}
+        assert MICurve(points=(MIPoint(**fields["point"]),), system_entropy=1.0, n_env=1)
+        (fields if name in fields else fields["point"])[name] = True
+        with pytest.raises(ValueError, match=message):
+            MICurve(points=(MIPoint(**fields.pop("point")),), **fields)
 
     def test_a_numpy_integer_raises_the_encoders_type_error(self):
         curve = MICurve(points=(_point(delta=np.int64(1)),), system_entropy=1.0, n_env=1)

@@ -163,6 +163,48 @@ def test_cli_imports_only_public_names():
     assert private == set()
 
 
+def _cache_breaches(tree: ast.Module) -> list[int]:
+    """Line numbers of every lru_cache without a literal maxsize of at most 64, and of
+    every functools.cache on anything but a function that takes no parameters."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    bare = {id(decorator) for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not ast.unparse(node.args) for decorator in node.decorator_list}
+    breaches = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name == "lru_cache":
+            call = calls.get(id(node))
+            size = [*call.args[:1], *(k.value for k in call.keywords if k.arg == "maxsize")] if call else []
+            if not (size and isinstance(size[0], ast.Constant) and type(size[0].value) is int and size[0].value <= 64):
+                breaches.append(node.lineno)
+        elif name == "cache" and id(node) not in bare:
+            breaches.append(node.lineno)
+    return sorted(breaches)
+
+
+def test_every_cache_is_bounded():
+    # a cache keyed by caller input (Pauli strings, say) would keep every value it ever returned
+    breaches = {path.name: _cache_breaches(ast.parse(path.read_text())) for path in MODULES}
+    assert {name: lines for name, lines in breaches.items() if lines} == {}
+
+
+def test_the_cache_rule_reads_each_form():
+    tree = ast.parse(
+        "@lru_cache(maxsize=64)\ndef a(x): pass\n"
+        "@functools.lru_cache(8)\ndef b(x): pass\n"
+        "@functools.cache\ndef c(): pass\n"
+        "@lru_cache(maxsize=65)\ndef d(x): pass\n"
+        "@lru_cache(maxsize=None)\ndef e(x): pass\n"
+        "@lru_cache\ndef f(x): pass\n"
+        "@functools.lru_cache(maxsize=True)\ndef g(x): pass\n"
+        "@cache\ndef h(x): pass\n"
+        "@functools.cache\ndef i(*, x): pass\n"
+        "j = functools.cache(len)\n"
+        "k = lru_cache(maxsize=SIZE)(len)\n"
+    )
+    assert _cache_breaches(tree) == [7, 9, 11, 13, 15, 17, 19, 20]
+
+
 def test_import_loads_no_executor():
     # bootstrap blocks are drawn in the calling thread, so neither importing the
     # package nor running a seeded estimate on either pipeline loads a thread pool

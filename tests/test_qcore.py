@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 from functools import partial
 from math import pi, sqrt
 
@@ -38,7 +40,7 @@ from qdarwin import (
     von_neumann_entropy,
 )
 from qdarwin import darwinism, measurement
-from qdarwin.qcore import _partial_trace_batch, _pauli_action, _rng
+from qdarwin.qcore import _partial_trace_batch, _rng
 
 
 class TestStateConstruction:
@@ -360,13 +362,30 @@ class TestPauliExpectation:
         np.testing.assert_allclose(rebuilt / 2**n, rho.entries, atol=1e-8)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_action_rebuilds_the_kronecker_matrix(self, n):
-        # P|j> = phases[j] |perm[j]>, read from PAULI_MATRICES letter by letter
+    def test_every_string_matches_the_kronecker_oracle(self, n, rng):
+        # the X/Z-mask sum against Tr[rho P] and <psi|P|psi> with P built letter by letter
+        rho = as_density(random_density_array(n, rng))
+        psi = as_state(random_pure_array(n, rng))
         for string in all_pauli_strings(n):
-            perm, phases = _pauli_action(string.labels)
-            rebuilt = np.zeros((2**n, 2**n), dtype=complex)
-            rebuilt[perm, np.arange(2**n)] = phases
-            assert (rebuilt == pauli_matrix(string.labels)).all(), string
+            mat = pauli_matrix(string.labels)
+            assert abs(pauli_expectation(rho, string) - np.trace(rho.entries @ mat).real) <= 1e-12, string
+            assert abs(pauli_expectation(psi, string) - np.vdot(psi.amplitudes, mat @ psi.amplitudes).real) <= 1e-12, string
+
+    def test_expectations_keep_no_tables(self):
+        # a per-string cache of index and phase tables (384 KB at 14 qubits) would keep growing here
+        state = build_graph_state(star_spec(13, pi / 3))
+        strings = {"".join(np.random.default_rng(i).choice(list("IXYZ"), 14)) for i in range(20)}
+        assert len(strings) == 20
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for labels in strings:
+                pauli_expectation(state, labels)
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - start < 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_weight(self):
         assert PauliString("ZIZI").weight == 2
